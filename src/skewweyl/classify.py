@@ -14,20 +14,16 @@ structurally.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
-from .lie_engine import LieSpan, bracket, span_is_bracket_closed
+from .lie_engine import LieSpan, Rref, bracket, solve
 from .weyl_core import SkewPoly
 
 Vec = Tuple[Fraction, ...]
-
-
-def _to_rat(x: Fraction):
-    return sympy.Rational(x.numerator, x.denominator)
+Matrix = List[List[Fraction]]
 
 
 # ---------------------------------------------------------------------------
@@ -56,19 +52,18 @@ class StructureConstants:
 
     @staticmethod
     def from_span(b: LieSpan) -> "StructureConstants":
-        if not span_is_bracket_closed(b):
-            raise ValueError("span is not closed under the bracket")
         n = b.dim
         entries: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for i in range(n):
             for j in range(i + 1, n):
                 coords = b.coordinates(bracket(b.basis[i], b.basis[j]))
-                assert coords is not None
+                if coords is None:
+                    raise ValueError("span is not closed under the bracket")
                 entries[(i, j)] = {k: c for k, c in enumerate(coords) if c}
         return StructureConstants(n, entries)
 
-    def bracket_vec(self, u: Sequence, v: Sequence) -> List:
-        out = [sympy.Integer(0)] * self.n
+    def bracket_vec(self, u: Sequence, v: Sequence) -> List[Fraction]:
+        out = [Fraction(0)] * self.n
         for i in range(self.n):
             if not u[i]:
                 continue
@@ -78,182 +73,134 @@ class StructureConstants:
                 c = u[i] * v[j]
                 for k, t in enumerate(self.table[i][j]):
                     if t:
-                        out[k] += c * _to_rat(t)
+                        out[k] += c * t
         return out
 
-    def ad(self, i: int) -> sympy.Matrix:
-        cols = [[_to_rat(self.table[i][j][k]) for j in range(self.n)]
+    def ad(self, i: int) -> Matrix:
+        """Matrix of ad(b_i): column j holds the coordinates of [b_i, b_j]."""
+        return [[self.table[i][j][k] for j in range(self.n)]
                 for k in range(self.n)]
-        return sympy.Matrix(cols)
 
 
-def _colspace(vectors: List[List]) -> List[List]:
-    if not vectors:
-        return []
-    m = sympy.Matrix([list(v) for v in vectors]).T
-    return [list(c) for c in m.columnspace()]
+def _subspace_product(sc: StructureConstants, A: Matrix, B: Matrix) -> Matrix:
+    """Basis (RREF rows) of the span of all [u, v], u in A, v in B."""
+    return Rref([sc.bracket_vec(u, v) for u in A for v in B], sc.n).rows
 
 
-def _subspace_product(sc: StructureConstants, A: List[List], B: List[List]) -> List[List]:
-    return _colspace([sc.bracket_vec(u, v) for u in A for v in B])
+def _full_basis(n: int) -> Matrix:
+    return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
 
 
-def _full_basis(n: int) -> List[List]:
-    return [[sympy.Integer(1 if i == j else 0) for i in range(n)] for j in range(n)]
-
-
-def _series(sc: StructureConstants, step) -> List[List[List]]:
-    """Run a descending series until the dimension stabilizes."""
+def _series(sc: StructureConstants, step) -> List[Matrix]:
+    """A descending series from the whole algebra, each term strictly
+    smaller than the last, ending where it stabilizes or reaches 0."""
     out = [_full_basis(sc.n)]
-    while True:
+    while out[-1]:
         nxt = step(out[-1])
-        out.append(nxt)
-        if len(nxt) == len(out[-2]) or not nxt:
+        if len(nxt) == len(out[-1]):
             break
+        out.append(nxt)
     return out
 
 
-def _series_dims(series: List[List[List]]) -> Tuple[int, ...]:
-    dims = [len(s) for s in series]
-    # normalize: stop at first repeat or at 0
-    norm = [dims[0]]
-    for d in dims[1:]:
-        if d == norm[-1]:
-            break
-        norm.append(d)
-        if d == 0:
-            break
-    return tuple(norm)
+def _derived_series(sc: StructureConstants) -> List[Matrix]:
+    return _series(sc, lambda s: _subspace_product(sc, s, s))
+
+
+def _lower_central_series(sc: StructureConstants) -> List[Matrix]:
+    return _series(sc, lambda s: _subspace_product(sc, _full_basis(sc.n), s))
+
+
+def _center(sc: StructureConstants) -> Matrix:
+    """Common kernel of all ad maps."""
+    return Rref([row for i in range(sc.n) for row in sc.ad(i)],
+                sc.n).nullspace()
 
 
 # ---------------------------------------------------------------------------
 # Invariants on LieSpans
 # ---------------------------------------------------------------------------
 
+def _spans(b: LieSpan, subspaces: List[Matrix]) -> List[LieSpan]:
+    """Subspaces given by coordinate vectors in b's basis, as LieSpans; the
+    whole algebra maps to b itself."""
+    def element(v) -> SkewPoly:
+        return sum((x.scale(c) for x, c in zip(b.basis, v) if c), SkewPoly.zero())
+
+    return [b if len(vecs) == b.dim else LieSpan(map(element, vecs))
+            for vecs in subspaces]
+
+
 def derived_series(b: LieSpan) -> List[LieSpan]:
     """D^0 = b, D^{l+1} = [D^l, D^l], until stabilization."""
-    if not span_is_bracket_closed(b):
-        raise ValueError("span is not closed under the bracket")
-    out = [b]
-    while True:
-        cur = out[-1]
-        nxt = LieSpan()
-        for i, x in enumerate(cur.basis):
-            for y in cur.basis[i + 1:]:
-                nxt.insert(bracket(x, y))
-        if nxt.dim == cur.dim:
-            break
-        out.append(nxt)
-        if nxt.dim == 0:
-            break
-    return out
+    return _spans(b, _derived_series(StructureConstants.from_span(b)))
 
 
 def lower_central_series(b: LieSpan) -> List[LieSpan]:
     """n_0 = b, n_{l+1} = [b, n_l], until stabilization."""
-    if not span_is_bracket_closed(b):
-        raise ValueError("span is not closed under the bracket")
-    out = [b]
-    while True:
-        cur = out[-1]
-        nxt = LieSpan()
-        for x in b.basis:
-            for y in cur.basis:
-                nxt.insert(bracket(x, y))
-        if nxt.dim == cur.dim:
-            break
-        out.append(nxt)
-        if nxt.dim == 0:
-            break
-    return out
+    return _spans(b, _lower_central_series(StructureConstants.from_span(b)))
 
 
 def center(b: LieSpan) -> LieSpan:
-    from .lie_engine import centralizer_in
-
-    out = b.copy()
-    for x in b.basis:
-        out = _intersect(out, centralizer_in(x, b))
-    return out
-
-
-def _intersect(a: LieSpan, b: LieSpan) -> LieSpan:
-    """Subspace intersection via the nullspace of the stacked bases."""
-    out = LieSpan()
-    from .weyl_core import monomial_key_order
-
-    keys = sorted({k for s in (a, b) for vec in s.basis for k in vec.terms},
-                  key=monomial_key_order)
-    kindex = {k: i for i, k in enumerate(keys)}
-    M = sympy.zeros(len(keys), a.dim + b.dim)
-    for j, v in enumerate(a.basis):
-        for k, c in v.terms.items():
-            M[kindex[k], j] = _to_rat(c)
-    for j, v in enumerate(b.basis):
-        for k, c in v.terms.items():
-            M[kindex[k], a.dim + j] = -_to_rat(c)
-    for null in M.nullspace():
-        acc = SkewPoly()
-        for j, v in enumerate(a.basis):
-            c = null[j]
-            if c:
-                acc = acc + v.scale(Fraction(int(c.p), int(c.q)))
-        out.insert(acc)
-    return out
+    return _spans(b, [_center(StructureConstants.from_span(b))])[0]
 
 
 # ---------------------------------------------------------------------------
 # Killing form
 # ---------------------------------------------------------------------------
 
-def _sylvester_signature(G: sympy.Matrix) -> Tuple[int, int, int]:
+def _sylvester_signature(G: Matrix) -> Tuple[int, int, int]:
     """Exact signature of a symmetric rational matrix by congruence
     reduction."""
-    G = G.copy()
-    n = G.shape[0]
+    G = [list(row) for row in G]
     n_plus = n_minus = n_zero = 0
-    idx = list(range(n))
+    idx = list(range(len(G)))
     while idx:
-        pivot = next((i for i in idx if G[i, i] != 0), None)
+        pivot = next((i for i in idx if G[i][i] != 0), None)
         if pivot is None:
             pair = next(((i, j) for i in idx for j in idx
-                         if i < j and G[i, j] != 0), None)
+                         if i < j and G[i][j] != 0), None)
             if pair is None:
                 n_zero += len(idx)
                 break
             i, j = pair
             # congruence: add row/col j to i to expose a diagonal entry
-            G[i, :] = G[i, :] + G[j, :]
-            G[:, i] = G[:, i] + G[:, j]
+            G[i] = [x + y for x, y in zip(G[i], G[j])]
+            for row in G:
+                row[i] += row[j]
             pivot = i
-        d = G[pivot, pivot]
+        d = G[pivot][pivot]
         if d > 0:
             n_plus += 1
         else:
             n_minus += 1
         for i in idx:
-            if i == pivot or G[i, pivot] == 0:
+            if i == pivot or G[i][pivot] == 0:
                 continue
-            f = G[i, pivot] / d
-            G[i, :] = G[i, :] - f * G[pivot, :]
-            G[:, i] = G[:, i] - f * G[:, pivot]
+            f = G[i][pivot] / d
+            G[i] = [x - f * y for x, y in zip(G[i], G[pivot])]
+            for row in G:
+                row[i] -= f * row[pivot]
         idx.remove(pivot)
     return (n_plus, n_minus, n_zero)
 
 
 def killing_form(b: LieSpan):
-    """Exact Killing Gram matrix B(x,y) = Tr(ad_x ad_y), with rank and
-    signature."""
+    """Exact Killing Gram matrix B(x,y) = Tr(ad_x ad_y) as rows of
+    Fractions, with rank and signature."""
     sc = StructureConstants.from_span(b)
     return _killing_from_sc(sc)
 
 
+def _trace_product(P: Matrix, Q: Matrix) -> Fraction:
+    return sum((P[k][l] * Q[l][k] for k in range(len(P)) for l in range(len(P))),
+               Fraction(0))
+
+
 def _killing_from_sc(sc: StructureConstants):
     ads = [sc.ad(i) for i in range(sc.n)]
-    G = sympy.Matrix(sc.n, sc.n,
-                     lambda i, j: (ads[i] * ads[j]).trace())
-    signature = _sylvester_signature(G)
-    return G, G.rank(), signature
+    G = [[_trace_product(P, Q) for Q in ads] for P in ads]
+    return G, Rref(G, sc.n).rank, _sylvester_signature(G)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +232,14 @@ class Fingerprint:
 
 
 def _fingerprint_from_sc(sc: StructureConstants) -> Fingerprint:
-    der = _series(sc, lambda s: _subspace_product(sc, s, s))
-    lcs = _series(sc, lambda s: _subspace_product(sc, _full_basis(sc.n), s))
-    der_dims = _series_dims(der)
-    lcs_dims = _series_dims(lcs)
-    # center: common kernel of all ad maps
-    stacked = sympy.Matrix.vstack(*[sc.ad(i) for i in range(sc.n)]) \
-        if sc.n else sympy.zeros(0, 0)
-    center_dim = len(stacked.nullspace()) if sc.n else 0
+    der_dims = tuple(len(s) for s in _derived_series(sc))
+    lcs_dims = tuple(len(s) for s in _lower_central_series(sc))
     _, rank, signature = _killing_from_sc(sc)
     return Fingerprint(
         dim=sc.n,
         derived_dims=der_dims,
         lcs_dims=lcs_dims,
-        center_dim=center_dim,
+        center_dim=len(_center(sc)),
         solvable=der_dims[-1] == 0,
         nilpotent=lcs_dims[-1] == 0,
         killing_rank=rank,
@@ -445,37 +386,79 @@ def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[Ca
 
 
 def _diagonal_weights(sc: StructureConstants,
-                      der: List[List]) -> Optional[Tuple[Fraction, ...]]:
+                      der: Matrix) -> Optional[Tuple[Fraction, ...]]:
     """Eigenvalues of a complementary generator acting on the (abelian)
-    derived algebra, normalized so the largest |weight| is 1."""
-    D = sympy.Matrix([list(v) for v in der]).T
-    # find a basis vector outside the derived algebra
-    outside = None
-    for j in range(sc.n):
-        e = [sympy.Integer(1 if i == j else 0) for i in range(sc.n)]
-        if D.rank() == D.row_join(sympy.Matrix(e)).rank():
-            continue
-        outside = e
-        break
+    derived algebra, normalized so the largest |weight| is 1.
+
+    The generator is fixed only up to sign, so of the sorted weights of w
+    and -w the lexicographically larger tuple is returned.
+    """
+    outside = next((e for e in _full_basis(sc.n)
+                    if Rref(der + [e], sc.n).rank > len(der)), None)
     if outside is None:
         return None
-    images = [sc.bracket_vec(outside, list(v)) for v in der]
-    M = sympy.Matrix([list(v) for v in images]).T
-    try:
-        A = D.gauss_jordan_solve(M)[0]
-    except ValueError:
+    D = [list(row) for row in zip(*der)]
+    cols = [solve(D, sc.bracket_vec(outside, v), len(der)) for v in der]
+    if any(c is None for c in cols):
         return None
-    ev = A.eigenvals()
-    weights: List[Fraction] = []
-    for lam, mult in ev.items():
-        if not lam.is_rational:
-            return None
-        weights.extend([Fraction(int(lam.p), int(lam.q))] * mult)
-    if not any(weights):
+    weights = _rational_eigenvalues([list(row) for row in zip(*cols)])
+    if weights is None or not any(weights):
         return None
-    scale = max((abs(w) for w in weights if w), default=Fraction(1))
-    weights = sorted((-Fraction(w) / scale for w in weights), reverse=True)
-    return tuple(weights)
+    scale = max(abs(w) for w in weights)
+    return max(tuple(sorted((sign * w / scale for w in weights), reverse=True))
+               for sign in (1, -1))
+
+
+def _char_poly(A: Matrix) -> List[Fraction]:
+    """Coefficients of det(x I - A), highest degree first
+    (Faddeev–LeVerrier)."""
+    n = len(A)
+    coeffs = [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum((A[i][l] * M[l][j] for l in range(n)), Fraction(0))
+              + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        coeffs.append(-_trace_product(A, M) / k)
+    return coeffs
+
+
+def _divisors(n: int) -> List[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _rational_eigenvalues(A: Matrix) -> Optional[List[Fraction]]:
+    """All eigenvalues of A with multiplicity if every one is rational,
+    else None.
+
+    A = g A' with A' integral and g > 0, so det(x I - A') is monic with
+    integer coefficients, and by the rational-root test its rational roots
+    are integers dividing its lowest nonzero coefficient.
+    """
+    entries = [x for row in A for x in row if x]
+    if not entries:
+        return [Fraction(0)] * len(A)
+    g = Fraction(math.gcd(*(x.numerator for x in entries)),
+                 math.lcm(*(x.denominator for x in entries)))
+    poly = [int(c) for c in _char_poly([[x / g for x in row] for row in A])]
+    roots = []
+    while poly[-1] == 0:
+        poly.pop()
+        roots.append(0)
+    for d in _divisors(abs(poly[-1])):
+        for r in (d, -d):
+            while len(poly) > 1:
+                quotient = [poly[0]]
+                for c in poly[1:]:
+                    quotient.append(c + r * quotient[-1])
+                if quotient.pop():
+                    break
+                poly = quotient
+                roots.append(r)
+    if len(roots) < len(A):
+        return None
+    return [g * r for r in roots]
 
 
 def identify(b: LieSpan) -> CatalogEntry:

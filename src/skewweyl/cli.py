@@ -73,13 +73,13 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import fingerprint, identify
+    from .classify import identify
 
     basis = _load_elements(args.basis)
     span = LieSpan(basis)
     entry = identify(span)
     _emit({"dim": span.dim,
-           "fingerprint": fingerprint(span).to_json(),
+           "fingerprint": entry.fingerprint.to_json(),
            "catalog": entry.to_json()})
     return 0
 
@@ -191,8 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="skewweyl",
         description="Exact Lie-algebraic tools for the single-mode "
                     "skew-hermitian Weyl algebra.",
-        epilog="Exit codes: 0 success, 1 domain error, 2 usage/input error. "
-               "WEYL_LIE_THREADS caps enumeration parallelism.",
+        epilog="Exit codes: 0 success, 1 domain error, 2 usage/input error.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -11,9 +11,6 @@ agree as sets of subspaces.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,19 +41,8 @@ def _closure_span(gens: Sequence[SkewPoly], budget: Budget) -> LieSpan:
     return out.span
 
 
-def thread_count() -> int:
-    """Worker count for the outer enumeration loop (WEYL_LIE_THREADS)."""
-    raw = os.environ.get("WEYL_LIE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"WEYL_LIE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def enumerate_subalgebras(basis: Sequence[SkewPoly],
-                          budget: Budget = Budget(),
-                          threads: Optional[int] = None) -> List[RealizationRecord]:
+                          budget: Budget = Budget()) -> List[RealizationRecord]:
     """All distinct subalgebra spans generated by non-empty subsets of
     `basis`, each identified against the catalog.
 
@@ -73,16 +59,14 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     ambient = full.span
 
     found: Dict[Tuple, Tuple[Tuple[int, ...], LieSpan]] = {}
-    lock = threading.Lock()
 
     def record(subset: Tuple[int, ...], span: LieSpan) -> bool:
-        """Atomic check-and-insert; True if the span is new."""
+        """Check-and-insert; True if the span is new."""
         key = span.canonical_key()
-        with lock:
-            if key in found:
-                return False
-            found[key] = (subset, span)
-            return True
+        if key in found:
+            return False
+        found[key] = (subset, span)
+        return True
 
     def extend(subset: Tuple[int, ...], span: LieSpan, k: int) -> None:
         if k >= n:
@@ -101,18 +85,10 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
             if record(new_subset, bigger):
                 extend(new_subset, bigger, ell + 1)
 
-    def start(j: int) -> None:
+    for j in range(n):
         span = _closure_span([basis[j]], budget)
         record((j,), span)
         extend((j,), span, j + 1)
-
-    workers = thread_count() if threads is None else max(1, threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(start, range(n)))
-    else:
-        for j in range(n):
-            start(j)
     record(tuple(range(n)), ambient)
 
     records = [

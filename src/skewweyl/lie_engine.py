@@ -12,6 +12,7 @@ witnesses).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,6 +37,64 @@ MonKey = Tuple[int, MultiIndex]
 def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
     """Exact commutator [x, y]; skew-hermitian inputs give a skew result."""
     return SkewPoly.from_weyl(x.to_weyl().commutator(y.to_weyl()))
+
+
+# ---------------------------------------------------------------------------
+# Exact rational linear algebra
+# ---------------------------------------------------------------------------
+
+class Rref:
+    """Reduced row echelon form of an exact rational matrix with `ncols`
+    columns: its nonzero rows, pivot columns, rank and nullspace."""
+
+    def __init__(self, rows: Sequence[Sequence], ncols: int):
+        self.ncols = ncols
+        R = [[Fraction(x) for x in row] for row in rows]
+        self.pivots: List[int] = []
+        for c in range(ncols):
+            r = len(self.pivots)
+            p = next((i for i in range(r, len(R)) if R[i][c]), None)
+            if p is None:
+                continue
+            R[r], R[p] = R[p], R[r]
+            inv = 1 / R[r][c]
+            R[r] = [x * inv for x in R[r]]
+            for i, row in enumerate(R):
+                if i != r and row[c]:
+                    f = row[c]
+                    R[i] = [x - f * y for x, y in zip(row, R[r])]
+            self.pivots.append(c)
+        self.rows = R[:len(self.pivots)]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def nullspace(self) -> List[List[Fraction]]:
+        """Kernel basis: one vector per free column, 1 at that column."""
+        out = []
+        for f in range(self.ncols):
+            if f in self.pivots:
+                continue
+            v = [Fraction(0)] * self.ncols
+            v[f] = Fraction(1)
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            out.append(v)
+        return out
+
+
+def solve(a: Sequence[Sequence], b: Sequence,
+          n: int) -> Optional[List[Fraction]]:
+    """A solution x of a x = b for a matrix a with n columns (free unknowns
+    set to 0), or None if the system is inconsistent."""
+    aug = Rref([list(row) + [c] for row, c in zip(a, b)], n + 1)
+    if aug.pivots and aug.pivots[-1] == n:
+        return None
+    x = [Fraction(0)] * n
+    for row, p in zip(aug.rows, aug.pivots):
+        x[p] = row[n]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -101,32 +160,18 @@ class LieSpan:
         return True
 
     def coordinates(self, v: SkewPoly) -> Optional[List[Fraction]]:
-        """Exact coordinates of v in `self.basis`, or None if v is outside."""
-        import sympy
+        """Exact coordinates of v in `self.basis`, or None if v is outside.
 
-        keys = sorted({k for b in self.basis for k in b.terms},
-                      key=monomial_key_order)
-        kindex = {k: i for i, k in enumerate(keys)}
-        if any(k not in kindex for k in v.terms):
+        The rows are fully reduced, so an element of the span is fixed by
+        its coefficients at the pivots; matching those against the basis
+        vectors' pivot entries is a square, invertible system.
+        """
+        if self._reduce(v):
             return None
-        A = sympy.zeros(len(keys), self.dim)
-        bvec = sympy.zeros(len(keys), 1)
-        for j, b in enumerate(self.basis):
-            for k, c in b.terms.items():
-                A[kindex[k], j] = sympy.Rational(c.numerator, c.denominator)
-        for k, c in v.terms.items():
-            bvec[kindex[k]] = sympy.Rational(c.numerator, c.denominator)
-        try:
-            sol, params = A.gauss_jordan_solve(bvec)
-        except ValueError:
-            return None
-        if params.shape[0]:
-            sol = sol.subs({p: 0 for p in params})
-        coords = [Fraction(int(x.p), int(x.q)) for x in sol]
-        acc = SkewPoly()
-        for c, b in zip(coords, self.basis):
-            acc = acc + b.scale(c)
-        return coords if acc == v else None
+        pivots = list(self._rows)
+        return solve([[b.terms.get(p, Fraction(0)) for b in self.basis]
+                      for p in pivots],
+                     [v.terms.get(p, Fraction(0)) for p in pivots], self.dim)
 
     def canonical_key(self) -> Tuple:
         """Hashable canonical form (RREF rows) identifying the subspace."""
@@ -361,9 +406,7 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
         # budget that cannot truncate it (dim <= max(6, #generators))
         safe = Budget(max(budget.max_dim, 8, 2 * len(monos)),
                       max(budget.max_degree, 2 * max(a + b for _, (a, b) in keys) + 2))
-        out = _raw_closure(gens, safe)
-        assert out.outcome == "finite"
-        return out
+        return _raw_closure(gens, safe)
     return ClosureOutcome(
         "infinite",
         witness=InfinitenessWitness(
@@ -418,9 +461,8 @@ def decide_with_free_hamiltonian(gens: Sequence[SkewPoly],
                               "quadratic_element": skew_to_json(quad)},
                 ),
             )
-    out = _raw_closure(gens, budget)
-    assert out.outcome == "finite"
-    return out
+    # finite, but a user budget below the closure's size still truncates it
+    return _raw_closure(gens, budget)
 
 
 def _mixed_eq_quad_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
@@ -446,11 +488,11 @@ def _mixed_eq_quad_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWit
             continue
         rest = g - off_diag
         if off_diag.degree >= rest.degree or not rest:
-            return ClosureOutcomeWitness(leaders[0], g)
+            return _mixed_witness(leaders[0], g)
     return None
 
 
-def ClosureOutcomeWitness(e1: SkewPoly, e2: SkewPoly) -> InfinitenessWitness:
+def _mixed_witness(e1: SkewPoly, e2: SkewPoly) -> InfinitenessWitness:
     return InfinitenessWitness(
         rule="MixedEqAndQuad",
         evidence={"kerr_element": skew_to_json(e1), "partner": skew_to_json(e2)},
@@ -470,7 +512,7 @@ def _low_degree_mixed_witness(gens: Sequence[SkewPoly]) -> Optional[Infiniteness
     for g in gens:
         quad = g.project("A1") + g.project("A2")
         if quad and g == g.project("A0") + quad:
-            return ClosureOutcomeWitness(e1, g)
+            return _mixed_witness(e1, g)
     return None
 
 
@@ -541,24 +583,15 @@ def centralizer_in(x: SkewPoly, ambient: LieSpan) -> LieSpan:
     """Exact kernel of ad(x) restricted to a bracket-closed ambient span."""
     if not span_is_bracket_closed(ambient):
         raise ValueError("ambient span is not closed under the bracket")
-    import sympy
-
     images = [bracket(x, b) for b in ambient.basis]
-    keys = sorted({k for im in images for k in im.terms}, key=monomial_key_order)
-    if not keys:
-        return ambient.copy()
-    A = sympy.zeros(len(keys), ambient.dim)
-    kindex = {k: i for i, k in enumerate(keys)}
-    for j, im in enumerate(images):
-        for k, c in im.terms.items():
-            A[kindex[k], j] = sympy.Rational(c.numerator, c.denominator)
+    keys = {k for im in images for k in im.terms}
+    kernel = Rref([[im.terms.get(k, Fraction(0)) for im in images] for k in keys],
+                  ambient.dim).nullspace()
     out = LieSpan()
-    for vec in A.nullspace():
+    for vec in kernel:
+        denom = math.lcm(*(c.denominator for c in vec))
         acc = SkewPoly()
-        denom = 1
-        for entry in vec:
-            denom = sympy.ilcm(denom, entry.q) if entry.q != 1 else denom
         for c, b in zip(vec, ambient.basis):
-            acc = acc + b.scale(Fraction(int(c.p * denom), int(c.q)))
+            acc = acc + b.scale(c * denom)
         out.insert(acc)
     return out

@@ -48,30 +48,6 @@ def is_well_ordered(gamma: MultiIndex) -> bool:
     return gamma[0] >= gamma[1]
 
 
-def chi(gamma: MultiIndex) -> int:
-    """alpha - beta: the net creation excess of a multi-index."""
-    return gamma[0] - gamma[1]
-
-
-def dag(gamma: MultiIndex) -> MultiIndex:
-    return (gamma[1], gamma[0])
-
-
-def theta(gamma: MultiIndex) -> MultiIndex:
-    """The well-ordered representative of {gamma, gamma†}."""
-    return gamma if gamma >= dag(gamma) else dag(gamma)
-
-
-def esign(gamma: MultiIndex) -> int:
-    """+1 if gamma is already well-ordered (gamma >= gamma†), else -1."""
-    return PLUS if gamma >= dag(gamma) else MINUS
-
-
-def compose(gamma: MultiIndex, other: MultiIndex) -> MultiIndex:
-    """Elementwise product of two multi-indices."""
-    return (gamma[0] * other[0], gamma[1] * other[1])
-
-
 def mdeg(gamma: MultiIndex) -> int:
     return gamma[0] + gamma[1]
 

@@ -3,7 +3,6 @@
 from fractions import Fraction
 
 import pytest
-import sympy
 
 from skewweyl.classify import (
     CatalogEntry,
@@ -43,15 +42,20 @@ def span_of(*gens):
     return out.span
 
 
-def displacement_power(k):
-    """(a - a†)^k as a skew element (times i for even k)."""
-    w = gm(1, 0).to_weyl()
+def skew_power(x, k):
+    """x^k as a skew element (times i for even k)."""
+    w = x.to_weyl()
     out = w
     for _ in range(k - 1):
         out = out * w
     if k % 2 == 0:
         out = out.scale(GaussianRational.imag(1))
     return SkewPoly.from_weyl(out)
+
+
+def displacement_power(k):
+    """(a - a†)^k as a skew element (times i for even k)."""
+    return skew_power(gm(1, 0), k)
 
 
 FULL = span_of(*schrodinger_monomials())
@@ -98,7 +102,7 @@ class TestKilling:
 
     def test_nilpotent_killing_vanishes(self):
         gram, rank, sig = killing_form(H1)
-        assert gram == sympy.zeros(3, 3) and sig == (0, 0, 3)
+        assert all(x == 0 for row in gram for x in row) and sig == (0, 0, 3)
 
     def test_wh1_wh2_distinct_signatures(self):
         _, _, sig1 = killing_form(WH1)
@@ -163,6 +167,26 @@ class TestFingerprintAndIdentify:
         fp = _fingerprint_from_sc(h1_plus_r)
         assert fp not in set(catalog_fingerprints().values())
         assert fp != _fingerprint_from_sc(_chain_sc(3))
+
+    def test_diagonal_weights_independent_of_basis_sign(self):
+        # a²-a†² acts on the abelian span of the powers of i(a+a†) with
+        # weights 1 : 2/3 : 1/3, whichever sign the basis carries
+        x = gp(1, 0)
+        sp = span_of(gm(2, 0), x, skew_power(x, 2), skew_power(x, 3))
+        negated = LieSpan([b.scale(-1) for b in sp.basis])
+        want = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
+        for b in (sp, negated):
+            entry = identify(b)
+            assert entry.name == "r(j1..jn)" and entry.parameters == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_extension_family(self, n):
+        from skewweyl.classify import (_chain_ext_sc, _fingerprint_from_sc,
+                                       _identify_parametric)
+
+        sc = _chain_ext_sc(n)
+        entry = _identify_parametric(sc, _fingerprint_from_sc(sc))
+        assert entry.name == "Ltilde_n" and entry.parameters == (n,)
 
     def test_identification_json(self):
         obj = identify(WH2).to_json()

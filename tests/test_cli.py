@@ -1,12 +1,16 @@
 """CLI wire formats and exit codes (run in-process through cli.run)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from skewweyl.cli import run
-from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
-                                skew_to_json)
+from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
+                                schrodinger_monomials, skew_to_json, unit_i)
 
 
 def write_elements(tmp_path, name, elements):
@@ -55,6 +59,18 @@ class TestClosure:
         gens = write_elements(tmp_path, "g.json", schrodinger_monomials())
         assert run(["closure", "--gens", gens, "--budget-dim", "4"]) == 0
         assert out()["outcome"] in {"finite", "inconclusive"}
+
+    def test_budget_below_drift_closure_is_inconclusive(self, tmp_path, out):
+        # the drift rule proves this closure finite, but it is larger than
+        # the dimension budget
+        gens = write_elements(tmp_path, "g.json",
+                              [number_op() + unit_i(),
+                               mono(PLUS, 1, 0) + mono(MINUS, 2, 0)])
+        assert run(["closure", "--gens", gens, "--budget-dim", "3"]) == 0
+        doc = out()
+        assert doc["outcome"] == "inconclusive"
+        assert doc["budget"]["max_dim"] == 3
+        assert doc["budget"]["dim_reached"] > 3
 
 
 class TestClassify:
@@ -149,6 +165,22 @@ class TestSelftest:
         assert doc["table1"] == "15/15"
         assert doc["glossary"]["total_spans"] == 22
         assert doc["glossary"]["mismatches"] == {}
+
+    def test_passes_without_sympy(self):
+        # sympy is only a test reference: block its import in a fresh
+        # interpreter and run the whole selftest
+        code = ("import sys\n"
+                "sys.modules['sympy'] = None\n"
+                "from skewweyl import cli\n"
+                "sys.exit(cli.run(['selftest']))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
 
 
 class TestErrors:

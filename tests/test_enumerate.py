@@ -1,14 +1,12 @@
 """Subset enumeration against the brute-force oracle and the known
 glossary over the degree-<=2 monomial basis."""
 
-import os
-
 import pytest
 
 from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS,
                                 brute_force_subalgebras,
                                 enumerate_subalgebras, glossary_markdown,
-                                glossary_report, thread_count)
+                                glossary_report)
 from skewweyl.lie_engine import LieSpan, bracket
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
                                 unit_i)
@@ -79,13 +77,6 @@ class TestInvariants:
         dims = [r.span.dim for r in records]
         assert dims == sorted(dims)
 
-    def test_thread_invariance(self):
-        basis = schrodinger_monomials()
-        serial = enumerate_subalgebras(basis, threads=1)
-        parallel = enumerate_subalgebras(basis, threads=4)
-        assert ({r.span.canonical_key() for r in serial}
-                == {r.span.canonical_key() for r in parallel})
-
 
 class TestGlossary:
     def test_report_totals(self):
@@ -108,17 +99,3 @@ class TestGlossary:
         rec = glossary_report()["records"][0]
         assert set(rec) == {"generating_subset", "dim", "basis", "catalog"}
 
-
-class TestThreadCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WEYL_LIE_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("WEYL_LIE_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("WEYL_LIE_THREADS", "lots")
-        with pytest.raises(ValueError):
-            thread_count()

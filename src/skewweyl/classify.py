@@ -13,6 +13,7 @@ structurally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -255,10 +256,6 @@ def fingerprint(b: LieSpan) -> Fingerprint:
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _abelian_sc(n: int) -> StructureConstants:
-    return StructureConstants(n, {})
-
-
 def _chain_sc(n: int) -> StructureConstants:
     """L_n, dim n+1: [e1, e_j] = e_{j+1} for j = 2..n (0-indexed shift)."""
     entries = {(0, j): {j + 1: Fraction(1)} for j in range(1, n)}
@@ -275,12 +272,6 @@ def _chain_ext_sc(n: int) -> StructureConstants:
     for j in range(2, n + 1):
         entries[(1, j)] = {j + 1: Fraction(1)}
     return StructureConstants(n + 2, entries)
-
-
-def _diagonal_sc(weights: Sequence[Fraction]) -> StructureConstants:
-    """r(j1..jn), dim n+1: [e0, e_k] = -j_k e_k."""
-    entries = {(0, k + 1): {k + 1: -Fraction(w)} for k, w in enumerate(weights)}
-    return StructureConstants(len(weights) + 1, entries)
 
 
 _CONCRETE_SC: Dict[str, StructureConstants] = {
@@ -350,23 +341,28 @@ def catalog_fingerprints() -> Dict[str, Fingerprint]:
     return {name: _fingerprint_from_sc(sc) for name, sc in _CONCRETE_SC.items()}
 
 
-_CATALOG_CACHE: Optional[Dict[str, Fingerprint]] = None
-
-
+@functools.lru_cache(maxsize=None)
 def _catalog() -> Dict[str, Fingerprint]:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = catalog_fingerprints()
-    return _CATALOG_CACHE
+    return catalog_fingerprints()
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_fingerprint(n: int) -> Fingerprint:
+    return _fingerprint_from_sc(_chain_sc(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_ext_fingerprint(n: int) -> Fingerprint:
+    return _fingerprint_from_sc(_chain_ext_sc(n))
 
 
 def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[CatalogEntry]:
     n = sc.n
     if fp.nilpotent and fp.lcs_dims == tuple([n] + list(range(n - 2, -1, -1))):
-        if fp == _fingerprint_from_sc(_chain_sc(n - 1)):
+        if fp == _chain_fingerprint(n - 1):
             return CatalogEntry("L_n", (n - 1,), fp, "structural")
     if fp.solvable and not fp.nilpotent and n >= 4:
-        if fp == _fingerprint_from_sc(_chain_ext_sc(n - 2)):
+        if fp == _chain_ext_fingerprint(n - 2):
             return CatalogEntry("Ltilde_n", (n - 2,), fp, "structural")
     if fp.solvable and not fp.nilpotent and fp.derived_dims[:2] == (n, n - 1):
         # candidate diagonal family: derived algebra abelian, some generator

@@ -106,8 +106,7 @@ class UnitarityDriftError(RuntimeError):
         self.step = step
 
 
-def direct_propagator(spec, N: int, upto: float = None,
-                      substeps: int = 4) -> np.ndarray:
+def direct_propagator(spec, N: int, *, substeps: int = 4) -> np.ndarray:
     """Time-ordered propagator by RK4 on dU/dt = -i H(t) U, U(0) = 1.
 
     `spec` is a wei_norman.ControlSpec; controls are evaluated densely via
@@ -120,8 +119,7 @@ def direct_propagator(spec, N: int, upto: float = None,
         raise ValueError("need N >= 16")
     gens = hermitian_generators(spec.algebra, N)
     h = spec.h / max(1, substeps)
-    t_final = spec.h * spec.n_steps if upto is None else upto
-    n_steps = int(round(t_final / h))
+    n_steps = int(round(spec.h * spec.n_steps / h))
 
     def Ht(t: float) -> np.ndarray:
         u = spec.evaluate(t)

@@ -6,8 +6,21 @@ commutator chain of strictly increasing degree: if a0·b0 != 0 and the mixed
 invariant delta = d2·a1·b0 - d1·a0·b1 != 0, the generated Lie algebra is
 infinite-dimensional.  When the raw coefficients fail the test, a symplectic
 change of frame a† -> s11·a† + s12·a, a -> s21·a† + s22·a (det = 1) can make
-them generic; `symplectic_search` scans a small deterministic family followed
-by seeded random draws and returns a re-checkable certificate on success.
+them generic; `symplectic_search` scans the identity frame, a small
+deterministic family and seeded random draws, and returns a re-checkable
+certificate on success.
+
+The leading data in a new frame come from the top homogeneous part alone.
+Substituting the frame into (a†)^α a^β and normal ordering the result gives
+the commutative product (s11·x + s12·y)^α (s21·x + s22·y)^β (x for a†, y
+for a) plus terms of lower degree, because every reordering a a† = a† a + 1
+removes two factors.  The substitution is linear and invertible, so the
+degree-d part of an element maps to a nonzero degree-d polynomial: the
+degree stays d, and a0, a1 are the y^d and x·y^(d-1) coefficients of the
+substituted degree-d part.  `_frame_leading` evaluates exactly that, in
+O(d) per element; `transform`, the full normal-ordered frame change, is
+kept as its reference.  The identity frame is evaluated in exact
+Gaussian-rational arithmetic, every other frame in floating point.
 
 The condition is sufficient only; the verdict vocabulary is
 {"infinite", "inconclusive"} and never "finite".
@@ -16,50 +29,23 @@ The condition is sufficient only; the verdict vocabulary is
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .weyl_core import (
-    GR_ZERO,
-    MINUS,
-    PLUS,
-    GaussianRational,
-    MultiIndex,
-    SkewPoly,
-    WeylPoly,
-    _reorder,
-)
+from .lie_engine import bracket
+from .weyl_core import GaussianRational, MultiIndex, SkewPoly, WeylPoly, _reorder
 
-#: |value| threshold for "nonzero" under floating-point frames, applied after
-#: rescaling each element's coefficients to unit max magnitude
+#: |value| threshold for "nonzero" under floating-point frames, applied to
+#: leading data normalised as in `_frame_leading`
 NUMERIC_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Exact leading data
+# Leading data
 # ---------------------------------------------------------------------------
-
-def top_coefficients(e: SkewPoly) -> Dict[str, Fraction]:
-    """The four leading coefficients c0, chat0, c1, chat1 of a skew element.
-
-    c_k / chat_k are the coefficients of g_+ / g_- at the degree-d index
-    (d-k, k); together they determine the a^d and a† a^{d-1} coefficients of
-    the normal-ordered form.
-    """
-    d = e.degree
-    if not isinstance(d, int) or d <= 2:
-        raise ValueError("top_coefficients requires degree > 2")
-    return {
-        "d": d,
-        "c0": e.coeff(PLUS, (d, 0)),
-        "chat0": e.coeff(MINUS, (d, 0)),
-        "c1": e.coeff(PLUS, (d - 1, 1)),
-        "chat1": e.coeff(MINUS, (d - 1, 1)),
-    }
-
 
 def leading_pair(x: WeylPoly) -> Tuple[GaussianRational, GaussianRational]:
     """(a0, a1): the coefficients of a^d and a† a^{d-1}, d = deg x."""
@@ -80,32 +66,46 @@ def delta(x: WeylPoly, y: WeylPoly) -> GaussianRational:
     return a1 * b0 * GaussianRational.real(dy) - a0 * b1 * GaussianRational.real(dx)
 
 
-# ---------------------------------------------------------------------------
-# Identity-frame check (exact, coefficient inequalities)
-# ---------------------------------------------------------------------------
+def _frame_leading(x: WeylPoly, frame) -> Tuple[int, complex, complex]:
+    """(d, a0, a1) of x after the frame change (s11, s12, s21, s22).
 
-def identity_conditions(e1: SkewPoly, e2: SkewPoly) -> List[bool]:
-    """The four coefficient inequalities at the identity frame.
-
-    The first pair expresses a0·b0 != 0, the second pair delta != 0, each
-    split into real and imaginary parts of the leading skew coefficients.
+    Over the degree-d terms c·(a†)^α a^β, a0 = Σ c·s12^α·s22^β and
+    a1 = Σ c·(α·s11·s12^(α-1)·s22^β + β·s21·s12^α·s22^(β-1)).  Both are
+    divided by Σ |c|·(|s11| + |s12|)^α·(|s21| + |s22|)^β, which bounds the
+    sum of the |coefficients| of the transformed degree-d part: the values
+    do not depend on the element's scale, and their rounding error stays
+    near machine precision in every frame, far below NUMERIC_TOLERANCE.
     """
-    t1, t2 = top_coefficients(e1), top_coefficients(e2)
-    d1, d2 = t1["d"], t2["d"]
-    return [
-        t1["chat0"] * t2["chat0"] != t1["c0"] * t2["c0"],
-        t2["chat0"] * t1["c0"] != -t1["chat0"] * t2["c0"],
-        d1 * (t1["chat0"] * t2["chat1"] - t1["c0"] * t2["c1"])
-        != d2 * (t1["chat1"] * t2["chat0"] - t1["c1"] * t2["c0"]),
-        d1 * (t1["c0"] * t2["chat1"] + t1["chat0"] * t2["c1"])
-        != d2 * (t1["c1"] * t2["chat0"] + t1["chat1"] * t2["c0"]),
-    ]
+    s11, s12, s21, s22 = frame
+    r1, r2 = abs(s11) + abs(s12), abs(s21) + abs(s22)
+    d = x.degree
+    a0 = a1 = 0j
+    scale = 0.0
+    for (alpha, beta), c in x.terms.items():
+        if alpha + beta != d:
+            continue
+        c = complex(c)
+        scale += abs(c) * r1 ** alpha * r2 ** beta
+        a0 += c * s12 ** alpha * s22 ** beta
+        if alpha:
+            a1 += c * alpha * s11 * s12 ** (alpha - 1) * s22 ** beta
+        if beta:
+            a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
+    return d, a0 / scale, a1 / scale
+
+
+def _weyl_pair(e1: SkewPoly, e2: SkewPoly, who: str) -> Tuple[WeylPoly, WeylPoly]:
+    for e in (e1, e2):
+        if not isinstance(e.degree, int) or e.degree <= 2:
+            raise ValueError(f"{who} requires degree > 2 elements")
+    return e1.to_weyl(), e2.to_weyl()
 
 
 def identity_check(e1: SkewPoly, e2: SkewPoly) -> str:
-    """"infinite" if all four leading-coefficient inequalities hold, else
-    "inconclusive".  Requires both degrees > 2."""
-    return "infinite" if all(identity_conditions(e1, e2)) else "inconclusive"
+    """"infinite" if a0·b0 != 0 and delta != 0 hold exactly at the identity
+    frame, else "inconclusive".  Requires both degrees > 2."""
+    x, y = _weyl_pair(e1, e2, "identity_check")
+    return "inconclusive" if _evaluate_frame(x, y, None) is None else "infinite"
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +152,11 @@ def cpoly_mul(p: CPoly, q: CPoly) -> CPoly:
     return out
 
 
-def cpoly_bracket(p: CPoly, q: CPoly, tol: float = 0.0) -> CPoly:
-    pq, qp = cpoly_mul(p, q), cpoly_mul(q, p)
-    out = dict(pq)
-    for k, v in qp.items():
+def cpoly_bracket(p: CPoly, q: CPoly) -> CPoly:
+    out = cpoly_mul(p, q)
+    for k, v in cpoly_mul(q, p).items():
         out[k] = out.get(k, 0j) - v
-    scale = max((abs(v) for v in out.values()), default=0.0)
-    cutoff = tol * scale
-    return {k: v for k, v in out.items() if abs(v) > cutoff}
+    return {k: v for k, v in out.items() if v}
 
 
 def weyl_to_cpoly(x: WeylPoly) -> CPoly:
@@ -178,7 +175,8 @@ def transform(x: WeylPoly, sigma) -> CPoly:
 
     `sigma` is a SymplecticParams or a flat (s11, s12, s21, s22) tuple with
     determinant 1 (checked to 1e-12 for raw tuples).  Bracket-preserving for
-    any determinant-1 frame.
+    any determinant-1 frame.  The full normal-ordered result; the search
+    needs only its leading data, which `_frame_leading` reads directly.
     """
     if isinstance(sigma, SymplecticParams):
         s11, s12, s21, s22 = sigma.matrix()
@@ -195,19 +193,6 @@ def transform(x: WeylPoly, sigma) -> CPoly:
         for k, v in term.items():
             out[k] = out.get(k, 0j) + cc * v
     return out
-
-
-def _cpoly_degree(p: CPoly, tol: float = 0.0) -> int:
-    scale = max((abs(v) for v in p.values()), default=0.0)
-    live = [k for k, v in p.items() if abs(v) > tol * scale]
-    if not live:
-        raise ValueError("zero polynomial")
-    return max(a + b for a, b in live)
-
-
-def _numeric_leading(p: CPoly) -> Tuple[int, complex, complex]:
-    d = _cpoly_degree(p, NUMERIC_TOLERANCE)
-    return d, p.get((0, d), 0j), p.get((1, d - 1), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +215,20 @@ class IgusaCertificate:
         }
 
 
-def _evaluate_frame(e1: SkewPoly, e2: SkewPoly,
+def _evaluate_frame(x: WeylPoly, y: WeylPoly,
                     params: Optional[SymplecticParams]) -> Optional[IgusaCertificate]:
+    """The certificate of the pair at one frame, or None where the test
+    fails there.  `params` None is the identity frame, evaluated exactly."""
     if params is None:
-        x, y = e1.to_weyl(), e2.to_weyl()
-        a0, a1 = leading_pair(x)
-        b0, b1 = leading_pair(y)
-        prod = a0 * b0
-        dlt = delta(x, y)
+        a0, _ = leading_pair(x)
+        b0, _ = leading_pair(y)
+        prod, dlt = a0 * b0, delta(x, y)
         if prod and dlt:
             return IgusaCertificate("infinite", None, complex(prod), complex(dlt))
         return None
-    p = transform(e1.to_weyl(), params)
-    q = transform(e2.to_weyl(), params)
-    # rescale to unit max magnitude so the tolerance is scale-free
-    for poly in (p, q):
-        m = max(abs(v) for v in poly.values())
-        for k in poly:
-            poly[k] /= m
-    d1, a0, a1 = _numeric_leading(p)
-    d2, b0, b1 = _numeric_leading(q)
+    frame = params.matrix()
+    d1, a0, a1 = _frame_leading(x, frame)
+    d2, b0, b1 = _frame_leading(y, frame)
     prod = a0 * b0
     dlt = d2 * a1 * b0 - d1 * a0 * b1
     if abs(prod) > NUMERIC_TOLERANCE and abs(dlt) > NUMERIC_TOLERANCE:
@@ -265,26 +244,16 @@ def symplectic_search(e1: SkewPoly, e2: SkewPoly, samples: int = 256,
     s in {±1/2, ±1} x phi, theta in {0, pi/2}, then `samples` seeded random
     draws.  Returns the first certificate found, or None.
     """
-    for e in (e1, e2):
-        if not isinstance(e.degree, int) or e.degree <= 2:
-            raise ValueError("symplectic_search requires degree > 2 elements")
-    cert = _evaluate_frame(e1, e2, None)
-    if cert is not None:
-        return cert
-    for s in (0.5, -0.5, 1.0, -1.0):
-        for phi in (0.0, math.pi / 2):
-            for theta in (0.0, math.pi / 2):
-                cert = _evaluate_frame(e1, e2, SymplecticParams(s, phi, theta))
-                if cert is not None:
-                    return cert
+    x, y = _weyl_pair(e1, e2, "symplectic_search")
+    grid = (SymplecticParams(s, phi, theta) for s in (0.5, -0.5, 1.0, -1.0)
+            for phi in (0.0, math.pi / 2) for theta in (0.0, math.pi / 2))
     rng = random.Random(seed)
-    for _ in range(samples):
-        params = SymplecticParams(
-            s=rng.uniform(-1.5, 1.5),
-            phi=rng.uniform(0.0, 2 * math.pi),
-            theta=rng.uniform(0.0, 2 * math.pi),
-        )
-        cert = _evaluate_frame(e1, e2, params)
+    draws = (SymplecticParams(rng.uniform(-1.5, 1.5),
+                              rng.uniform(0.0, 2 * math.pi),
+                              rng.uniform(0.0, 2 * math.pi))
+             for _ in range(samples))
+    for params in itertools.chain([None], grid, draws):
+        cert = _evaluate_frame(x, y, params)
         if cert is not None:
             return cert
     return None
@@ -293,7 +262,9 @@ def symplectic_search(e1: SkewPoly, e2: SkewPoly, samples: int = 256,
 def verify_certificate(cert: IgusaCertificate, e1: SkewPoly,
                        e2: SkewPoly) -> bool:
     """Recompute the certified quantities from the stored frame."""
-    fresh = _evaluate_frame(e1, e2, cert.params)
+    if min(e1.degree, e2.degree) <= 2:
+        return False
+    fresh = _evaluate_frame(e1.to_weyl(), e2.to_weyl(), cert.params)
     if fresh is None:
         return False
     return (abs(fresh.a0b0 - cert.a0b0) < 1e-9
@@ -302,29 +273,21 @@ def verify_certificate(cert: IgusaCertificate, e1: SkewPoly,
 
 def chain_degrees(e1: SkewPoly, e2: SkewPoly,
                   params: Optional[SymplecticParams], steps: int = 5) -> List[int]:
-    """Degrees of the commutator chain seeded at the (transformed) second
-    element, with the auxiliary element chosen by the delta criterion at each
-    step.  Used to confirm certificates independently."""
-    x = transform(e1.to_weyl(), params) if params else weyl_to_cpoly(e1.to_weyl())
-    y = transform(e2.to_weyl(), params) if params else weyl_to_cpoly(e2.to_weyl())
-
-    def ndelta(p: CPoly, q: CPoly) -> complex:
-        dp, p0, p1 = _numeric_leading(p)
-        dq, q0, q1 = _numeric_leading(q)
-        return dq * p1 * q0 - dp * p0 * q1
-
-    u = y
-    degrees = [_cpoly_degree(u, NUMERIC_TOLERANCE)]
+    """Degrees of the commutator chain u <- [u, s] seeded at the second
+    element, with s in {e1, e2} chosen at each step by the delta criterion
+    in the frame.  A det-1 frame change is a degree-preserving automorphism,
+    so the chain is bracketed exactly in the original frame.  Used to
+    confirm certificates independently."""
+    frame = params.matrix() if params else (1, 0, 0, 1)
+    aux = [(e, _frame_leading(e.to_weyl(), frame)) for e in (e1, e2)]
+    u = e2
+    degrees = [u.degree]
     for _ in range(steps):
-        if abs(ndelta(u, x)) > NUMERIC_TOLERANCE:
-            s = x
-        elif abs(ndelta(u, y)) > NUMERIC_TOLERANCE:
-            s = y
-        else:
+        du, u0, u1 = _frame_leading(u.to_weyl(), frame)
+        s = next((e for e, (ds, s0, s1) in aux
+                  if abs(ds * u1 * s0 - du * u0 * s1) > NUMERIC_TOLERANCE), None)
+        if s is None:
             break
-        u = cpoly_bracket(u, s, tol=1e-12)
-        # renormalize to tame growth
-        m = max(abs(v) for v in u.values())
-        u = {k: v / m for k, v in u.items()}
-        degrees.append(_cpoly_degree(u, NUMERIC_TOLERANCE))
+        u = bracket(u, s)
+        degrees.append(u.degree)
     return degrees

@@ -23,12 +23,9 @@ from .weyl_core import (
     PLUS,
     MultiIndex,
     SkewPoly,
-    mdeg,
     monomial_key_order,
-    number_op,
     skew_to_json,
     subspace_of,
-    unit_i,
 )
 
 MonKey = Tuple[int, MultiIndex]
@@ -120,21 +117,14 @@ class LieSpan:
         return len(self.basis)
 
     def _reduce(self, v: SkewPoly) -> Dict[MonKey, Fraction]:
+        # the rows are fully reduced: each vanishes at every other pivot, so
+        # one pass over the pivots present in v clears them all
         row = dict(v.terms)
-        changed = True
-        while changed:
-            changed = False
-            for key in sorted(row, key=monomial_key_order):
-                if not row[key]:
-                    del row[key]
-                    continue
-                pivot_row = self._rows.get(key)
-                if pivot_row is not None:
-                    c = row[key]
-                    for k2, c2 in pivot_row.items():
-                        row[k2] = row.get(k2, Fraction(0)) - c * c2
-                    changed = True
-                    break
+        for key, c in v.terms.items():
+            pivot_row = self._rows.get(key)
+            if pivot_row is not None:
+                for k2, c2 in pivot_row.items():
+                    row[k2] = row.get(k2, Fraction(0)) - c * c2
         return {k: c for k, c in row.items() if c}
 
     def contains(self, v: SkewPoly) -> bool:
@@ -277,50 +267,60 @@ def _drift_term(g: SkewPoly) -> Optional[Tuple[Fraction, Fraction]]:
 
 
 def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
-    """Budgeted level-structure closure with exact echelon bookkeeping."""
+    """Budgeted level-structure closure with exact echelon bookkeeping.
+
+    Each unordered pair is bracketed once.  The dimension budget is checked
+    after every insert, so an `inconclusive` report stops at max_dim + 1.
+    """
     span = LieSpan()
+    max_deg_seen = NEG_INF
+
+    def over_budget(degree) -> ClosureOutcome:
+        return ClosureOutcome(
+            "inconclusive",
+            budget_report={"max_dim": budget.max_dim,
+                           "max_degree": budget.max_degree,
+                           "dim_reached": span.dim,
+                           "degree_reached": degree},
+        )
+
     for g in gens:
-        span.insert(g)
+        if span.insert(g):
+            max_deg_seen = max(max_deg_seen, g.degree)
+            if span.dim > budget.max_dim:
+                return over_budget(max_deg_seen)
     frontier = list(span.basis)
-    max_deg_seen = max((b.degree for b in span.basis), default=NEG_INF)
     while frontier:
-        if span.dim > budget.max_dim:
-            return ClosureOutcome(
-                "inconclusive",
-                budget_report={"max_dim": budget.max_dim,
-                               "max_degree": budget.max_degree,
-                               "dim_reached": span.dim,
-                               "degree_reached": max_deg_seen},
-            )
+        older = span.basis[:span.dim - len(frontier)]
         new: List[SkewPoly] = []
-        old_basis = list(span.basis)
-        for x in frontier:
-            for y in old_basis:
+        for i, x in enumerate(frontier):
+            # [x, x] = 0, and [x, y] = -[y, x] for an earlier frontier y
+            for y in older + frontier[i + 1:]:
                 z = bracket(x, y)
                 if not z:
                     continue
-                if z.degree != NEG_INF and z.degree > budget.max_degree:
-                    return ClosureOutcome(
-                        "inconclusive",
-                        budget_report={"max_dim": budget.max_dim,
-                                       "max_degree": budget.max_degree,
-                                       "dim_reached": span.dim,
-                                       "degree_reached": z.degree},
-                    )
+                if z.degree > budget.max_degree:
+                    return over_budget(z.degree)
                 if span.insert(z):
                     new.append(z)
                     max_deg_seen = max(max_deg_seen, z.degree)
+                    if span.dim > budget.max_dim:
+                        return over_budget(max_deg_seen)
         frontier = new
     return ClosureOutcome("finite", span=span)
 
 
-def chain_witness(seed: SkewPoly, aux, steps: int = 8,
-                  required_growth: int = 3) -> Optional[InfinitenessWitness]:
+#: consecutive strict degree increases that make a ChainDegreeGrowth witness
+CHAIN_GROWTH = 3
+
+
+def chain_witness(seed: SkewPoly, aux,
+                  steps: int = 8) -> Optional[InfinitenessWitness]:
     """Run the commutator chain u <- [u, s] and look for sustained strict
     degree growth.
 
     `aux` is either a fixed SkewPoly or a sequence cycled over the steps.
-    Returns a witness carrying the chain prefix once `required_growth`
+    Returns a witness carrying the chain prefix once CHAIN_GROWTH
     consecutive strict degree increases are seen, else None.
     """
     if steps < 2:
@@ -339,7 +339,7 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
         degrees.append(u.degree)
         if degrees[-1] > degrees[-2]:
             growth += 1
-            if growth >= required_growth:
+            if growth >= CHAIN_GROWTH:
                 return InfinitenessWitness(
                     rule="ChainDegreeGrowth",
                     evidence={
@@ -368,7 +368,9 @@ def verify_chain_witness(w: InfinitenessWitness) -> bool:
     if degs != w.evidence["degrees"]:
         return False
     # sustained growth at the end of the recorded prefix
-    return all(degs[i + 1] > degs[i] for i in range(len(degs) - 4, len(degs) - 1))
+    return len(degs) > CHAIN_GROWTH and all(
+        degs[i + 1] > degs[i]
+        for i in range(len(degs) - 1 - CHAIN_GROWTH, len(degs) - 1))
 
 
 def decide_monomial_set(gens: Sequence[SkewPoly],
@@ -555,18 +557,18 @@ def lie_closure(gens: Sequence[SkewPoly],
             return ClosureOutcome("infinite", witness=w)
 
     # leading-coefficient criterion at the identity frame (sufficient only)
-    from .igusa import _evaluate_frame, identity_check
+    from .igusa import _evaluate_frame
 
     for x, y in itertools.combinations(gens, 2):
         if x.degree > 2 and y.degree > 2:
-            if identity_check(x, y) == "infinite":
-                cert = _evaluate_frame(x, y, None)
+            cert = _evaluate_frame(x.to_weyl(), y.to_weyl(), None)
+            if cert is not None:
                 return ClosureOutcome(
                     "infinite",
                     witness=InfinitenessWitness(
                         rule="IgusaCertificate",
                         evidence={"pair": [skew_to_json(x), skew_to_json(y)],
-                                  **(cert.to_json() if cert else {})},
+                                  **cert.to_json()},
                     ),
                 )
 

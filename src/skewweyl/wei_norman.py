@@ -371,8 +371,8 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
 # Propagators
 # ---------------------------------------------------------------------------
 
-def factored_propagator(sol: FactorSolution, t_index: int, N: int,
-                        include_phase: bool = True) -> np.ndarray:
+def factored_propagator(sol: FactorSolution, t_index: int,
+                        N: int) -> np.ndarray:
     """Product of truncated single-generator exponentials at a grid index."""
     if N < 8:
         raise ValueError("need N >= 8")
@@ -381,6 +381,4 @@ def factored_propagator(sol: FactorSolution, t_index: int, N: int,
     for f_j, H_j in zip(sol.f[:, t_index], gens):
         if f_j:
             U = U @ expm(-1j * f_j * H_j)
-    if include_phase:
-        U = U * np.exp(-1j * sol.phase[t_index])
-    return U
+    return U * np.exp(-1j * sol.phase[t_index])

@@ -179,6 +179,20 @@ class TestFingerprintAndIdentify:
             entry = identify(b)
             assert entry.name == "r(j1..jn)" and entry.parameters == want
 
+    def test_chain_reference_fingerprint_is_computed_once(self, monkeypatch):
+        from skewweyl import classify
+
+        sp = span_of(gp(1, 0), displacement_power(4))
+        calls = []
+        real = classify._fingerprint_from_sc
+        monkeypatch.setattr(classify, "_fingerprint_from_sc",
+                            lambda sc: calls.append(sc) or real(sc))
+        assert identify(sp).name == "L_n"
+        calls.clear()
+        assert identify(sp).name == "L_n"
+        # only the span's own fingerprint, not the reference L_5's again
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_extension_family(self, n):
         from skewweyl.classify import (_chain_ext_sc, _fingerprint_from_sc,

@@ -113,6 +113,18 @@ class TestIgusa:
         assert doc["verdict"] == "infinite"
         assert set(doc["sigma"]) == {"s", "phi", "theta"}
 
+    def test_identity_verdict_agrees_with_identity_certificate(self, tmp_path,
+                                                               out):
+        # a0·b0 = 1 and delta = 4 are real and nonzero
+        e1 = write_elements(tmp_path, "e1.json",
+                            [mono(MINUS, 3, 0) + mono(MINUS, 2, 1)])
+        e2 = write_elements(tmp_path, "e2.json", [mono(MINUS, 4, 0)])
+        assert run(["igusa", "--e1", e1, "--e2", e2]) == 0
+        doc = out()
+        assert doc["identity_verdict"] == "infinite"
+        assert doc["verdict"] == "infinite"
+        assert doc["sigma"] == "identity"
+
     def test_low_degree_is_domain_error(self, tmp_path):
         e1 = write_elements(tmp_path, "e1.json", [mono(PLUS, 2, 0)])
         e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])

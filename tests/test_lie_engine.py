@@ -7,6 +7,7 @@ import pytest
 from skewweyl.lie_engine import (
     Budget,
     LieSpan,
+    _raw_closure,
     bracket,
     chain_witness,
     centralizer_in,
@@ -118,6 +119,15 @@ class TestClosures:
         out = lie_closure([gp(3, 0) + gp(2, 2), gm(3, 0) + gp(1, 0)],
                           Budget(max_dim=5, max_degree=6))
         assert out.outcome in ("infinite", "inconclusive")
+
+    @pytest.mark.parametrize("max_dim", [1, 12])
+    def test_dim_budget_is_checked_on_every_insert(self, max_dim):
+        # the displacement and a cubic generate an infinite algebra; the
+        # closure stops at the first insert past the budget, generators
+        # included
+        out = _raw_closure([gp(1, 0), gm(3, 0), gp(4, 0)], Budget(max_dim, 24))
+        assert out.outcome == "inconclusive"
+        assert out.budget_report["dim_reached"] == max_dim + 1
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

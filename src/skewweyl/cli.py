@@ -19,10 +19,6 @@ from .lie_engine import Budget, LieSpan, bracket, lie_closure
 from .weyl_core import SkewPoly, schrodinger_monomials, skew_from_json
 
 
-class DomainError(Exception):
-    pass
-
-
 class InputError(Exception):
     pass
 
@@ -240,7 +236,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

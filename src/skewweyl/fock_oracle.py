@@ -117,31 +117,27 @@ def direct_propagator(spec, N: int, *, substeps: int = 4) -> np.ndarray:
     """
     if N < 16:
         raise ValueError("need N >= 16")
-    gens = hermitian_generators(spec.algebra, N)
+    gens = np.stack(hermitian_generators(spec.algebra, N))
     h = spec.h / max(1, substeps)
     n_steps = int(round(spec.h * spec.n_steps / h))
 
     def Ht(t: float) -> np.ndarray:
-        u = spec.evaluate(t)
-        out = np.zeros((N, N), dtype=complex)
-        for uj, Hj in zip(u, gens):
-            if uj:
-                out += uj * Hj
-        return out
+        return np.tensordot(spec.evaluate(t), gens, axes=1)
 
     U = np.eye(N, dtype=complex)
-    interior = N - 4
-    eye = np.eye(interior)
+    A1 = Ht(0.0)
     for k in range(n_steps):
         t = k * h
-        A1, A2, A3 = Ht(t), Ht(t + h / 2), Ht(t + h)
+        A2, A3 = Ht(t + h / 2), Ht(t + h)
         k1 = -1j * (A1 @ U)
         k2 = -1j * (A2 @ (U + h / 2 * k1))
         k3 = -1j * (A2 @ (U + h / 2 * k2))
         k4 = -1j * (A3 @ (U + h * k3))
         U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        A1 = A3  # the step's end is the next step's start
+    interior = N - 4
     gram = U.conj().T @ U
-    drift = float(np.max(np.abs(gram[:interior, :interior] - eye)))
+    drift = float(np.max(np.abs(gram[:interior, :interior] - np.eye(interior))))
     if drift > 1e-6:
         raise UnitarityDriftError(drift, n_steps)
     return U

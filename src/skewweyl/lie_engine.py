@@ -32,8 +32,13 @@ MonKey = Tuple[int, MultiIndex]
 
 
 def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
-    """Exact commutator [x, y]; skew-hermitian inputs give a skew result."""
-    return SkewPoly.from_weyl(x.to_weyl().commutator(y.to_weyl()))
+    """Exact commutator [x, y]; skew-hermitian inputs give a skew result.
+
+    For skew-hermitian x and y, (xy)† = yx, so [x, y] = xy - (xy)† needs
+    one product.
+    """
+    p = x.to_weyl() * y.to_weyl()
+    return SkewPoly.from_weyl(p - p.dagger())
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +409,8 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
     elif len(perp) == 1 and all(k == perp[0] or k == (PLUS, (0, 0)) for k in keys):
         finite = True  # one nonlinearity plus (optionally) the central i
     if finite:
-        # finiteness is already proven, so run the brute closure under a
-        # budget that cannot truncate it (dim <= max(6, #generators))
-        safe = Budget(max(budget.max_dim, 8, 2 * len(monos)),
-                      max(budget.max_degree, 2 * max(a + b for _, (a, b) in keys) + 2))
-        return _raw_closure(gens, safe)
+        # finite, but a user budget below the closure's size still truncates it
+        return _raw_closure(gens, budget)
     return ClosureOutcome(
         "infinite",
         witness=InfinitenessWitness(
@@ -425,19 +427,15 @@ def decide_with_free_hamiltonian(gens: Sequence[SkewPoly],
                                  budget: Budget = Budget()) -> ClosureOutcome:
     """Exact decision when some generator is a harmonic drift i(w a†a + c).
 
-    The closure is finite iff no generator has support in the residual
-    nonlinear subspace, and additionally no generator has linear or quadratic
-    support whenever some generator has Kerr-type support.
+    g and -g generate the same real algebra, so the sign of w does not
+    matter.  The closure is finite iff no generator has support in the
+    residual nonlinear subspace, and additionally no generator has linear or
+    quadratic support whenever some generator has Kerr-type support.
     """
-    drift = None
-    for g in gens:
-        d = _drift_term(g)
-        if d is not None and d[0] > 0:
-            drift = g
-            break
+    drift = next((g for g in gens if _drift_term(g) is not None), None)
     if drift is None:
         raise ValueError(
-            "no generator of the form i(w a†a + c) with w > 0; use lie_closure"
+            "no generator of the form i(w a†a + c) with w != 0; use lie_closure"
         )
     perp_offender = next((g for g in gens if g.project("Aperp")), None)
     if perp_offender is not None:
@@ -518,66 +516,57 @@ def _low_degree_mixed_witness(gens: Sequence[SkewPoly]) -> Optional[Infiniteness
     return None
 
 
-def lie_closure(gens: Sequence[SkewPoly],
-                budget: Budget = Budget()) -> ClosureOutcome:
-    """Lie closure with decision rules applied before budgeted iteration.
-
-    Rule order: exact monomial-set decision, exact drift-term decision,
-    drift+nonlinearity criterion, mixed Kerr/quadratic criteria, identity
-    leading-coefficient criterion (degree > 2 pairs), commutator-chain
-    search, then budgeted closure.
-    """
-    gens = [g for g in gens if g]
-    if not gens:
-        return ClosureOutcome("finite", span=LieSpan())
-
-    if all(g.is_monomial() for g in gens):
-        return decide_monomial_set(gens, budget)
-
-    if any((d := _drift_term(g)) is not None and d[0] > 0 for g in gens):
-        return decide_with_free_hamiltonian(gens, budget)
-
-    # drift term appearing alongside residual nonlinear support, exact rule
-    drift = next((g for g in gens if _drift_term(g) is not None), None)
-    if drift is not None:
-        offender = next((g for g in gens if g.project("Aperp")), None)
-        if offender is not None:
-            return ClosureOutcome(
-                "infinite",
-                witness=InfinitenessWitness(
-                    rule="PerpWithFreeHam",
-                    evidence={"drift": skew_to_json(drift),
-                              "offender": skew_to_json(offender)},
-                ),
-            )
-
-    for detector in (_low_degree_mixed_witness, _mixed_eq_quad_witness):
-        w = detector(gens)
-        if w is not None:
-            return ClosureOutcome("infinite", witness=w)
-
-    # leading-coefficient criterion at the identity frame (sufficient only)
+def _identity_frame_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
+    """Sufficient criterion: the leading-coefficient condition at the
+    identity frame for a pair of generators of degree > 2."""
     from .igusa import _evaluate_frame
 
     for x, y in itertools.combinations(gens, 2):
         if x.degree > 2 and y.degree > 2:
             cert = _evaluate_frame(x.to_weyl(), y.to_weyl(), None)
             if cert is not None:
-                return ClosureOutcome(
-                    "infinite",
-                    witness=InfinitenessWitness(
-                        rule="IgusaCertificate",
-                        evidence={"pair": [skew_to_json(x), skew_to_json(y)],
-                                  **cert.to_json()},
-                    ),
+                return InfinitenessWitness(
+                    rule="IgusaCertificate",
+                    evidence={"pair": [skew_to_json(x), skew_to_json(y)],
+                              **cert.to_json()},
                 )
+    return None
 
-    for seed in gens:
-        for aux in gens:
-            w = chain_witness(seed, aux, steps=8)
-            if w is not None:
-                return ClosureOutcome("infinite", witness=w)
 
+def _chain_growth_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
+    """Commutator-chain search over ordered pairs of distinct generators
+    (a chain seeded at its own auxiliary vanishes at the first step)."""
+    for seed, aux in itertools.permutations(gens, 2):
+        w = chain_witness(seed, aux, steps=8)
+        if w is not None:
+            return w
+    return None
+
+
+def lie_closure(gens: Sequence[SkewPoly],
+                budget: Budget = Budget()) -> ClosureOutcome:
+    """Lie closure with decision rules applied before budgeted iteration.
+
+    Rule order: zero generators dropped; exact monomial-set decision; exact
+    drift-term decision (i(w a†a + c) of either sign); then the sufficient
+    criteria low-degree mixed Kerr/quadratic, mixed Kerr/quadratic by
+    leading degree, identity-frame leading coefficients (pairs of degree
+    > 2) and commutator-chain growth; then the budgeted closure.  Every
+    finite answer comes from a closure run under `budget`, so a closure
+    larger than the budget is reported `inconclusive`.
+    """
+    gens = [g for g in gens if g]
+    if not gens:
+        return ClosureOutcome("finite", span=LieSpan())
+    if all(g.is_monomial() for g in gens):
+        return decide_monomial_set(gens, budget)
+    if any(_drift_term(g) is not None for g in gens):
+        return decide_with_free_hamiltonian(gens, budget)
+    for rule in (_low_degree_mixed_witness, _mixed_eq_quad_witness,
+                 _identity_frame_witness, _chain_growth_witness):
+        w = rule(gens)
+        if w is not None:
+            return ClosureOutcome("infinite", witness=w)
     return _raw_closure(gens, budget)
 
 

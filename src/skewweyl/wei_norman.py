@@ -22,6 +22,7 @@ is tracked separately and never enters any fidelity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
@@ -221,7 +222,7 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     fdot = np.stack([
         _rhs(f[:, k], spec.evaluate(k * spec.h)) for k in range(f.shape[1])
     ], axis=1)
-    phase = _phase_quadrature(f, fdot, spec.h, n_factors=5)
+    phase = _phase_quadrature(f, fdot, spec.h)
     return FactorSolution(spec.algebra, spec.h, f, fdot, phase, "RK4",
                           error_estimate=err)
 
@@ -230,7 +231,8 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
 # Adjoint reconstruction (forward check and phase)
 # ---------------------------------------------------------------------------
 
-def _adjoint_matrices() -> List[np.ndarray]:
+@functools.cache
+def _adjoints() -> List[np.ndarray]:
     """ad matrices of X1..X5 on the basis (i, X1..X5), computed from the
     exact bracket engine once."""
     from .lie_engine import LieSpan, bracket
@@ -250,51 +252,30 @@ def _adjoint_matrices() -> List[np.ndarray]:
     return ads
 
 
-_ADJOINT_CACHE: Optional[List[np.ndarray]] = None
-
-
-def _adjoints() -> List[np.ndarray]:
-    global _ADJOINT_CACHE
-    if _ADJOINT_CACHE is None:
-        _ADJOINT_CACHE = _adjoint_matrices()
-    return _ADJOINT_CACHE
-
-
-def _reconstruct_at(f: np.ndarray, fdot: np.ndarray,
-                    n_factors: int) -> np.ndarray:
+def _reconstruct(f: np.ndarray, fdot: np.ndarray) -> np.ndarray:
     """Coordinates of sum_j fdot_j Ad(U1..U_{j-1}) X_j in the basis
-    (i, X1..X5): entry 0 is the central component, entries 1.. are the
-    reconstructed controls."""
+    (i, X1..X5) at every grid point, shape (6, n): row 0 is the central
+    component, rows 1.. are the reconstructed controls.  One batched expm
+    per factor covers the whole grid."""
     ads = _adjoints()
-    acc = np.zeros(6)
-    left = np.eye(6)
+    n_factors, n = f.shape
+    acc = np.zeros((6, n))
+    left = np.broadcast_to(np.eye(6), (n, 6, 6))
     for j in range(n_factors):
-        e = np.zeros(6)
-        e[j + 1] = 1.0
-        acc += fdot[j] * (left @ e)
-        left = left @ expm(-f[j] * ads[j])
+        acc += fdot[j] * left[:, :, j + 1].T
+        if j + 1 < n_factors:
+            left = left @ expm(-f[j][:, None, None] * ads[j])
     return acc
 
 
-def _phase_quadrature(f: np.ndarray, fdot: np.ndarray, h: float,
-                      n_factors: int) -> np.ndarray:
-    n = f.shape[1]
-    r0 = np.array([
-        _reconstruct_at(f[:, k], fdot[:, k], n_factors)[0] for k in range(n)
-    ])
-    return _cumquad(-r0, h)
+def _phase_quadrature(f: np.ndarray, fdot: np.ndarray, h: float) -> np.ndarray:
+    return _cumquad(-_reconstruct(f, fdot)[0], h)
 
 
 def reconstructed_controls(sol: FactorSolution) -> np.ndarray:
     """Controls implied by the factor functions via the adjoint product;
     independent of the closed-form forward expressions."""
-    n_factors = sol.f.shape[0]
-    n = sol.f.shape[1]
-    out = np.zeros((n_factors, n))
-    for k in range(n):
-        r = _reconstruct_at(sol.f[:, k], sol.fdot[:, k], n_factors)
-        out[:, k] = r[1:1 + n_factors]
-    return out
+    return _reconstruct(sol.f, sol.fdot)[1:1 + sol.f.shape[0]]
 
 
 # ---------------------------------------------------------------------------

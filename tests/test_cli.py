@@ -58,19 +58,23 @@ class TestClosure:
     def test_budget_flags(self, tmp_path, out):
         gens = write_elements(tmp_path, "g.json", schrodinger_monomials())
         assert run(["closure", "--gens", gens, "--budget-dim", "4"]) == 0
-        assert out()["outcome"] in {"finite", "inconclusive"}
+        assert out()["outcome"] == "inconclusive"
 
-    def test_budget_below_drift_closure_is_inconclusive(self, tmp_path, out):
-        # the drift rule proves this closure finite, but it is larger than
+    @pytest.mark.parametrize("gens,max_dim", [
+        ([number_op() + unit_i(), mono(PLUS, 1, 0) + mono(MINUS, 2, 0)], 3),
+        (list(schrodinger_monomials()), 4),
+    ], ids=["drift", "monomials"])
+    def test_budget_below_drift_closure_is_inconclusive(self, tmp_path, out,
+                                                         gens, max_dim):
+        # an exact rule proves this closure finite, but it is larger than
         # the dimension budget
-        gens = write_elements(tmp_path, "g.json",
-                              [number_op() + unit_i(),
-                               mono(PLUS, 1, 0) + mono(MINUS, 2, 0)])
-        assert run(["closure", "--gens", gens, "--budget-dim", "3"]) == 0
+        gens = write_elements(tmp_path, "g.json", gens)
+        assert run(["closure", "--gens", gens,
+                    "--budget-dim", str(max_dim)]) == 0
         doc = out()
         assert doc["outcome"] == "inconclusive"
-        assert doc["budget"]["max_dim"] == 3
-        assert doc["budget"]["dim_reached"] > 3
+        assert doc["budget"]["max_dim"] == max_dim
+        assert doc["budget"]["dim_reached"] > max_dim
 
 
 class TestClassify:

@@ -181,6 +181,31 @@ class TestFreeHamiltonianDecision:
         assert out.outcome == "finite" and out.dim == 2
 
 
+class TestDecisionRules:
+    def test_drift_sign_does_not_matter(self):
+        other = gp(2, 2) + gm(1, 0)
+        pos = lie_closure([number_op(), other])
+        neg = lie_closure([number_op().scale(-1), other])
+        assert neg.outcome == pos.outcome == "infinite"
+        assert neg.dim == pos.dim
+        assert neg.witness.rule == pos.witness.rule == "MixedEqAndQuad"
+
+    def test_chain_search_skips_self_pairs(self, monkeypatch):
+        from skewweyl import lie_engine
+
+        calls = []
+
+        def recording(seed, aux, steps=8):
+            calls.append((seed, aux))
+            return chain_witness(seed, aux, steps)
+
+        monkeypatch.setattr(lie_engine, "chain_witness", recording)
+        out = lie_closure([gp(1, 0) + gm(1, 0), gm(1, 0), unit_i()])
+        assert out.outcome == "finite" and out.dim == 3
+        assert len(calls) == 6
+        assert not any(seed is aux for seed, aux in calls)
+
+
 class TestChainWitness:
     def test_degree_growth(self):
         w = chain_witness(gp(3, 0), gm(3, 0), steps=8)

@@ -54,6 +54,12 @@ class TestBracketAxioms:
 
     @given(skew_polys(), skew_polys())
     @settings(max_examples=60, deadline=None)
+    def test_one_product_bracket_matches_commutator(self, x, y):
+        assert bracket(x, y) == SkewPoly.from_weyl(
+            x.to_weyl().commutator(y.to_weyl()))
+
+    @given(skew_polys(), skew_polys())
+    @settings(max_examples=60, deadline=None)
     def test_commutator_stays_antihermitian(self, x, y):
         w = bracket(x, y).to_weyl()
         assert w.dagger().terms == {k: -v for k, v in w.terms.items()}

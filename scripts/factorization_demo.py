@@ -46,10 +46,9 @@ def main() -> int:
 
     N = args.fock_dim
     Uf = factored_propagator(sol, spec.n_steps, N)
-    Ud = direct_propagator(spec, N)
     psi = np.zeros(N)
     psi[0] = 1.0
-    fid = state_fidelity(Uf @ psi, Ud @ psi)
+    fid = state_fidelity(Uf @ psi, direct_propagator(spec, N, psi0=psi))
     print(f"vacuum fidelity vs direct propagator (N={N}): {fid:.12f}")
 
     if args.csv:

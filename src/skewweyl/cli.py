@@ -122,9 +122,9 @@ def _cmd_simulate(args) -> int:
     sol = wh2_factors(spec) if spec.algebra == "wh2" else schrodinger_factors(spec)
     N = args.fock_dim
     U_fac = factored_propagator(sol, sol.f.shape[1] - 1, N)
-    U_dir = direct_propagator(spec, N)
     psi0 = np.zeros(N)
     psi0[0] = 1.0
+    psi_dir = direct_propagator(spec, N, psi0=psi0)
     out = {
         "algebra": spec.algebra,
         "grid": {"h": spec.h, "n_steps": spec.n_steps},
@@ -132,7 +132,7 @@ def _cmd_simulate(args) -> int:
         "f": sol.f.tolist(),
         "phase": sol.phase.tolist(),
         "residual": residual_check(spec, sol),
-        "fidelity_vs_oracle": state_fidelity(U_dir @ psi0, U_fac @ psi0),
+        "fidelity_vs_oracle": state_fidelity(psi_dir, U_fac @ psi0),
     }
     if sol.error_estimate is not None:
         out["error_estimate"] = sol.error_estimate

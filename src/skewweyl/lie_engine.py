@@ -275,7 +275,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
     """Budgeted level-structure closure with exact echelon bookkeeping.
 
     Each unordered pair is bracketed once.  The dimension budget is checked
-    after every insert, so an `inconclusive` report stops at max_dim + 1.
+    after every insert, so an `inconclusive` report stops at max_dim + 1;
+    the degree budget is checked before every insert, generators included.
     """
     span = LieSpan()
     max_deg_seen = NEG_INF
@@ -290,6 +291,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
         )
 
     for g in gens:
+        if g.degree > budget.max_degree:
+            return over_budget(g.degree)
         if span.insert(g):
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:

@@ -108,6 +108,76 @@ class TestPropagation:
             assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
 
+def _dense_rk4(spec, N, substeps=4):
+    """Reference: RK4 on the full propagator with dense H(t) @ U products
+    and per-stage control evaluation."""
+    gens = np.stack(hermitian_generators(spec.algebra, N))
+    h = spec.h / substeps
+    U = np.eye(N, dtype=complex)
+    for k in range(spec.n_steps * substeps):
+        t = k * h
+        A1, A2, A3 = (np.tensordot(spec.evaluate(s), gens, axes=1)
+                      for s in (t, t + h / 2, t + h))
+        k1 = -1j * (A1 @ U)
+        k2 = -1j * (A2 @ (U + h / 2 * k1))
+        k3 = -1j * (A2 @ (U + h / 2 * k2))
+        k4 = -1j * (A3 @ (U + h * k3))
+        U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+def _sinusoid(algebra, t_final):
+    n = 3 if algebra == "wh2" else 5
+    return ControlSpec.from_json({
+        "algebra": algebra, "preset": "sinusoid",
+        "amplitudes": [1.0, 0.3, 0.2, 0.1, 0.15][:n],
+        "frequencies": [1.0, 2.0, 3.0, 1.5, 2.5][:n],
+        "phases": [0.0, 0.4, 0.8, 1.2, 1.6][:n],
+        "t_final": t_final, "h": 1e-3,
+    })
+
+
+class TestStatePropagation:
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_banded_matches_dense_reference(self, algebra):
+        spec = _sinusoid(algebra, 0.1)
+        U = direct_propagator(spec, 24)
+        assert np.max(np.abs(U - _dense_rk4(spec, 24))) < 1e-12
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_state_and_block_match_full_propagator(self, algebra):
+        N = 48
+        spec = _sinusoid(algebra, 0.5)
+        U = direct_propagator(spec, N)
+        vac = np.zeros(N)
+        vac[0] = 1.0
+        block = np.zeros((N, 2), dtype=complex)
+        block[0, 0] = 1.0
+        block[1, 1] = block[2, 1] = 1.0 / np.sqrt(2)
+        psi = direct_propagator(spec, N, psi0=vac)
+        assert psi.shape == (N,)
+        assert np.max(np.abs(psi - U @ vac)) < 1e-12
+        Y = direct_propagator(spec, N, psi0=block)
+        assert Y.shape == (N, 2)
+        assert np.max(np.abs(Y - U @ block)) < 1e-12
+
+    def test_state_drift_error_raised_for_coarse_step(self):
+        spec = ControlSpec.constant("schrodinger",
+                                    [1.0, 0.0, 0.0, 0.0, 0.5],
+                                    t_final=2.0, h=0.05)
+        vac = np.zeros(96)
+        vac[0] = 1.0
+        with pytest.raises(UnitarityDriftError):
+            direct_propagator(spec, 96, psi0=vac, substeps=1)
+
+    def test_rejects_mismatched_state(self):
+        spec = ControlSpec.constant("wh2", [1.0, 0.0, 0.0], t_final=0.05, h=1e-2)
+        with pytest.raises(ValueError):
+            direct_propagator(spec, 16, psi0=np.ones(15))
+        with pytest.raises(ValueError):
+            direct_propagator(spec, 16, psi0=np.ones((16, 2, 2)))
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         psi = np.array([1.0, 2.0, 0.5j])

@@ -129,6 +129,17 @@ class TestClosures:
         assert out.outcome == "inconclusive"
         assert out.budget_report["dim_reached"] == max_dim + 1
 
+    @pytest.mark.parametrize("gens", [[gp(5, 0), gp(0, 0)],
+                                      [gp(5, 0) + gm(5, 0)]],
+                             ids=["monomial", "mixed"])
+    def test_degree_budget_is_checked_on_generators(self, gens):
+        # a generator above the degree budget stops the closure before it
+        # is inserted, as a bracket result would
+        out = lie_closure(gens, Budget(64, 3))
+        assert out.outcome == "inconclusive"
+        assert out.budget_report["degree_reached"] == 5
+        assert out.budget_report["dim_reached"] == 0
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             Budget(max_dim=0)

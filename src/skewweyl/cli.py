@@ -27,11 +27,10 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}")
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise InputError(f"{path}: invalid JSON: {exc}")
 
 
 def _load_elements(path: str) -> List[SkewPoly]:
@@ -62,8 +61,11 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_closure(args) -> int:
-    gens = _load_elements(args.gens)
-    out = lie_closure(gens, Budget(args.budget_dim, args.budget_deg))
+    try:
+        budget = Budget(args.budget_dim, args.budget_deg)
+    except ValueError as exc:
+        raise InputError(f"--budget-dim, --budget-deg: {exc}")
+    out = lie_closure(_load_elements(args.gens), budget)
     _emit(out.to_json())
     return 0
 
@@ -92,8 +94,12 @@ def _cmd_enumerate(args) -> int:
 def _cmd_igusa(args) -> int:
     from .igusa import symplectic_search
 
-    (e1,) = _load_elements(args.e1)
-    (e2,) = _load_elements(args.e2)
+    if args.samples < 0:
+        raise InputError("--samples must be non-negative")
+    pair = [_load_elements(path) for path in (args.e1, args.e2)]
+    if any(len(elements) != 1 for elements in pair):
+        raise InputError("--e1 and --e2 must each hold exactly one element")
+    (e1,), (e2,) = pair
     # the search tries the exact identity frame first
     cert = symplectic_search(e1, e2, samples=args.samples, seed=args.seed)
     identity = cert is not None and cert.params is None
@@ -112,12 +118,14 @@ def _cmd_simulate(args) -> int:
                              schrodinger_factors, wh2_factors)
 
     obj = _load_json(args.controls)
+    if not isinstance(obj, dict):
+        raise InputError(f"{args.controls}: expected a JSON object")
     obj.setdefault("algebra", args.algebra)
     if obj["algebra"] != args.algebra:
         raise InputError("--algebra disagrees with the controls file")
     try:
         spec = ControlSpec.from_json(obj)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.controls}: {exc}")
     sol = wh2_factors(spec) if spec.algebra == "wh2" else schrodinger_factors(spec)
     N = args.fock_dim

@@ -1,21 +1,24 @@
 """Enumeration of all subalgebras generated by subsets of a basis.
 
-The recursion mirrors the pruned depth-first strategy: starting from each
-basis element, extend the current closed span one basis element at a time,
+`lie_closure` decides the full basis once; every subset closure lies in that
+finite ambient, so subsets are closed directly by the budgeted closure.  The
+recursion mirrors the pruned depth-first strategy: starting from each basis
+element, extend the current closed span one basis element at a time,
 skipping extensions that are already inside the span (they cannot produce a
-new algebra) and subtrees whose linear span already equals the full algebra.
-A naive closure over all 2^n - 1 subsets is provided as an oracle; both
-agree as sets of subspaces.
+new algebra) and subtrees whose linear span already has the ambient's
+dimension.  A naive closure over all 2^n - 1 subsets is provided as an
+oracle; both agree as sets of subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classify import CatalogEntry, identify
-from .lie_engine import Budget, LieSpan, bracket, lie_closure
+from .lie_engine import Budget, LieSpan, _raw_closure, lie_closure
 from .weyl_core import SkewPoly, skew_to_json
 
 
@@ -35,7 +38,7 @@ class RealizationRecord:
 
 
 def _closure_span(gens: Sequence[SkewPoly], budget: Budget) -> LieSpan:
-    out = lie_closure(list(gens), budget)
+    out = _raw_closure(gens, budget)
     if out.outcome != "finite":
         raise ValueError("closure exceeded budget during enumeration")
     return out.span
@@ -50,8 +53,7 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     """
     basis = list(basis)
     n = len(basis)
-    check = LieSpan(basis)
-    if check.dim != n:
+    if LieSpan(basis).dim != n:
         raise ValueError("basis elements must be linearly independent")
     full = lie_closure(basis, budget)
     if full.outcome != "finite":
@@ -71,12 +73,11 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     def extend(subset: Tuple[int, ...], span: LieSpan, k: int) -> None:
         if k >= n:
             return
-        lin = span.copy()
-        lin.insert(basis[k])
-        if lin.dim == ambient.dim and lin == ambient:
-            # any further extension can only reproduce the full algebra
+        inside = span.contains(basis[k])
+        if span.dim + (not inside) == ambient.dim:
+            # span + basis[k] is the ambient: extensions only reproduce it
             return
-        if span.contains(basis[k]):
+        if inside:
             extend(subset, span, k + 1)
             return
         for ell in range(k, n):
@@ -101,7 +102,10 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
 
 def brute_force_subalgebras(basis: Sequence[SkewPoly],
                             budget: Budget = Budget()) -> List[LieSpan]:
-    """Oracle: closures of all 2^n - 1 non-empty subsets, deduplicated."""
+    """Oracle: closures of all 2^n - 1 non-empty subsets, deduplicated.
+
+    Expects a basis with a finite closure; past `budget`, raises ValueError.
+    """
     out: Dict[Tuple, LieSpan] = {}
     for r in range(1, len(basis) + 1):
         for subset in itertools.combinations(basis, r):
@@ -134,13 +138,8 @@ def glossary_report() -> dict:
     from .weyl_core import schrodinger_monomials
 
     records = enumerate_subalgebras(schrodinger_monomials())
-    by_name: Dict[str, List[RealizationRecord]] = {}
-    for r in records:
-        by_name.setdefault(r.catalog.name, []).append(r)
-    counts = {name: len(rs) for name, rs in by_name.items()}
-    dims: Dict[int, int] = {}
-    for r in records:
-        dims[r.span.dim] = dims.get(r.span.dim, 0) + 1
+    counts = dict(Counter(r.catalog.name for r in records))
+    dims = dict(Counter(r.span.dim for r in records))
     mismatches = {
         name: (counts.get(name, 0), want)
         for name, want in GLOSSARY_NONABELIAN_COUNTS.items()

@@ -176,12 +176,6 @@ class LieSpan:
             rows.append(tuple(sorted(row.items(), key=lambda kv: monomial_key_order(kv[0]))))
         return tuple(rows)
 
-    def copy(self) -> "LieSpan":
-        out = LieSpan()
-        out.basis = list(self.basis)
-        out._rows = {p: dict(r) for p, r in self._rows.items()}
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LieSpan) and self.canonical_key() == other.canonical_key()
 
@@ -334,6 +328,9 @@ def chain_witness(seed: SkewPoly, aux,
     if steps < 2:
         raise ValueError("need at least two chain steps")
     aux_seq = [aux] if isinstance(aux, SkewPoly) else list(aux)
+    if all(s.degree <= 2 for s in aux_seq):
+        # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
+        return None
     u = seed
     degrees = [u.degree]
     chain = [u]
@@ -398,20 +395,13 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
         if not g.is_monomial():
             raise ValueError("decide_monomial_set requires single-monomial generators")
         keys.update(g.terms)
-    if not keys:
-        return ClosureOutcome("finite", span=LieSpan())
-    tags = {k: subspace_of(*k) for k in keys}
-    perp = [k for k, t in tags.items() if t == "Aperp"]
-    monos = [SkewPoly.monomial(s, g) for s, g in keys]
-    finite = False
-    if all(not bracket(x, y)
-           for x, y in itertools.combinations(monos, 2)):
-        finite = True  # mutually commuting (covers all of A0 + Kerr-type)
-    elif not perp and all(k in _SCHRODINGER_KEYS for k in keys):
-        finite = True
-    elif len(perp) == 1 and all(k == perp[0] or k == (PLUS, (0, 0)) for k in keys):
-        finite = True  # one nonlinearity plus (optionally) the central i
-    if finite:
+    perp = [k for k in keys if subspace_of(*k) == "Aperp"]
+    if (keys <= _SCHRODINGER_KEYS
+            # one nonlinearity plus (optionally) the central i
+            or (len(perp) == 1 and keys <= {perp[0], (PLUS, (0, 0))})
+            # mutually commuting (covers all of A0 + Kerr-type)
+            or all(not bracket(SkewPoly.monomial(*x), SkewPoly.monomial(*y))
+                   for x, y in itertools.combinations(keys, 2))):
         # finite, but a user budget below the closure's size still truncates it
         return _raw_closure(gens, budget)
     return ClosureOutcome(

@@ -250,6 +250,8 @@ class SkewPoly:
                 raise ValueError(f"bad sign {sigma!r}")
             if not is_well_ordered(gamma):
                 raise ValueError(f"multi-index {gamma} is not well-ordered")
+            if gamma[1] < 0:
+                raise ValueError(f"negative powers in {gamma}")
             if sigma == MINUS and gamma[0] == gamma[1]:
                 continue  # identically zero monomial
             cleaned[(sigma, gamma)] = Fraction(c)
@@ -434,7 +436,7 @@ def skew_from_json(obj: dict) -> SkewPoly:
             sigma = {"+": PLUS, "-": MINUS}[e["sigma"]]
             gamma = (int(e["alpha"]), int(e["beta"]))
             coeff = Fraction(e["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad skew term at index {i}: {exc}") from exc
         key = (sigma, gamma)
         terms[key] = terms.get(key, Fraction(0)) + coeff
@@ -460,7 +462,7 @@ def weyl_from_json(obj: dict) -> WeylPoly:
         try:
             key = (int(e["alpha"]), int(e["beta"]))
             c = GaussianRational(Fraction(e["re"]), Fraction(e["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad weyl term at index {i}: {exc}") from exc
         terms[key] = terms.get(key, GR_ZERO) + c
     return WeylPoly(terms)

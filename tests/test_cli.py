@@ -23,6 +23,14 @@ def mono(sigma, a, b):
     return SkewPoly.monomial(sigma, (a, b))
 
 
+def assert_input_error(argv, capsys):
+    """Exit code 2 with one `error:` line on stderr and no traceback."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1, err
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def out(capsys):
     def read():
@@ -216,6 +224,61 @@ class TestErrors:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_negative_powers_rejected(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([
+            {"skew": [{"sigma": "+", "alpha": -1, "beta": -2, "coeff": "1"}]},
+            skew_to_json(mono(MINUS, 1, 0))]))
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+
+    def test_zero_denominator_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"skew": [
+            {"sigma": "+", "alpha": 1, "beta": 0, "coeff": "1/0"}]}]))
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe[]")
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+
+    def test_directory_as_input(self, tmp_path, capsys):
+        assert_input_error(["closure", "--gens", str(tmp_path)], capsys)
+
+    def test_controls_not_an_object(self, tmp_path, capsys):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps([1.0, 0.0, 0.0]))
+        assert_input_error(["simulate", "--algebra", "wh2",
+                            "--controls", str(controls)], capsys)
+
+    @pytest.mark.parametrize("field,value", [("values", 5), ("h", None),
+                                             ("t_final", float("inf"))])
+    def test_malformed_controls_field(self, tmp_path, capsys, field, value):
+        doc = {"preset": "constant", "values": [1.0, 0.0, 0.0],
+               "t_final": 0.1, "h": 1e-2}
+        doc[field] = value
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps(doc))
+        assert_input_error(["simulate", "--algebra", "wh2",
+                            "--controls", str(controls)], capsys)
+
+    def test_igusa_element_file_with_two_elements(self, tmp_path, capsys):
+        e1 = write_elements(tmp_path, "e1.json",
+                            [mono(MINUS, 3, 0), mono(PLUS, 3, 0)])
+        e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])
+        assert_input_error(["igusa", "--e1", e1, "--e2", e2], capsys)
+
+    @pytest.mark.parametrize("flag", ["--budget-dim", "--budget-deg"])
+    def test_zero_budget(self, tmp_path, capsys, flag):
+        gens = write_elements(tmp_path, "g.json", [mono(PLUS, 1, 0)])
+        assert_input_error(["closure", "--gens", gens, flag, "0"], capsys)
+
+    def test_negative_samples(self, tmp_path, capsys):
+        e1 = write_elements(tmp_path, "e1.json", [mono(MINUS, 3, 0)])
+        e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])
+        assert_input_error(["igusa", "--e1", e1, "--e2", e2,
+                            "--samples", "-5"], capsys)
 
     def test_deterministic_output(self, tmp_path, capsys):
         gens = write_elements(tmp_path, "g.json", schrodinger_monomials())

@@ -7,7 +7,7 @@ from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS,
                                 brute_force_subalgebras,
                                 enumerate_subalgebras, glossary_markdown,
                                 glossary_report)
-from skewweyl.lie_engine import LieSpan, bracket
+from skewweyl.lie_engine import Budget, bracket, lie_closure
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
                                 unit_i)
 
@@ -48,6 +48,25 @@ class TestSmallBases:
     def test_rejects_infinite_ambient(self):
         with pytest.raises(ValueError):
             enumerate_subalgebras([gp(3, 0), gm(3, 0)])
+
+    def test_oracle_rejects_basis_beyond_budget(self):
+        with pytest.raises(ValueError):
+            brute_force_subalgebras([gp(3, 0), gm(3, 0)], Budget(8, 8))
+
+    def test_one_verdict_per_call(self, monkeypatch):
+        # the ambient is decided once; subsets inside it are closed directly
+        from skewweyl import enumerate as enum
+
+        calls = []
+
+        def recording(gens, budget=Budget()):
+            calls.append(len(gens))
+            return lie_closure(gens, budget)
+
+        monkeypatch.setattr(enum, "lie_closure", recording)
+        records = enumerate_subalgebras(schrodinger_monomials())
+        assert len(records) == 22
+        assert calls == [6]
 
 
 class TestInvariants:

@@ -165,6 +165,22 @@ class TestMonomialDecision:
         with pytest.raises(ValueError):
             decide_monomial_set([gp(1, 0) + gm(1, 0)])
 
+    def test_key_tests_come_before_brackets(self, monkeypatch):
+        # Schrodinger keys and one nonlinearity with i are decided from the
+        # keys alone; only the commuting test brackets
+        from skewweyl import lie_engine
+
+        calls = []
+        monkeypatch.setattr(lie_engine, "bracket",
+                            lambda x, y: calls.append((x, y)) or bracket(x, y))
+        monkeypatch.setattr(lie_engine, "_raw_closure",
+                            lambda gens, budget: "closed")
+        assert decide_monomial_set(list(schrodinger_monomials())) == "closed"
+        assert decide_monomial_set([gp(4, 1), unit_i()]) == "closed"
+        assert calls == []
+        assert decide_monomial_set([gp(2, 2), gp(3, 3)]) == "closed"
+        assert len(calls) == 1
+
 
 class TestFreeHamiltonianDecision:
     def test_requires_drift(self):
@@ -227,6 +243,18 @@ class TestChainWitness:
 
     def test_no_growth_in_finite_algebra(self):
         assert chain_witness(gp(1, 0), gm(1, 0), steps=8) is None
+
+    def test_low_degree_aux_runs_no_bracket(self, monkeypatch):
+        # deg [u, s] <= deg u + deg s - 2, so an auxiliary of degree <= 2
+        # cannot raise the degree
+        from skewweyl import lie_engine
+
+        calls = []
+        monkeypatch.setattr(lie_engine, "bracket",
+                            lambda x, y: calls.append((x, y)) or bracket(x, y))
+        assert chain_witness(gp(5, 0), gm(2, 0), steps=8) is None
+        assert chain_witness(gp(3, 1), [gp(1, 0), number_op()]) is None
+        assert calls == []
 
     def test_step_validation(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,15 @@ class TestSkewBasis:
         with pytest.raises(ValueError, match="skew-hermitian"):
             SkewPoly.from_weyl(A)
 
+    def test_rejects_negative_powers(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            SkewPoly({(PLUS, (-1, -2)): Fraction(1)})
+        with pytest.raises(ValueError, match="negative powers"):
+            SkewPoly.monomial(MINUS, (0, -1))
+        with pytest.raises(ValueError, match="negative powers"):
+            skew_from_json({"skew": [
+                {"sigma": "+", "alpha": -1, "beta": -2, "coeff": "1"}]})
+
     def test_subspace_partition(self):
         assert subspace_of(PLUS, (0, 0)) == "A0"
         assert subspace_of(PLUS, (1, 1)) == "A0"
@@ -130,3 +139,11 @@ class TestJson:
         with pytest.raises(ValueError):
             skew_from_json({"skew": [{"sigma": "+", "alpha": 0, "beta": 2,
                                       "coeff": "1"}]})
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="index 0"):
+            skew_from_json({"skew": [{"sigma": "+", "alpha": 1, "beta": 0,
+                                      "coeff": "1/0"}]})
+        with pytest.raises(ValueError, match="index 0"):
+            weyl_from_json({"weyl": [{"alpha": 1, "beta": 0, "re": "1",
+                                      "im": "1/0"}]})

@@ -113,10 +113,12 @@ def _cmd_igusa(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .fock_oracle import direct_propagator, state_fidelity
+    from .fock_oracle import MIN_DIM, direct_propagator, state_fidelity
     from .wei_norman import (ControlSpec, factored_propagator, residual_check,
                              schrodinger_factors, wh2_factors)
 
+    if args.fock_dim < MIN_DIM:
+        raise InputError(f"--fock-dim must be at least {MIN_DIM}")
     obj = _load_json(args.controls)
     if not isinstance(obj, dict):
         raise InputError(f"{args.controls}: expected a JSON object")
@@ -224,7 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("simulate", help="factorized dynamics vs oracle")
     c.add_argument("--algebra", required=True, choices=["wh2", "schrodinger"])
     c.add_argument("--controls", required=True)
-    c.add_argument("--fock-dim", type=int, default=64)
+    c.add_argument("--fock-dim", type=int, default=64,
+                   help="Fock truncation N, at least 16 (default 64)")
     c.add_argument("--csv", default=None)
     c.set_defaults(fn=_cmd_simulate)
 

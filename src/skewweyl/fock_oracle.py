@@ -14,6 +14,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .weyl_core import NEG_INF, WeylPoly
 
+#: smallest truncation `direct_propagator` accepts
+MIN_DIM = 16
+
 
 def annihilator(N: int) -> np.ndarray:
     a = np.zeros((N, N), dtype=complex)
@@ -140,8 +143,8 @@ def direct_propagator(spec, N: int, *, psi0=None,
     one state its norm.  Columns that start in the top levels are not
     checked.
     """
-    if N < 16:
-        raise ValueError("need N >= 16")
+    if N < MIN_DIM:
+        raise ValueError(f"need N >= {MIN_DIM}")
     Y0 = np.eye(N, dtype=complex) if psi0 is None else \
         np.array(psi0, dtype=complex)
     if Y0.ndim not in (1, 2) or Y0.shape[0] != N:

@@ -146,7 +146,7 @@ def cpoly_mul(p: CPoly, q: CPoly) -> CPoly:
     for (a1, b1), c1 in p.items():
         for (a2, b2), c2 in q.items():
             c = c1 * c2
-            for (s, r), n in _reorder(b1, a2).items():
+            for (s, r), n in _reorder(b1, a2):
                 key = (a1 + s, r + b2)
                 out[key] = out.get(key, 0j) + c * n
     return out

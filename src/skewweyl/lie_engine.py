@@ -23,6 +23,7 @@ from .weyl_core import (
     PLUS,
     MultiIndex,
     SkewPoly,
+    _monomial_bracket,
     monomial_key_order,
     skew_to_json,
     subspace_of,
@@ -31,14 +32,31 @@ from .weyl_core import (
 MonKey = Tuple[int, MultiIndex]
 
 
+def _integer_terms(x: SkewPoly) -> Tuple[int, List[Tuple[MonKey, int]]]:
+    """(l, terms of l·x as ints) for l the lcm of x's denominators."""
+    l = math.lcm(*(c.denominator for c in x.terms.values()))
+    return l, [(k, c.numerator * (l // c.denominator))
+               for k, c in x.terms.items()]
+
+
 def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
     """Exact commutator [x, y]; skew-hermitian inputs give a skew result.
 
-    For skew-hermitian x and y, (xy)† = yx, so [x, y] = xy - (xy)† needs
-    one product.
+    The bracket is bilinear, and two skew monomials have integer bracket
+    coefficients, memoised in `weyl_core._monomial_bracket`.  x and y are
+    scaled to integer vectors lx·x and ly·y, the table entries are summed
+    as Python ints, and the sum is divided once by lx·ly.
     """
-    p = x.to_weyl() * y.to_weyl()
-    return SkewPoly.from_weyl(p - p.dagger())
+    lx, xs = _integer_terms(x)
+    ly, ys = _integer_terms(y)
+    acc: Dict[MonKey, int] = {}
+    for k1, a in xs:
+        for k2, b in ys:
+            ab = a * b
+            for key, n in _monomial_bracket(k1, k2):
+                acc[key] = acc.get(key, 0) + ab * n
+    d = lx * ly
+    return SkewPoly({k: Fraction(v, d) for k, v in acc.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +132,9 @@ class LieSpan:
         self.basis: List[SkewPoly] = []
         # pivot monomial key -> fully reduced row (dict MonKey -> Fraction)
         self._rows: Dict[MonKey, Dict[MonKey, Fraction]] = {}
+        # pivot key -> column of the inverse pivot-entry matrix; built by
+        # `coordinates`, dropped by `insert`
+        self._inverse: Optional[Dict[MonKey, List[Fraction]]] = None
         for v in vectors:
             self.insert(v)
 
@@ -152,21 +173,37 @@ class LieSpan:
                 self._rows[p] = {k: val for k, val in row.items() if val}
         self._rows[pivot] = new_row
         self.basis.append(v)
+        self._inverse = None
         return True
 
     def coordinates(self, v: SkewPoly) -> Optional[List[Fraction]]:
         """Exact coordinates of v in `self.basis`, or None if v is outside.
 
         The rows are fully reduced, so an element of the span is fixed by
-        its coefficients at the pivots; matching those against the basis
-        vectors' pivot entries is a square, invertible system.
+        its coefficients at the pivots, and its coordinates are the inverse
+        of the basis vectors' pivot-entry matrix applied to those.  The
+        inverse is built by one `Rref` on first use and dropped by `insert`,
+        so each further call is one matrix-vector product.
         """
         if self._reduce(v):
             return None
-        pivots = list(self._rows)
-        return solve([[b.terms.get(p, Fraction(0)) for b in self.basis]
-                      for p in pivots],
-                     [v.terms.get(p, Fraction(0)) for p in pivots], self.dim)
+        n = self.dim
+        if self._inverse is None:
+            pivots = list(self._rows)
+            # [M | I] reduces to [I | M^-1]
+            inv = Rref([[b.terms.get(p, 0) for b in self.basis]
+                        + [int(r == c) for c in range(n)]
+                        for r, p in enumerate(pivots)], 2 * n).rows
+            self._inverse = {p: [row[n + r] for row in inv]
+                             for r, p in enumerate(pivots)}
+        x = [Fraction(0)] * n
+        for p, c in v.terms.items():
+            col = self._inverse.get(p)
+            if col is not None:
+                for j, m in enumerate(col):
+                    if m:
+                        x[j] += c * m
+        return x
 
     def canonical_key(self) -> Tuple:
         """Hashable canonical form (RREF rows) identifying the subspace."""

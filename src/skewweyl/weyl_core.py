@@ -22,6 +22,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -119,16 +120,63 @@ GR_ONE = GaussianRational.real(1)
 GR_I = GaussianRational.imag(1)
 
 
-def _reorder(r: int, s: int) -> Dict[MultiIndex, int]:
-    """Normal-order a^r (a†)^s: returns {(alpha, beta): integer coefficient}
-    with a^r (a†)^s = sum c_(alpha,beta) (a†)^alpha a^beta.
+@functools.cache
+def _reorder(r: int, s: int) -> Tuple[Tuple[MultiIndex, int], ...]:
+    """Normal-order a^r (a†)^s: returns ((alpha, beta), integer coefficient)
+    pairs with a^r (a†)^s = sum c_(alpha,beta) (a†)^alpha a^beta.
 
     Closed form: a^r (a†)^s = sum_j j! C(r,j) C(s,j) (a†)^(s-j) a^(r-j).
+    Memoised; the tuple is immutable, so the shared value is safe.
     """
-    out: Dict[MultiIndex, int] = {}
-    for j in range(min(r, s) + 1):
-        out[(s - j, r - j)] = factorial(j) * comb(r, j) * comb(s, j)
-    return out
+    return tuple(((s - j, r - j), factorial(j) * comb(r, j) * comb(s, j))
+                 for j in range(min(r, s) + 1))
+
+
+def _weyl_terms(key: Tuple[int, MultiIndex]
+                ) -> Tuple[Tuple[MultiIndex, int, int], ...]:
+    """Normal-ordered terms ((alpha, beta), re, im) of a skew monomial; the
+    coefficients are Gaussian integers."""
+    sigma, (alpha, beta) = key
+    if sigma == PLUS:
+        return ((beta, alpha), 0, 1), ((alpha, beta), 0, 1)
+    return ((beta, alpha), 1, 0), ((alpha, beta), -1, 0)
+
+
+@functools.cache
+def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
+                      ) -> Tuple[Tuple[Tuple[int, MultiIndex], int], ...]:
+    """[k1, k2] of two skew monomials as (key, integer coefficient) pairs.
+
+    The product p = k1·k2 has Gaussian integer coefficients (`_reorder`),
+    and k1, k2 are skew-hermitian, so [k1, k2] = p - p†.  Its coefficient
+    D at (a†)^a a^b, a > b, puts Im D on g+ and -Re D on g-; on the
+    diagonal D = 2i·Im p and g+ = 2i (a†)^a a^a, so the coefficient is
+    Im p.  Every coefficient is therefore an integer.  Memoised per pair.
+    """
+    p: Dict[MultiIndex, List[int]] = {}
+    for (a1, b1), re1, im1 in _weyl_terms(k1):
+        for (a2, b2), re2, im2 in _weyl_terms(k2):
+            re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+            for (s, r), n in _reorder(b1, a2):
+                acc = p.setdefault((a1 + s, r + b2), [0, 0])
+                acc[0] += n * re
+                acc[1] += n * im
+    out = []
+    for a, b in sorted({(max(k), min(k)) for k in p}):
+        re, im = p.get((a, b), (0, 0))
+        if a == b:
+            out.append((_key(PLUS, a, b), im))
+            continue
+        mirror_re, mirror_im = p.get((b, a), (0, 0))
+        out.append((_key(PLUS, a, b), im + mirror_im))
+        out.append((_key(MINUS, a, b), mirror_re - re))
+    return tuple(kv for kv in out if kv[1])
+
+
+@functools.cache
+def _key(sigma: int, alpha: int, beta: int) -> Tuple[int, MultiIndex]:
+    """One shared key object per monomial, so the table stores each once."""
+    return sigma, (alpha, beta)
 
 
 class WeylPoly:
@@ -181,7 +229,7 @@ class WeylPoly:
             for (a2, b2), c2 in other.terms.items():
                 c = c1 * c2
                 # (a†)^a1 a^b1 (a†)^a2 a^b2 : reorder the middle a^b1 (a†)^a2
-                for (s, r), n in _reorder(b1, a2).items():
+                for (s, r), n in _reorder(b1, a2):
                     key = (a1 + s, r + b2)
                     prev = out.get(key, GR_ZERO)
                     out[key] = prev + c.scale(Fraction(n))
@@ -297,13 +345,9 @@ class SkewPoly:
         def bump(key: MultiIndex, val: GaussianRational):
             out[key] = out.get(key, GR_ZERO) + val
 
-        for (sigma, (alpha, beta)), c in self.terms.items():
-            if sigma == PLUS:
-                bump((beta, alpha), GaussianRational.imag(c))
-                bump((alpha, beta), GaussianRational.imag(c))
-            else:
-                bump((beta, alpha), GaussianRational.real(c))
-                bump((alpha, beta), GaussianRational.real(-c))
+        for key, c in self.terms.items():
+            for gamma, re, im in _weyl_terms(key):
+                bump(gamma, GaussianRational(re * c, im * c))
         return WeylPoly(out)
 
     @staticmethod

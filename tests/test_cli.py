@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from skewweyl import wei_norman
 from skewweyl.cli import run
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
                                 schrodinger_monomials, skew_to_json, unit_i)
@@ -262,6 +263,29 @@ class TestErrors:
         controls.write_text(json.dumps(doc))
         assert_input_error(["simulate", "--algebra", "wh2",
                             "--controls", str(controls)], capsys)
+
+    @pytest.mark.parametrize("dim", ["0", "8", "15"])
+    def test_fock_dim_below_bound(self, tmp_path, capsys, monkeypatch, dim):
+        # rejected before the factor solve runs
+        def no_solve(spec):
+            raise AssertionError("solved before checking --fock-dim")
+
+        monkeypatch.setattr(wei_norman, "wh2_factors", no_solve)
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1.0, 0.0, 0.0],
+            "t_final": 0.1, "h": 1e-2}))
+        assert_input_error(["simulate", "--algebra", "wh2", "--controls",
+                            str(controls), "--fock-dim", dim], capsys)
+
+    def test_fock_dim_at_bound(self, tmp_path, capsys):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1.0, 0.0, 0.0],
+            "t_final": 0.1, "h": 1e-2}))
+        assert run(["simulate", "--algebra", "wh2", "--controls",
+                    str(controls), "--fock-dim", "16"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_igusa_element_file_with_two_elements(self, tmp_path, capsys):
         e1 = write_elements(tmp_path, "e1.json",

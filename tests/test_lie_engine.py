@@ -3,7 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from skewweyl import lie_engine, weyl_core
+from skewweyl.classify import identify
 from skewweyl.lie_engine import (
     Budget,
     LieSpan,
@@ -14,13 +18,18 @@ from skewweyl.lie_engine import (
     decide_monomial_set,
     decide_with_free_hamiltonian,
     lie_closure,
+    solve,
     span_is_bracket_closed,
     verify_chain_witness,
 )
 from skewweyl.weyl_core import (
+    GR_ONE,
     MINUS,
     PLUS,
+    GaussianRational,
     SkewPoly,
+    WeylPoly,
+    monomial_key_order,
     number_op,
     schrodinger_monomials,
     unit_i,
@@ -61,6 +70,79 @@ class TestBracket:
         assert z.to_weyl().dagger() == -z.to_weyl()
 
 
+def weyl_bracket(x, y):
+    """The bracket through one WeylPoly product, [x, y] = p - p† with
+    p = xy: the reference the integer kernel is checked against."""
+    p = x.to_weyl() * y.to_weyl()
+    return SkewPoly.from_weyl(p - p.dagger())
+
+
+def skew_keys(max_degree):
+    return [(sigma, (a, b)) for a in range(max_degree + 1)
+            for b in range(a + 1) if a + b <= max_degree
+            for sigma in (PLUS, MINUS) if not (sigma == MINUS and a == b)]
+
+
+@st.composite
+def skew_polys(draw, max_degree=9, max_terms=6):
+    terms = draw(st.dictionaries(
+        st.sampled_from(skew_keys(max_degree)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=max_terms))
+    return SkewPoly(terms)
+
+
+class TestBracketKernel:
+    @given(skew_polys(), skew_polys())
+    @example(SkewPoly(), gp(3, 1))
+    @example(gm(4, 1, Fraction(2, 3)), SkewPoly())
+    @example(gp(2, 0, Fraction(-1, 3)), gm(5, 2, Fraction(3, 5)))
+    @example(gp(9, 0, Fraction(1, 7)), gp(4, 4, Fraction(-3, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_weyl_product(self, x, y):
+        assert bracket(x, y) == weyl_bracket(x, y)
+
+    def test_monomial_table_exhaustive(self):
+        # every pair of skew keys of degree <= 6, both orders
+        keys = skew_keys(6)
+        for k1 in keys:
+            for k2 in keys:
+                entry = weyl_core._monomial_bracket(k1, k2)
+                assert all(type(n) is int and n for _, n in entry)
+                assert len({k for k, _ in entry}) == len(entry)
+                assert SkewPoly(dict(entry)) == weyl_bracket(
+                    SkewPoly.monomial(*k1), SkewPoly.monomial(*k2))
+
+    def test_exact_path_needs_no_weyl_products(self, monkeypatch):
+        # i P(q) with q = a + a† and deg P = 5: with x = a - a†,
+        # [x, i q^k] = 2ik q^(k-1), so the closure is the chain L_n of dim 7
+        q = WeylPoly({(1, 0): GR_ONE, (0, 1): GR_ONE})
+        poly, power = WeylPoly(), WeylPoly({(0, 0): GR_ONE})
+        for k in range(6):
+            poly = poly + power.scale(GaussianRational.real(k % 3 + 1))
+            power = power * q
+        gens = [gm(1, 0),
+                SkewPoly.from_weyl(poly.scale(GaussianRational.imag(1)))]
+
+        def forbidden(*args):
+            raise AssertionError("WeylPoly on the exact path")
+
+        monkeypatch.setattr(WeylPoly, "__mul__", forbidden)
+        monkeypatch.setattr(SkewPoly, "to_weyl", forbidden)
+        out = lie_closure(gens)
+        assert out.outcome == "finite" and out.dim == 7
+        entry = identify(out.span)
+        assert entry.name == "L_n" and entry.parameters == (6,)
+
+
+def solved_coordinates(span, v):
+    """Coordinates of v from `solve` on every monomial entry of the basis."""
+    keys = sorted({k for b in span.basis for k in b.terms} | set(v.terms),
+                  key=monomial_key_order)
+    return solve([[b.coeff(*k) for b in span.basis] for k in keys],
+                 [v.coeff(*k) for k in keys], span.dim)
+
+
 class TestLieSpan:
     def test_membership_and_dim(self):
         s = LieSpan([gp(1, 0), gm(1, 0)])
@@ -79,6 +161,29 @@ class TestLieSpan:
         coords = s.coordinates(v)
         assert coords == [Fraction(2), Fraction(0), Fraction(-1, 3)]
         assert s.coordinates(gp(3, 3)) is None
+
+    def test_coordinates_after_insert(self):
+        # each insert moves a pivot below the earlier ones and rewrites the
+        # reduced rows, so a stale inverse would give wrong coordinates
+        s = LieSpan()
+        vectors = [gp(3, 0) + gm(2, 0, 2), gm(2, 0) + gp(1, 0, Fraction(1, 3)),
+                   gp(1, 0) - gp(3, 0, 4), unit_i() + gm(2, 0)]
+        for v in vectors:
+            s.insert(v)
+            combination = SkewPoly()
+            for c, b in zip((2, Fraction(-1, 2), 5, 3), s.basis):
+                combination = combination + b.scale(c)
+            for w in s.basis + [combination]:
+                assert s.coordinates(w) == solved_coordinates(s, w)
+        assert s.coordinates(vectors[1]) == [0, 1, 0, 0]
+
+    def test_outside_vector_after_cached_inverse(self):
+        s = LieSpan([gp(1, 0) + gm(2, 0), gm(2, 0)])
+        assert s.coordinates(gp(1, 0)) == [1, -1]
+        assert s.coordinates(gp(1, 0) + unit_i()) is None
+        assert s.coordinates(gm(3, 0)) is None
+        s.insert(unit_i())
+        assert s.coordinates(gp(1, 0) + unit_i()) == [1, -1, 1]
 
     def test_canonical_key_is_basis_independent(self):
         a = LieSpan([gp(1, 0), gm(1, 0)])
@@ -168,8 +273,6 @@ class TestMonomialDecision:
     def test_key_tests_come_before_brackets(self, monkeypatch):
         # Schrodinger keys and one nonlinearity with i are decided from the
         # keys alone; only the commuting test brackets
-        from skewweyl import lie_engine
-
         calls = []
         monkeypatch.setattr(lie_engine, "bracket",
                             lambda x, y: calls.append((x, y)) or bracket(x, y))
@@ -218,8 +321,6 @@ class TestDecisionRules:
         assert neg.witness.rule == pos.witness.rule == "MixedEqAndQuad"
 
     def test_chain_search_skips_self_pairs(self, monkeypatch):
-        from skewweyl import lie_engine
-
         calls = []
 
         def recording(seed, aux, steps=8):
@@ -247,8 +348,6 @@ class TestChainWitness:
     def test_low_degree_aux_runs_no_bracket(self, monkeypatch):
         # deg [u, s] <= deg u + deg s - 2, so an auxiliary of degree <= 2
         # cannot raise the degree
-        from skewweyl import lie_engine
-
         calls = []
         monkeypatch.setattr(lie_engine, "bracket",
                             lambda x, y: calls.append((x, y)) or bracket(x, y))

@@ -8,6 +8,7 @@ underlying operation failed), 2 usage error (bad flags or malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -193,7 +194,10 @@ def _cmd_selftest(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs about as much as a small command."""
     p = argparse.ArgumentParser(
         prog="skewweyl",
         description="Exact Lie-algebraic tools for the single-mode "

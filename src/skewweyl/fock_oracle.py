@@ -17,6 +17,10 @@ from .weyl_core import NEG_INF, WeylPoly
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
 
+#: RK4 steps of `direct_propagator` whose stage diagonals one matrix product
+#: computes: enough to amortise the call, few enough to stay in cache
+_STAGED_STEPS = 256
+
 
 def annihilator(N: int) -> np.ndarray:
     a = np.zeros((N, N), dtype=complex)
@@ -157,31 +161,47 @@ def direct_propagator(spec, N: int, *, psi0=None,
     table = _band_table(spec.algebra, N).reshape(-1, N * 5)
     u = spec.stage_samples(substeps)
 
-    def band(j: int) -> np.ndarray:
-        """-i H at stage time j h/2, shape (N, 1, 5) for a batched matmul."""
-        return (u[j] @ table).reshape(N, 1, 5)
-
     # Y and the stage arguments live in zero-padded buffers, so that row n
     # of a window view holds rows n-2..n+2 and one batched matmul of the
     # (N, 1, 5) diagonals against the (N, 5, k) windows is -i H(t) Y.
-    ybuf = np.zeros((N + 4, Y0.shape[1]), dtype=complex)
+    cols = Y0.shape[1]
+    ybuf = np.zeros((N + 4, cols), dtype=complex)
     sbuf = np.zeros_like(ybuf)
     Y, S = ybuf[2:-2], sbuf[2:-2]
     Y[:] = Y0
     y_win = sliding_window_view(ybuf, 5, axis=0).transpose(0, 2, 1)
     s_win = sliding_window_view(sbuf, 5, axis=0).transpose(0, 2, 1)
-    A1 = band(0)
-    for step in range(n_steps):
-        A2, A3 = band(2 * step + 1), band(2 * step + 2)
-        k1 = (A1 @ y_win)[:, 0]
-        np.add(Y, h / 2 * k1, out=S)
-        k2 = (A2 @ s_win)[:, 0]
-        np.add(Y, h / 2 * k2, out=S)
-        k3 = (A2 @ s_win)[:, 0]
-        np.add(Y, h * k3, out=S)
-        k4 = (A3 @ s_win)[:, 0]
-        Y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        A1 = A3  # the step's end is the next step's start
+    # k1..k4 and one scratch array, written in place every step; the
+    # arithmetic is the elementwise RK4 update in its usual order
+    kbuf = np.empty((4, N, 1, cols), dtype=complex)
+    out1, out2, out3, out4 = kbuf
+    k1, k2, k3 = out1[:, 0], out2[:, 0], out3[:, 0]
+    k23 = kbuf[1:3]
+    tmp = np.empty((N, cols), dtype=complex)
+    tmp_sum = tmp[:, None]
+    for s0 in range(0, n_steps, _STAGED_STEPS):
+        s1 = min(s0 + _STAGED_STEPS, n_steps)
+        # -i H at the stage times j h/2 of these steps, shape (N, 1, 5)
+        # each; a step's end is the next step's start
+        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, 1, 5)
+        for i in range(s1 - s0):
+            start, mid, end = bands[2 * i:2 * i + 3]
+            np.matmul(start, y_win, out=out1)
+            np.multiply(h / 2, k1, out=tmp)
+            np.add(Y, tmp, out=S)
+            np.matmul(mid, s_win, out=out2)
+            np.multiply(h / 2, k2, out=tmp)
+            np.add(Y, tmp, out=S)
+            np.matmul(mid, s_win, out=out3)
+            np.multiply(h, k3, out=tmp)
+            np.add(Y, tmp, out=S)
+            np.matmul(end, s_win, out=out4)
+            # Y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4); a sum over the
+            # leading axis adds the rows one after another, in this order
+            np.multiply(2, k23, out=k23)
+            np.add.reduce(kbuf, axis=0, out=tmp_sum)
+            np.multiply(h / 6, tmp, out=tmp)
+            Y += tmp
     interior = ~np.any(Y0[N - 4:], axis=0)
     if np.any(interior):
         Yi, Y0i = Y[:, interior], Y0[:, interior]

@@ -182,6 +182,27 @@ class TestSimulate:
                     "--controls", str(controls)]) == 2
 
 
+class TestRepeatedRuns:
+    def test_back_to_back_runs_share_no_state(self, tmp_path, capsys):
+        # one parser serves every call in a process: neither flags nor a
+        # usage error may carry over to the next call
+        gens = write_elements(tmp_path, "g.json", schrodinger_monomials())
+        assert run(["closure", "--gens", gens, "--budget-dim", "3"]) == 0
+        budget = json.loads(capsys.readouterr().out)["budget"]
+        assert (budget["max_dim"], budget["max_degree"]) == (3, 24)
+        # over the degree budget at once, which reports the dimension budget
+        assert run(["closure", "--gens", gens, "--budget-deg", "1"]) == 0
+        budget = json.loads(capsys.readouterr().out)["budget"]
+        assert (budget["max_dim"], budget["max_degree"]) == (64, 1)
+        assert run(["closure", "--budget-dim", "5"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert run(["closure", "--gens", gens]) == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert (doc["outcome"], doc["dim"]) == ("finite", 6)
+        assert captured.err == ""
+
+
 class TestSelftest:
     def test_passes(self, out):
         assert run(["selftest"]) == 0
@@ -303,6 +324,20 @@ class TestErrors:
         e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])
         assert_input_error(["igusa", "--e1", e1, "--e2", e2,
                             "--samples", "-5"], capsys)
+
+    @pytest.mark.parametrize("controls", [
+        {"preset": "constant", "values": [1.0, 0.0, 0.0], "t_final": 0.004,
+         "h": 1e-2},
+        {"h": 1e-2, "controls": [[1.0], [0.0], [0.0]]},
+        {"h": 1e-2, "controls": [1.0, 0.0, 0.0]},
+        {"h": float("inf"), "controls": [[1.0, 1.0], [0.0] * 2, [0.0] * 2]},
+    ], ids=["t_final_below_half_step", "one_sample", "flat_samples",
+            "infinite_step"])
+    def test_unusable_control_grid(self, tmp_path, capsys, controls):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(controls))
+        assert_input_error(["simulate", "--algebra", "wh2", "--controls",
+                            str(path), "--fock-dim", "16"], capsys)
 
     def test_deterministic_output(self, tmp_path, capsys):
         gens = write_elements(tmp_path, "g.json", schrodinger_monomials())

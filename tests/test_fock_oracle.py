@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from skewweyl.fock_oracle import (UnitarityDriftError, annihilator,
-                                  commutator_crosscheck, direct_propagator,
-                                  fock_matrix, hermitian_generators,
-                                  interior_error, product_crosscheck,
-                                  state_fidelity)
+from skewweyl.fock_oracle import (UnitarityDriftError, _band_table,
+                                  annihilator, commutator_crosscheck,
+                                  direct_propagator, fock_matrix,
+                                  hermitian_generators, interior_error,
+                                  product_crosscheck, state_fidelity)
 from skewweyl.weyl_core import GR_I, GR_ONE, GaussianRational, WeylPoly
 from skewweyl.wei_norman import ControlSpec
 
@@ -135,6 +136,70 @@ def _sinusoid(algebra, t_final):
         "phases": [0.0, 0.4, 0.8, 1.2, 1.6][:n],
         "t_final": t_final, "h": 1e-3,
     })
+
+
+def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
+    """Reference: the banded RK4 of `direct_propagator` as one loop that
+    forms each stage's diagonals on its own and allocates every
+    intermediate, without the drift check."""
+    Y0 = np.eye(N, dtype=complex) if psi0 is None else \
+        np.array(psi0, dtype=complex)
+    shape = Y0.shape
+    Y0 = Y0.reshape(N, -1)
+    h = spec.h / substeps
+    n_steps = int(round(spec.h * spec.n_steps / h))
+    table = _band_table(spec.algebra, N).reshape(-1, N * 5)
+    u = spec.stage_samples(substeps)
+
+    def band(j):
+        return (u[j] @ table).reshape(N, 1, 5)
+
+    ybuf = np.zeros((N + 4, Y0.shape[1]), dtype=complex)
+    sbuf = np.zeros_like(ybuf)
+    Y, S = ybuf[2:-2], sbuf[2:-2]
+    Y[:] = Y0
+    y_win = sliding_window_view(ybuf, 5, axis=0).transpose(0, 2, 1)
+    s_win = sliding_window_view(sbuf, 5, axis=0).transpose(0, 2, 1)
+    A1 = band(0)
+    for step in range(n_steps):
+        A2, A3 = band(2 * step + 1), band(2 * step + 2)
+        k1 = (A1 @ y_win)[:, 0]
+        np.add(Y, h / 2 * k1, out=S)
+        k2 = (A2 @ s_win)[:, 0]
+        np.add(Y, h / 2 * k2, out=S)
+        k3 = (A2 @ s_win)[:, 0]
+        np.add(Y, h * k3, out=S)
+        k4 = (A3 @ s_win)[:, 0]
+        Y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        A1 = A3
+    return Y.reshape(shape).copy()
+
+
+class TestStagedPropagation:
+    """The staged loop (stage diagonals of many steps in one product, RK4
+    stages in preallocated buffers) against the per-step loop: the same
+    operations in the same order, so the same bits.  Each entry of a band
+    row is one product of a control with a table entry, whichever matmul
+    forms it, so this holds for any BLAS."""
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    @pytest.mark.parametrize("substeps", [4, 3])
+    def test_state_matches_per_step_loop(self, algebra, substeps):
+        # 1200 or 900 RK4 steps: several full stages and a partial one
+        N = 48
+        spec = _sinusoid(algebra, 0.3)
+        vac = np.zeros(N)
+        vac[0] = 1.0
+        got = direct_propagator(spec, N, psi0=vac, substeps=substeps)
+        want = _banded_rk4_per_step(spec, N, psi0=vac, substeps=substeps)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_full_propagator_matches_per_step_loop(self, algebra):
+        N = 48
+        spec = _sinusoid(algebra, 0.1)
+        got = direct_propagator(spec, N)
+        assert np.array_equal(got, _banded_rk4_per_step(spec, N))
 
 
 class TestStatePropagation:

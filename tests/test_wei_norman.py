@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.linalg import expm
 
 from skewweyl.fock_oracle import direct_propagator, state_fidelity
 from skewweyl.wei_norman import (ControlSpec, FactorSolution,
-                                 SqueezeBlowUpError, factored_propagator,
-                                 reconstructed_controls, residual_check,
-                                 schrodinger_factors, wh2_factors)
+                                 SqueezeBlowUpError, _adjoints, _cumquad,
+                                 _integrate, _phase_quadrature, _reconstruct,
+                                 factored_propagator, reconstructed_controls,
+                                 residual_check, schrodinger_factors,
+                                 wh2_factors)
 
 
 class TestControlSpec:
@@ -24,6 +28,20 @@ class TestControlSpec:
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             ControlSpec("wh2", 0.0, 10, np.zeros((3, 11)))
+
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_needs_one_step(self, n_steps):
+        with pytest.raises(ValueError, match="at least one"):
+            ControlSpec("wh2", 0.1, n_steps, np.zeros((3, n_steps + 1)))
+
+    def test_short_t_final_has_no_step(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ControlSpec.constant("wh2", [1, 0, 0], t_final=0.004, h=0.01)
+
+    def test_raw_controls_need_two_dimensions(self):
+        with pytest.raises(ValueError):
+            ControlSpec.from_json({"algebra": "wh2", "h": 0.1,
+                                   "controls": [0.0, 1.0, 2.0]})
 
     def test_grid(self):
         spec = ControlSpec.constant("wh2", [1, 0, 0], t_final=1.0, h=0.25)
@@ -201,3 +219,155 @@ class TestFactoredPropagator:
         sol = wh2_factors(spec)
         with pytest.raises(ValueError):
             factored_propagator(sol, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# The numerical kernels against the implementations they replaced, kept here
+# as references: numpy-array RK4, scipy's Simpson quadrature, and expm.
+# ---------------------------------------------------------------------------
+
+def _rhs_numpy(f, u):
+    f1, f2, f3, f4, _ = f
+    u1, u2, u3, u4, u5 = u
+    th = math.tanh(4 * f4)
+    ch = math.cosh(4 * f4)
+    s1, c1 = math.sin(f1), math.cos(f1)
+    s2, c2 = math.sin(2 * f1), math.cos(2 * f1)
+    return np.array([
+        u1 - 2 * u4 * s2 * th + 2 * u5 * c2 * th,
+        u2 * c1 + u3 * s1
+        - 2 * u4 * (f3 * s2 * (1 + th) - f2 * c2)
+        + 2 * u5 * (f3 * c2 * (1 + th) + f2 * s2),
+        -u2 * s1 + u3 * c1
+        - 2 * u4 * (f2 * s2 * (1 - th) + f3 * c2)
+        + 2 * u5 * (f2 * c2 * (1 - th) - f3 * s2),
+        u4 * c2 + u5 * s2,
+        -u4 * s2 / ch + u5 * c2 / ch,
+    ])
+
+
+def _integrate_numpy(spec, substeps, u):
+    n = spec.n_steps
+    out = np.zeros((5, n + 1))
+    f = np.zeros(5)
+    hh = spec.h / substeps
+    for k in range(n):
+        for m in range(substeps):
+            j = 2 * (k * substeps + m)
+            start, mid, end = u[j:j + 3].tolist()
+            k1 = _rhs_numpy(f, start)
+            k2 = _rhs_numpy(f + hh / 2 * k1, mid)
+            k3 = _rhs_numpy(f + hh / 2 * k2, mid)
+            k4 = _rhs_numpy(f + hh * k3, end)
+            f = f + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(f)) or abs(4 * f[3]) > 350.0:
+            raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h)
+        out[:, k + 1] = f
+    return out
+
+
+def _reconstruct_expm(f, fdot):
+    ads = [ad for ad, _ in _adjoints()]
+    n_factors, n = f.shape
+    acc = np.zeros((6, n))
+    left = np.broadcast_to(np.eye(6), (n, 6, 6))
+    for j in range(n_factors):
+        acc += fdot[j] * left[:, :, j + 1].T
+        if j + 1 < n_factors:
+            left = left @ expm(-f[j][:, None, None] * ads[j])
+    return acc
+
+
+def _schrodinger_specs():
+    return {
+        "constant": ControlSpec.constant(
+            "schrodinger", [1.0, 0.2, -0.1, 0.05, 0.1], t_final=0.5, h=1e-3),
+        "sinusoid": ControlSpec.from_json({
+            "algebra": "schrodinger", "preset": "sinusoid",
+            "amplitudes": [1.2, -0.3, 0.3, 0.3, -0.3],
+            "frequencies": [1.0, 2.0, 3.0, 1.5, 2.5],
+            "phases": [0.0, 0.4, 0.8, 1.2, 1.6],
+            "t_final": 1.0, "h": 1e-3,
+        }),
+    }
+
+
+class TestNumericalKernels:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 1000, 1001])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("h", [1e-3, 0.37])
+    def test_cumquad_is_scipy_cumulative_simpson(self, n, rows, h):
+        rng = np.random.default_rng(n)
+        y = rng.normal(size=n if rows is None else (rows, n))
+        want = cumulative_simpson(y, dx=h, initial=0.0)
+        got = _cumquad(y, h)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_cumquad_signed_zeros(self, n):
+        # partial sums of -0.0, which scipy's added initial value turns
+        # into 0.0
+        y = np.array([-0.0, -0.0, 0.0, -0.0, -0.0, 0.0][:n])
+        want = cumulative_simpson(y, dx=0.5, initial=0.0)
+        assert _cumquad(y, 0.5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["constant", "sinusoid"])
+    @pytest.mark.parametrize("substeps", [1, 2])
+    def test_integrate_is_the_numpy_loop(self, name, substeps):
+        spec = _schrodinger_specs()[name]
+        u = spec.stage_samples(substeps)
+        got = _integrate(spec, substeps, u)
+        want = _integrate_numpy(spec, substeps, u)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_integrate_blow_up_at_the_same_step(self):
+        spec = ControlSpec.constant("schrodinger", [0, 0, 0, 10.0, 0],
+                                    t_final=12.0, h=1e-2)
+        u = spec.stage_samples(1)
+        with pytest.raises(SqueezeBlowUpError) as got:
+            _integrate(spec, 1, u)
+        with pytest.raises(SqueezeBlowUpError) as want:
+            _integrate_numpy(spec, 1, u)
+        assert got.value.step == want.value.step
+
+    def test_nilpotent_adjoints(self):
+        for j in (1, 2):  # X2, X3
+            ad = _adjoints()[j][0]
+            assert np.any(ad @ ad)
+            assert not np.any(ad @ ad @ ad)
+
+    def test_adjoint_exponentials_match_expm(self):
+        # within |f| <= 0.5 expm itself is accurate to 1e-14 relative to
+        # the largest entry on these matrices; beyond it drifts (next test)
+        f = np.linspace(-0.5, 0.5, 41)
+        for ad, exp_ad in _adjoints():
+            for x, got in zip(f, exp_ad(f)):
+                want = expm(-x * ad)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+    def test_adjoint_exponentials_exact_to_1e_14(self):
+        # 40-digit reference over |f| <= 3; expm's own error reaches 7e-14
+        # on the rotation and 1e-12 (relative) on the boosts there
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        f = np.linspace(-3.0, 3.0, 25)
+        for ad, exp_ad in _adjoints():
+            got = exp_ad(f)
+            for x, g in zip(f, got):
+                want = np.array(
+                    mpmath.expm(mpmath.matrix((-x * ad).tolist())).tolist(),
+                    dtype=float)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(g - want)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", ["constant", "sinusoid"])
+    def test_reconstruct_matches_expm_product(self, name):
+        spec = _schrodinger_specs()[name]
+        sol = schrodinger_factors(spec)
+        want = _reconstruct_expm(sol.f, sol.fdot)
+        assert np.max(np.abs(_reconstruct(sol.f, sol.fdot) - want)) <= 1e-15
+        phase = _phase_quadrature(sol.f, sol.fdot, spec.h)
+        assert np.max(np.abs(phase - _cumquad(-want[0], spec.h))) <= 1e-16

@@ -18,13 +18,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .lie_engine import LieSpan, Rref, bracket, solve
+from .lie_engine import LieSpan, Rref, bracket
 from .weyl_core import SkewPoly
 
 Vec = Tuple[Fraction, ...]
 Matrix = List[List[Fraction]]
+#: a coordinate vector as a sparse `Rref` row {basis index: Fraction}
+Sparse = Dict[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -63,36 +65,33 @@ class StructureConstants:
                 entries[(i, j)] = {k: c for k, c in enumerate(coords) if c}
         return StructureConstants(n, entries)
 
-    def bracket_vec(self, u: Sequence, v: Sequence) -> List[Fraction]:
-        out = [Fraction(0)] * self.n
-        for i in range(self.n):
-            if not u[i]:
-                continue
-            for j in range(self.n):
-                if not v[j]:
-                    continue
-                c = u[i] * v[j]
+    def bracket_vec(self, u: Sparse, v: Sparse) -> Sparse:
+        """Coordinates of [u, v], for u and v given by their coordinates."""
+        out: Sparse = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                c = a * b
                 for k, t in enumerate(self.table[i][j]):
                     if t:
-                        out[k] += c * t
-        return out
-
-    def ad(self, i: int) -> Matrix:
-        """Matrix of ad(b_i): column j holds the coordinates of [b_i, b_j]."""
-        return [[self.table[i][j][k] for j in range(self.n)]
-                for k in range(self.n)]
+                        out[k] = out.get(k, 0) + c * t
+        return {k: x for k, x in out.items() if x}
 
 
-def _subspace_product(sc: StructureConstants, A: Matrix, B: Matrix) -> Matrix:
-    """Basis (RREF rows) of the span of all [u, v], u in A, v in B."""
-    return Rref([sc.bracket_vec(u, v) for u in A for v in B], sc.n).rows
+def _subspace_product(sc: StructureConstants, A: List[Sparse],
+                      B: List[Sparse]) -> List[Sparse]:
+    """RREF rows, by pivot, of the span of all [u, v], u in A, v in B."""
+    out = Rref(ncols=sc.n)
+    for u in A:
+        for v in B:
+            out.insert(sc.bracket_vec(u, v))
+    return [out.rows[p] for p in out.pivots]
 
 
-def _full_basis(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+def _full_basis(n: int) -> List[Sparse]:
+    return [{i: Fraction(1)} for i in range(n)]
 
 
-def _series(sc: StructureConstants, step) -> List[Matrix]:
+def _series(sc: StructureConstants, step) -> List[List[Sparse]]:
     """A descending series from the whole algebra, each term strictly
     smaller than the last, ending where it stabilizes or reaches 0."""
     out = [_full_basis(sc.n)]
@@ -104,29 +103,30 @@ def _series(sc: StructureConstants, step) -> List[Matrix]:
     return out
 
 
-def _derived_series(sc: StructureConstants) -> List[Matrix]:
+def _derived_series(sc: StructureConstants) -> List[List[Sparse]]:
     return _series(sc, lambda s: _subspace_product(sc, s, s))
 
 
-def _lower_central_series(sc: StructureConstants) -> List[Matrix]:
+def _lower_central_series(sc: StructureConstants) -> List[List[Sparse]]:
     return _series(sc, lambda s: _subspace_product(sc, _full_basis(sc.n), s))
 
 
-def _center(sc: StructureConstants) -> Matrix:
-    """Common kernel of all ad maps."""
-    return Rref([row for i in range(sc.n) for row in sc.ad(i)],
-                sc.n).nullspace()
+def _center(sc: StructureConstants) -> List[Sparse]:
+    """Common kernel of all ad maps; row (i, k) is (ad b_i)[k]."""
+    n, t = sc.n, sc.table
+    return Rref(([t[i][j][k] for j in range(n)]
+                 for i in range(n) for k in range(n)), n).nullspace()
 
 
 # ---------------------------------------------------------------------------
 # Invariants on LieSpans
 # ---------------------------------------------------------------------------
 
-def _spans(b: LieSpan, subspaces: List[Matrix]) -> List[LieSpan]:
+def _spans(b: LieSpan, subspaces: List[List[Sparse]]) -> List[LieSpan]:
     """Subspaces given by coordinate vectors in b's basis, as LieSpans; the
     whole algebra maps to b itself."""
-    def element(v) -> SkewPoly:
-        return sum((x.scale(c) for x, c in zip(b.basis, v) if c), SkewPoly.zero())
+    def element(v: Sparse) -> SkewPoly:
+        return sum((b.basis[i].scale(c) for i, c in v.items()), SkewPoly.zero())
 
     return [b if len(vecs) == b.dim else LieSpan(map(element, vecs))
             for vecs in subspaces]
@@ -189,19 +189,19 @@ def _sylvester_signature(G: Matrix) -> Tuple[int, int, int]:
 def killing_form(b: LieSpan):
     """Exact Killing Gram matrix B(x,y) = Tr(ad_x ad_y) as rows of
     Fractions, with rank and signature."""
-    sc = StructureConstants.from_span(b)
-    return _killing_from_sc(sc)
-
-
-def _trace_product(P: Matrix, Q: Matrix) -> Fraction:
-    return sum((P[k][l] * Q[l][k] for k in range(len(P)) for l in range(len(P))),
-               Fraction(0))
+    return _killing_from_sc(StructureConstants.from_span(b))
 
 
 def _killing_from_sc(sc: StructureConstants):
-    ads = [sc.ad(i) for i in range(sc.n)]
-    G = [[_trace_product(P, Q) for Q in ads] for P in ads]
-    return G, Rref(G, sc.n).rank, _sylvester_signature(G)
+    """Gram matrix, rank n_+ + n_- and signature; (ad b_i)[k][l] is
+    table[i][l][k], so B(b_i, b_j) = sum table[i][l][k] table[j][k][l]."""
+    n, t = sc.n, sc.table
+    nonzero = [[(l, k, c) for l in range(n) for k, c in enumerate(t[i][l]) if c]
+               for i in range(n)]
+    G = [[sum((c * t[j][k][l] for l, k, c in nonzero[i]), Fraction(0))
+          for j in range(n)] for i in range(n)]
+    signature = _sylvester_signature(G)
+    return G, signature[0] + signature[1], signature
 
 
 # ---------------------------------------------------------------------------
@@ -368,36 +368,32 @@ def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[Ca
         # candidate diagonal family: derived algebra abelian, some generator
         # acting diagonalizably on it with rational eigenvalues
         der = _subspace_product(sc, _full_basis(n), _full_basis(n))
-        if len(der) == n - 1:
-            abelian = all(
-                not any(sc.bracket_vec(u, v)) for u, v in
-                itertools.combinations(der, 2)
-            )
-            if abelian:
-                weights = _diagonal_weights(sc, der)
-                if weights is not None:
-                    return CatalogEntry("r(j1..jn)", tuple(weights), fp,
-                                        "structural")
+        abelian = not any(sc.bracket_vec(u, v) for u, v in
+                          itertools.combinations(der, 2))
+        if abelian:
+            weights = _diagonal_weights(sc, der)
+            if weights is not None:
+                return CatalogEntry("r(j1..jn)", tuple(weights), fp,
+                                    "structural")
     return None
 
 
 def _diagonal_weights(sc: StructureConstants,
-                      der: Matrix) -> Optional[Tuple[Fraction, ...]]:
-    """Eigenvalues of a complementary generator acting on the (abelian)
-    derived algebra, normalized so the largest |weight| is 1.
+                      der: List[Sparse]) -> Optional[Tuple[Fraction, ...]]:
+    """Eigenvalues of a complementary generator w acting on the abelian
+    derived algebra `der` (codimension 1, RREF rows), normalized so the
+    largest |weight| is 1.
 
-    The generator is fixed only up to sign, so of the sorted weights of w
-    and -w the lexicographically larger tuple is returned.
+    Coordinates in `der` are the entries at its pivots, and w is the first
+    non-pivot unit vector; any other choice is c·w plus an element of the
+    abelian `der`, which scales the weights by c.  w is fixed only up to
+    sign, so of the sorted weights of w and -w the larger tuple is returned.
     """
-    outside = next((e for e in _full_basis(sc.n)
-                    if Rref(der + [e], sc.n).rank > len(der)), None)
-    if outside is None:
-        return None
-    D = [list(row) for row in zip(*der)]
-    cols = [solve(D, sc.bracket_vec(outside, v), len(der)) for v in der]
-    if any(c is None for c in cols):
-        return None
-    weights = _rational_eigenvalues([list(row) for row in zip(*cols)])
+    pivots = [min(row) for row in der]
+    outside = {next(i for i in range(sc.n) if i not in pivots): Fraction(1)}
+    images = [sc.bracket_vec(outside, v) for v in der]
+    weights = _rational_eigenvalues([[w.get(p, Fraction(0)) for w in images]
+                                     for p in pivots])
     if weights is None or not any(weights):
         return None
     scale = max(abs(w) for w in weights)
@@ -415,7 +411,8 @@ def _char_poly(A: Matrix) -> List[Fraction]:
         M = [[sum((A[i][l] * M[l][j] for l in range(n)), Fraction(0))
               + (coeffs[-1] if i == j else 0) for j in range(n)]
              for i in range(n)]
-        coeffs.append(-_trace_product(A, M) / k)
+        coeffs.append(-sum((A[i][l] * M[l][i] for i in range(n)
+                            for l in range(n)), Fraction(0)) / k)
     return coeffs
 
 

@@ -53,6 +53,8 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     """
     basis = list(basis)
     n = len(basis)
+    if not n:
+        return []
     if LieSpan(basis).dim != n:
         raise ValueError("basis elements must be linearly independent")
     full = lie_closure(basis, budget)

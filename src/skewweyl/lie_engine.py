@@ -64,42 +64,68 @@ def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
 # ---------------------------------------------------------------------------
 
 class Rref:
-    """Reduced row echelon form of an exact rational matrix with `ncols`
-    columns: its nonzero rows, pivot columns, rank and nullspace."""
+    """Sparse reduced row echelon form over the rationals, built by
+    `insert`: `rows` maps each pivot column to its row {column: Fraction}.
 
-    def __init__(self, rows: Sequence[Sequence], ncols: int):
+    A row's pivot is its least column under `order` (the column index if
+    None), so `rows` is the unique RREF whatever order rows arrive in.
+    `Rref(rows, ncols)` reduces a dense matrix with `ncols` columns."""
+
+    def __init__(self, rows: Iterable[Sequence] = (), ncols: int = 0,
+                 order=None):
         self.ncols = ncols
-        R = [[Fraction(x) for x in row] for row in rows]
-        self.pivots: List[int] = []
-        for c in range(ncols):
-            r = len(self.pivots)
-            p = next((i for i in range(r, len(R)) if R[i][c]), None)
-            if p is None:
-                continue
-            R[r], R[p] = R[p], R[r]
-            inv = 1 / R[r][c]
-            R[r] = [x * inv for x in R[r]]
-            for i, row in enumerate(R):
-                if i != r and row[c]:
-                    f = row[c]
-                    R[i] = [x - f * y for x, y in zip(row, R[r])]
-            self.pivots.append(c)
-        self.rows = R[:len(self.pivots)]
+        self.order = order
+        self.rows: Dict = {}
+        for row in rows:
+            self.insert({c: Fraction(x) for c, x in enumerate(row) if x})
+
+    @property
+    def pivots(self) -> List:
+        return sorted(self.rows, key=self.order)
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
-    def nullspace(self) -> List[List[Fraction]]:
-        """Kernel basis: one vector per free column, 1 at that column."""
+    def reduce(self, v: Dict) -> Dict:
+        # the rows are fully reduced: each vanishes at every other pivot, so
+        # one pass over the pivots present in v clears them all
+        row = dict(v)
+        for key, c in v.items():
+            pivot_row = self.rows.get(key)
+            if pivot_row is not None:
+                for k2, c2 in pivot_row.items():
+                    row[k2] = row.get(k2, Fraction(0)) - c * c2
+        return {k: c for k, c in row.items() if c}
+
+    def insert(self, v: Dict) -> bool:
+        """Add the row v; returns True if the rank grew."""
+        residual = self.reduce(v)
+        if not residual:
+            return False
+        pivot = min(residual, key=self.order)
+        c = residual[pivot]
+        new_row = {k: val / c for k, val in residual.items()}
+        # keep all rows fully reduced against each other
+        for p, row in self.rows.items():
+            if pivot in row:
+                f = row[pivot]
+                for k2, c2 in new_row.items():
+                    row[k2] = row.get(k2, Fraction(0)) - f * c2
+                self.rows[p] = {k: val for k, val in row.items() if val}
+        self.rows[pivot] = new_row
+        return True
+
+    def nullspace(self) -> List[Dict[int, Fraction]]:
+        """Kernel basis: a sparse vector per free column, 1 at that column."""
         out = []
         for f in range(self.ncols):
-            if f in self.pivots:
+            if f in self.rows:
                 continue
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for row, p in zip(self.rows, self.pivots):
-                v[p] = -row[f]
+            v = {f: Fraction(1)}
+            for p, row in self.rows.items():
+                if f in row:
+                    v[p] = -row[f]
             out.append(v)
         return out
 
@@ -109,11 +135,11 @@ def solve(a: Sequence[Sequence], b: Sequence,
     """A solution x of a x = b for a matrix a with n columns (free unknowns
     set to 0), or None if the system is inconsistent."""
     aug = Rref([list(row) + [c] for row, c in zip(a, b)], n + 1)
-    if aug.pivots and aug.pivots[-1] == n:
+    if n in aug.rows:
         return None
     x = [Fraction(0)] * n
-    for row, p in zip(aug.rows, aug.pivots):
-        x[p] = row[n]
+    for p, row in aug.rows.items():
+        x[p] = row.get(n, Fraction(0))
     return x
 
 
@@ -130,8 +156,7 @@ class LieSpan:
 
     def __init__(self, vectors: Iterable[SkewPoly] = ()):
         self.basis: List[SkewPoly] = []
-        # pivot monomial key -> fully reduced row (dict MonKey -> Fraction)
-        self._rows: Dict[MonKey, Dict[MonKey, Fraction]] = {}
+        self._echelon = Rref(order=monomial_key_order)
         # pivot key -> column of the inverse pivot-entry matrix; built by
         # `coordinates`, dropped by `insert`
         self._inverse: Optional[Dict[MonKey, List[Fraction]]] = None
@@ -142,36 +167,13 @@ class LieSpan:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, v: SkewPoly) -> Dict[MonKey, Fraction]:
-        # the rows are fully reduced: each vanishes at every other pivot, so
-        # one pass over the pivots present in v clears them all
-        row = dict(v.terms)
-        for key, c in v.terms.items():
-            pivot_row = self._rows.get(key)
-            if pivot_row is not None:
-                for k2, c2 in pivot_row.items():
-                    row[k2] = row.get(k2, Fraction(0)) - c * c2
-        return {k: c for k, c in row.items() if c}
-
     def contains(self, v: SkewPoly) -> bool:
-        return not self._reduce(v)
+        return not self._echelon.reduce(v.terms)
 
     def insert(self, v: SkewPoly) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        residual = self._reduce(v)
-        if not residual:
+        if not self._echelon.insert(v.terms):
             return False
-        pivot = min(residual, key=monomial_key_order)
-        c = residual[pivot]
-        new_row = {k: val / c for k, val in residual.items()}
-        # keep all rows fully reduced against each other
-        for p, row in self._rows.items():
-            if pivot in row:
-                f = row[pivot]
-                for k2, c2 in new_row.items():
-                    row[k2] = row.get(k2, Fraction(0)) - f * c2
-                self._rows[p] = {k: val for k, val in row.items() if val}
-        self._rows[pivot] = new_row
         self.basis.append(v)
         self._inverse = None
         return True
@@ -185,16 +187,16 @@ class LieSpan:
         inverse is built by one `Rref` on first use and dropped by `insert`,
         so each further call is one matrix-vector product.
         """
-        if self._reduce(v):
+        if self._echelon.reduce(v.terms):
             return None
         n = self.dim
         if self._inverse is None:
-            pivots = list(self._rows)
+            pivots = list(self._echelon.rows)
             # [M | I] reduces to [I | M^-1]
             inv = Rref([[b.terms.get(p, 0) for b in self.basis]
                         + [int(r == c) for c in range(n)]
                         for r, p in enumerate(pivots)], 2 * n).rows
-            self._inverse = {p: [row[n + r] for row in inv]
+            self._inverse = {p: [inv[j].get(n + r, 0) for j in range(n)]
                              for r, p in enumerate(pivots)}
         x = [Fraction(0)] * n
         for p, c in v.terms.items():
@@ -207,11 +209,10 @@ class LieSpan:
 
     def canonical_key(self) -> Tuple:
         """Hashable canonical form (RREF rows) identifying the subspace."""
-        rows = []
-        for pivot in sorted(self._rows, key=monomial_key_order):
-            row = self._rows[pivot]
-            rows.append(tuple(sorted(row.items(), key=lambda kv: monomial_key_order(kv[0]))))
-        return tuple(rows)
+        rows = self._echelon.rows
+        return tuple(tuple(sorted(rows[p].items(),
+                                  key=lambda kv: monomial_key_order(kv[0])))
+                     for p in self._echelon.pivots)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LieSpan) and self.canonical_key() == other.canonical_key()
@@ -610,9 +611,9 @@ def centralizer_in(x: SkewPoly, ambient: LieSpan) -> LieSpan:
                   ambient.dim).nullspace()
     out = LieSpan()
     for vec in kernel:
-        denom = math.lcm(*(c.denominator for c in vec))
+        denom = math.lcm(*(c.denominator for c in vec.values()))
         acc = SkewPoly()
-        for c, b in zip(vec, ambient.basis):
-            acc = acc + b.scale(c * denom)
+        for j, c in vec.items():
+            acc = acc + ambient.basis[j].scale(c * denom)
         out.insert(acc)
     return out

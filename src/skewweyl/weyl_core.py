@@ -469,22 +469,31 @@ def skew_to_json(s: SkewPoly) -> dict:
     }
 
 
-def skew_from_json(obj: dict) -> SkewPoly:
+def _terms_from_json(obj, name: str, read, zero) -> dict:
+    """The terms of the array obj[name], summed by key; `read(e, gamma)`
+    gives one term's (key, coefficient).  alpha and beta must be JSON
+    integers: 1.7 or true is a bad term, not 1."""
     try:
-        entries = obj["skew"]
+        entries = obj[name]
     except (KeyError, TypeError):
-        raise ValueError("expected an object with a 'skew' array")
-    terms: Dict[Tuple[int, MultiIndex], Fraction] = {}
+        raise ValueError(f"expected an object with a '{name}' array")
+    terms: dict = {}
     for i, e in enumerate(entries):
         try:
-            sigma = {"+": PLUS, "-": MINUS}[e["sigma"]]
-            gamma = (int(e["alpha"]), int(e["beta"]))
-            coeff = Fraction(e["coeff"])
+            gamma = (e["alpha"], e["beta"])
+            if any(type(x) is not int for x in gamma):
+                raise TypeError(f"alpha and beta must be integers, got {gamma}")
+            key, c = read(e, gamma)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"bad skew term at index {i}: {exc}") from exc
-        key = (sigma, gamma)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return SkewPoly(terms)
+            raise ValueError(f"bad {name} term at index {i}: {exc}") from exc
+        terms[key] = terms.get(key, zero) + c
+    return terms
+
+
+def skew_from_json(obj: dict) -> SkewPoly:
+    return SkewPoly(_terms_from_json(obj, "skew", lambda e, gamma: (
+        ({"+": PLUS, "-": MINUS}[e["sigma"]], gamma), Fraction(e["coeff"])),
+        Fraction(0)))
 
 
 def weyl_to_json(p: WeylPoly) -> dict:
@@ -497,16 +506,6 @@ def weyl_to_json(p: WeylPoly) -> dict:
 
 
 def weyl_from_json(obj: dict) -> WeylPoly:
-    try:
-        entries = obj["weyl"]
-    except (KeyError, TypeError):
-        raise ValueError("expected an object with a 'weyl' array")
-    terms: Dict[MultiIndex, GaussianRational] = {}
-    for i, e in enumerate(entries):
-        try:
-            key = (int(e["alpha"]), int(e["beta"]))
-            c = GaussianRational(Fraction(e["re"]), Fraction(e["im"]))
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"bad weyl term at index {i}: {exc}") from exc
-        terms[key] = terms.get(key, GR_ZERO) + c
-    return WeylPoly(terms)
+    return WeylPoly(_terms_from_json(obj, "weyl", lambda e, gamma: (
+        gamma, GaussianRational(Fraction(e["re"]), Fraction(e["im"]))),
+        GR_ZERO))

@@ -1,11 +1,19 @@
 """Series, Killing forms, fingerprints, and catalog identification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from skewweyl.classify import (
+    _CONCRETE_SC,
     CatalogEntry,
+    StructureConstants,
+    _chain_ext_sc,
+    _chain_sc,
+    _fingerprint_from_sc,
+    _killing_from_sc,
     catalog_fingerprints,
     center,
     derived_series,
@@ -16,6 +24,7 @@ from skewweyl.classify import (
     nilpotent_chain_basis,
     nullity_witness,
 )
+from skewweyl.enumerate import enumerate_subalgebras
 from skewweyl.lie_engine import LieSpan, bracket, lie_closure
 from skewweyl.weyl_core import (
     MINUS,
@@ -129,6 +138,40 @@ class TestKilling:
         assert (rank1, sig1) == (rank2, sig2)
 
 
+def dense_killing(sc):
+    """Reference Gram matrix Tr(ad_i ad_j) from dense ad matrices, whose
+    column j holds the coordinates of [b_i, b_j]."""
+    n = sc.n
+    ads = [[[sc.table[i][j][k] for j in range(n)] for k in range(n)]
+           for i in range(n)]
+    return [[sum((P[k][l] * Q[l][k] for k in range(n) for l in range(n)),
+                 Fraction(0)) for Q in ads] for P in ads]
+
+
+def _killing_cases():
+    """The concrete catalog, L_2..L_7, Ltilde_2..Ltilde_5 and the 22
+    glossary spans."""
+    cases = list(_CONCRETE_SC.items())
+    cases += [(f"L_{n}", _chain_sc(n)) for n in range(2, 8)]
+    cases += [(f"Ltilde_{n}", _chain_ext_sc(n)) for n in range(2, 6)]
+    records = enumerate_subalgebras(schrodinger_monomials())
+    assert len(records) == 22
+    cases += [(f"glossary_{k}", StructureConstants.from_span(r.span))
+              for k, r in enumerate(records)]
+    return [pytest.param(sc, id=name) for name, sc in cases]
+
+
+class TestKillingAgainstDenseReference:
+    @pytest.mark.parametrize("sc", _killing_cases())
+    def test_gram_rank_and_signature(self, sc):
+        want = dense_killing(sc)
+        gram, rank, sig = _killing_from_sc(sc)
+        assert gram == want
+        assert rank == sympy.Matrix(want).rank()
+        assert rank == sig[0] + sig[1] and sum(sig) == sc.n
+        assert _fingerprint_from_sc(sc).killing_rank == rank
+
+
 class TestFingerprintAndIdentify:
     def test_catalog_distinct(self):
         fps = catalog_fingerprints()
@@ -177,6 +220,19 @@ class TestFingerprintAndIdentify:
         want = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
         for b in (sp, negated):
             entry = identify(b)
+            assert entry.name == "r(j1..jn)" and entry.parameters == want
+
+    def test_diagonal_weights_independent_of_basis_order(self):
+        # the generator acting on the derived algebra is read off a
+        # different basis vector in different orders; the normalised
+        # weights are the same
+        x = gp(1, 0)
+        sp = span_of(gm(2, 0), x, skew_power(x, 2), skew_power(x, 3))
+        want = (Fraction(1), Fraction(2, 3), Fraction(1, 3))
+        orders = list(itertools.permutations(sp.basis))
+        assert len(orders) == 24
+        for order in orders:
+            entry = identify(LieSpan(order))
             assert entry.name == "r(j1..jn)" and entry.parameters == want
 
     def test_chain_reference_fingerprint_is_computed_once(self, monkeypatch):

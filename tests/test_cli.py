@@ -260,6 +260,12 @@ class TestErrors:
             {"sigma": "+", "alpha": 1, "beta": 0, "coeff": "1/0"}]}]))
         assert_input_error(["closure", "--gens", str(path)], capsys)
 
+    def test_fractional_power_rejected(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"skew": [
+            {"sigma": "+", "alpha": 1.7, "beta": 0, "coeff": "1"}]}]))
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+
     def test_input_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_bytes(b"\xff\xfe[]")

@@ -79,12 +79,13 @@ class TestInvariants:
                     assert sp.contains(bracket(x, y))
 
     def test_matches_brute_force_oracle(self):
-        basis = schrodinger_monomials()
-        pruned = enumerate_subalgebras(basis)
-        oracle = brute_force_subalgebras(basis)
-        assert len(pruned) == len(oracle)
-        keys = {r.span.canonical_key() for r in pruned}
-        assert keys == {sp.canonical_key() for sp in oracle}
+        # the empty basis has no non-empty subset, so no span at all
+        for basis in (schrodinger_monomials(), []):
+            pruned = enumerate_subalgebras(basis)
+            oracle = brute_force_subalgebras(basis)
+            assert len(pruned) == len(oracle)
+            keys = {r.span.canonical_key() for r in pruned}
+            assert keys == {sp.canonical_key() for sp in oracle}
 
     def test_no_duplicate_spans(self):
         records = enumerate_subalgebras(schrodinger_monomials())

@@ -1,7 +1,8 @@
 """Byte-for-byte comparison of user-facing output against committed golden
 files: the selftest report, the two structural scripts (the glossary both as
-markdown and as JSON), `skewweyl enumerate` on a non-monomial basis and
-`skewweyl simulate` on three short control files.
+markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
+`skewweyl classify` on seven closed spans and `skewweyl simulate` on three
+short control files.
 
 Regenerate a golden file only when an output change is intended, e.g.
 ``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``.
@@ -29,6 +30,22 @@ COMMANDS = {
     "enumerate_mixed.json": ["-m", "skewweyl.cli", "enumerate", "--basis",
                              str(ROOT / "tests" / "data" / "mixed_basis.json")],
 }
+
+#: classify goldens: closure bases in tests/data/classify_<name>.json, output
+#: in tests/golden/classify_<name>.json.  chain_n closes
+#: perfbench.workloads.chain_generators(random.Random(n), n) for n = 3..7
+#: (L_n, dims 5-9); diagonal is r(1, 2/3, 1/3) from
+#: {a²-a†², x, x², x³} with x = i(a+a†); graded_chain closes
+#: {a²-a†², i(a+a†), (a-a†)³}, solvable with the dims of an Ltilde_n, so it
+#: runs the Ltilde_n comparison and the abelian test of the diagonal branch
+#: before it is reported Unrecognized
+CLASSIFY = ["chain_3", "chain_4", "chain_5", "chain_6", "chain_7",
+            "diagonal", "graded_chain"]
+COMMANDS.update({
+    f"classify_{name}.json": ["-m", "skewweyl.cli", "classify", "--basis",
+                              str(ROOT / "tests" / "data"
+                                  / f"classify_{name}.json")]
+    for name in CLASSIFY})
 
 
 #: simulate goldens: (algebra, Fock dimension) per control file

@@ -43,6 +43,10 @@ def from_sympy(x):
     return Fraction(int(x.p), int(x.q))
 
 
+def dense(v, cols):
+    return [v.get(c, Fraction(0)) for c in range(cols)]
+
+
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_rank_and_nullspace_match_sympy(m):
@@ -51,11 +55,26 @@ def test_rank_and_nullspace_match_sympy(m):
     rr = Rref(a, cols)
     assert rr.rank == ref.rank()
     assert rr.pivots == list(ref.rref()[1])
-    null = rr.nullspace()
+    reduced = ref.rref()[0]
+    assert [dense(rr.rows[p], cols) for p in rr.pivots] == [
+        [from_sympy(x) for x in reduced.row(r)] for r in range(rr.rank)]
+    assert all(0 not in row.values() for row in rr.rows.values())
+    null = [dense(v, cols) for v in rr.nullspace()]
     assert len(null) == len(ref.nullspace()) == cols - rr.rank
     assert null == [[from_sympy(x) for x in v] for v in ref.nullspace()]
     assert all(not any(matmul(a, [[x] for x in v], cols)[i][0]
                        for i in range(len(a))) for v in null)
+
+
+@given(matrices(max_rows=6), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_rows_independent_of_insertion_order(m, rng):
+    # the property LieSpan.canonical_key relies on: a span's reduced rows do
+    # not depend on the order its vectors are inserted in
+    a, cols = m
+    shuffled = list(a)
+    rng.shuffle(shuffled)
+    assert Rref(shuffled, cols).rows == Rref(a, cols).rows
 
 
 @given(matrices(), st.data())

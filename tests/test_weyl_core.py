@@ -140,6 +140,17 @@ class TestJson:
             skew_from_json({"skew": [{"sigma": "+", "alpha": 0, "beta": 2,
                                       "coeff": "1"}]})
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, "1"])
+    def test_non_integer_indices_rejected(self, index):
+        # 1.7 and true used to be read as 1
+        with pytest.raises(ValueError, match="bad skew term at index 1"):
+            skew_from_json({"skew": [
+                {"sigma": "+", "alpha": 2, "beta": 0, "coeff": "1"},
+                {"sigma": "+", "alpha": index, "beta": 0, "coeff": "1"}]})
+        with pytest.raises(ValueError, match="bad weyl term at index 0"):
+            weyl_from_json({"weyl": [{"alpha": 1, "beta": index, "re": "1",
+                                      "im": "0"}]})
+
     def test_zero_denominator_is_value_error(self):
         with pytest.raises(ValueError, match="index 0"):
             skew_from_json({"skew": [{"sigma": "+", "alpha": 1, "beta": 0,

@@ -16,14 +16,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .lie_engine import LieSpan, Rref, bracket
 from .weyl_core import SkewPoly
 
-Vec = Tuple[Fraction, ...]
 Matrix = List[List[Fraction]]
 #: a coordinate vector as a sparse `Rref` row {basis index: Fraction}
 Sparse = Dict[int, Fraction]
@@ -36,44 +35,46 @@ Sparse = Dict[int, Fraction]
 class StructureConstants:
     """Bracket table of an n-dimensional algebra in a fixed basis.
 
-    `table[i][j]` is the coordinate vector of [b_i, b_j]; antisymmetry is
-    enforced at construction.
+    `table[i, j]` is the sparse coordinate vector of [b_i, b_j], stored
+    only if nonzero and without zero entries; table[j, i] is -table[i, j].
     """
 
     def __init__(self, n: int, entries: Dict[Tuple[int, int], Dict[int, Fraction]]):
         self.n = n
-        self.table: List[List[Vec]] = [
-            [tuple(Fraction(0) for _ in range(n)) for _ in range(n)]
-            for _ in range(n)
-        ]
+        self.table: Dict[Tuple[int, int], Sparse] = {}
         for (i, j), comps in entries.items():
-            v = [Fraction(0)] * n
-            for k, c in comps.items():
-                v[k] = Fraction(c)
-            self.table[i][j] = tuple(v)
-            self.table[j][i] = tuple(-c for c in v)
+            v = {k: Fraction(c) for k, c in comps.items() if c}
+            if v:
+                self.table[i, j] = v
+                self.table[j, i] = {k: -c for k, c in v.items()}
 
     @staticmethod
     def from_span(b: LieSpan) -> "StructureConstants":
-        n = b.dim
-        entries: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                coords = b.coordinates(bracket(b.basis[i], b.basis[j]))
-                if coords is None:
-                    raise ValueError("span is not closed under the bracket")
-                entries[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-        return StructureConstants(n, entries)
+        entries = {}
+        for i, j in itertools.combinations(range(b.dim), 2):
+            coords = b.coordinates(bracket(b.basis[i], b.basis[j]))
+            if coords is None:
+                raise ValueError("span is not closed under the bracket")
+            entries[i, j] = dict(enumerate(coords))
+        return StructureConstants(b.dim, entries)
+
+    @functools.cached_property
+    def derived(self) -> List[Sparse]:
+        """[g, g] as RREF rows, formed once per table: the first term of
+        the derived series, the lower central series and the diagonal test."""
+        return _subspace_product(self, _full_basis(self.n),
+                                 _full_basis(self.n))
 
     def bracket_vec(self, u: Sparse, v: Sparse) -> Sparse:
         """Coordinates of [u, v], for u and v given by their coordinates."""
         out: Sparse = {}
         for i, a in u.items():
             for j, b in v.items():
-                c = a * b
-                for k, t in enumerate(self.table[i][j]):
-                    if t:
-                        out[k] = out.get(k, 0) + c * t
+                t = self.table.get((i, j))
+                if t:
+                    c = a * b
+                    for k, x in t.items():
+                        out[k] = out.get(k, 0) + c * x
         return {k: x for k, x in out.items() if x}
 
 
@@ -92,14 +93,14 @@ def _full_basis(n: int) -> List[Sparse]:
 
 
 def _series(sc: StructureConstants, step) -> List[List[Sparse]]:
-    """A descending series from the whole algebra, each term strictly
-    smaller than the last, ending where it stabilizes or reaches 0."""
-    out = [_full_basis(sc.n)]
-    while out[-1]:
-        nxt = step(out[-1])
-        if len(nxt) == len(out[-1]):
-            break
+    """A descending series from the whole algebra through [g, g], each
+    term strictly smaller than the last, ending where it stabilizes or
+    reaches 0."""
+    out, nxt = [_full_basis(sc.n)], sc.derived
+    while len(nxt) < len(out[-1]):
         out.append(nxt)
+        if nxt:
+            nxt = step(nxt)
     return out
 
 
@@ -112,10 +113,15 @@ def _lower_central_series(sc: StructureConstants) -> List[List[Sparse]]:
 
 
 def _center(sc: StructureConstants) -> List[Sparse]:
-    """Common kernel of all ad maps; row (i, k) is (ad b_i)[k]."""
-    n, t = sc.n, sc.table
-    return Rref(([t[i][j][k] for j in range(n)]
-                 for i in range(n) for k in range(n)), n).nullspace()
+    """Common kernel of the ad maps: row (i, k) holds table[i, j][k] at j."""
+    rows: Dict[Tuple[int, int], Sparse] = {}
+    for (i, j), v in sc.table.items():
+        for k, c in v.items():
+            rows.setdefault((i, k), {})[j] = c
+    kernel = Rref(ncols=sc.n)
+    for key in sorted(rows):
+        kernel.insert(rows[key])
+    return kernel.nullspace()
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +200,13 @@ def killing_form(b: LieSpan):
 
 def _killing_from_sc(sc: StructureConstants):
     """Gram matrix, rank n_+ + n_- and signature; (ad b_i)[k][l] is
-    table[i][l][k], so B(b_i, b_j) = sum table[i][l][k] table[j][k][l]."""
-    n, t = sc.n, sc.table
-    nonzero = [[(l, k, c) for l in range(n) for k, c in enumerate(t[i][l]) if c]
-               for i in range(n)]
-    G = [[sum((c * t[j][k][l] for l, k, c in nonzero[i]), Fraction(0))
-          for j in range(n)] for i in range(n)]
+    table[i, l][k], so B(b_i, b_j) = sum table[i, l][k] table[j, k][l]."""
+    ads: List[Dict[Tuple[int, int], Fraction]] = [{} for _ in range(sc.n)]
+    for (i, l), v in sc.table.items():
+        for k, c in v.items():
+            ads[i][k, l] = c
+    G = [[sum((c * Q[l, k] for (k, l), c in P.items() if (l, k) in Q),
+              Fraction(0)) for Q in ads] for P in ads]
     signature = _sylvester_signature(G)
     return G, signature[0] + signature[1], signature
 
@@ -364,17 +371,12 @@ def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[Ca
     if fp.solvable and not fp.nilpotent and n >= 4:
         if fp == _chain_ext_fingerprint(n - 2):
             return CatalogEntry("Ltilde_n", (n - 2,), fp, "structural")
-    if fp.solvable and not fp.nilpotent and fp.derived_dims[:2] == (n, n - 1):
-        # candidate diagonal family: derived algebra abelian, some generator
-        # acting diagonalizably on it with rational eigenvalues
-        der = _subspace_product(sc, _full_basis(n), _full_basis(n))
-        abelian = not any(sc.bracket_vec(u, v) for u, v in
-                          itertools.combinations(der, 2))
-        if abelian:
-            weights = _diagonal_weights(sc, der)
-            if weights is not None:
-                return CatalogEntry("r(j1..jn)", tuple(weights), fp,
-                                    "structural")
+    if fp.derived_dims == (n, n - 1, 0):
+        # candidate diagonal family: [g, g] abelian of codimension 1, some
+        # generator acting diagonalizably on it with rational eigenvalues
+        weights = _diagonal_weights(sc, sc.derived)
+        if weights is not None:
+            return CatalogEntry("r(j1..jn)", tuple(weights), fp, "structural")
     return None
 
 
@@ -457,8 +459,7 @@ def _rational_eigenvalues(A: Matrix) -> Optional[List[Fraction]]:
 def identify(b: LieSpan) -> CatalogEntry:
     sc = StructureConstants.from_span(b)
     fp = _fingerprint_from_sc(sc)
-    if fp.derived_dims == (fp.dim, 0) or fp.dim == 0 or (
-            fp.dim and len(fp.derived_dims) > 1 and fp.derived_dims[1] == 0):
+    if fp.center_dim == fp.dim:
         return CatalogEntry("R^n", (fp.dim,), fp)
     for name, ref in _catalog().items():
         if fp == ref:
@@ -496,7 +497,7 @@ def nilpotent_chain_basis(b: LieSpan) -> Optional[Tuple[List[SkewPoly], SkewPoly
     fp = fingerprint(b)
     if not fp.nilpotent or fp.derived_dims[-1] == fp.dim:
         raise ValueError("chain basis requires a nilpotent span")
-    if len(fp.derived_dims) == 1 or fp.derived_dims[1] == 0:
+    if fp.center_dim == fp.dim:
         raise ValueError("span is abelian; any basis works")
     n = b.dim
     candidates = list(b.basis) + [

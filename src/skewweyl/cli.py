@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
-from fractions import Fraction
 from typing import List
 
 import numpy as np
 
+# `bracket` has no use here; the perfbench tests read `cli.bracket`
 from .lie_engine import Budget, LieSpan, bracket, lie_closure
 from .weyl_core import SkewPoly, schrodinger_monomials, skew_from_json
 
@@ -152,31 +153,31 @@ def _cmd_simulate(args) -> int:
             ["t"] + [f"f{j + 1}" for j in range(sol.f.shape[0])] + ["phase"]
         )
         rows = np.column_stack([sol.grid, sol.f.T, sol.phase])
-        np.savetxt(args.csv, rows, delimiter=",", header=header, comments="")
+        try:
+            np.savetxt(args.csv, rows, delimiter=",", header=header,
+                       comments="")
+        except OSError as exc:
+            raise InputError(f"{args.csv}: {exc.strerror or exc}")
     _emit(out)
     return 0
 
 
 def _cmd_selftest(args) -> int:
-    from .classify import reference_structure
-    from .enumerate import GLOSSARY_NONABELIAN_COUNTS, glossary_report
+    from .classify import StructureConstants, reference_structure
+    from .enumerate import glossary_report
 
     report = {}
-    basis = schrodinger_monomials()
-    span = LieSpan(basis)
-    ref = reference_structure("Schrodinger")
+    got = StructureConstants.from_span(LieSpan(schrodinger_monomials())).table
+    want = reference_structure("Schrodinger").table
     ok = 0
     failures = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            got = span.coordinates(bracket(basis[i], basis[j]))
-            want = [Fraction(c) for c in ref.table[i][j]]
-            if got == want:
-                ok += 1
-            else:
-                failures.append({"pair": [i, j],
-                                 "got": [str(c) for c in (got or [])],
-                                 "want": [str(c) for c in want]})
+    for pair in itertools.combinations(range(6), 2):
+        row = {name: [str(t.get(pair, {}).get(k, 0)) for k in range(6)]
+               for name, t in (("got", got), ("want", want))}
+        if row["got"] == row["want"]:
+            ok += 1
+        else:
+            failures.append({"pair": list(pair), **row})
     report["table1"] = f"{ok}/15"
     gl = glossary_report()
     report["glossary"] = {

@@ -282,10 +282,9 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     f = _integrate(spec, 1, u[::2])
     f_half = _integrate(spec, 2, u)
     err = float(np.max(np.abs(f - f_half)))
-    fdot = np.array([
-        _rhs(fk, spec.evaluate(k * spec.h).tolist())
-        for k, fk in enumerate(f.T.tolist())
-    ]).T.copy()
+    # the grid nodes are every fourth point of the substep-2 stage grid
+    fdot = np.array([_rhs(fk, uk) for fk, uk in
+                     zip(f.T.tolist(), u[::4].tolist())]).T.copy()
     phase = _phase_quadrature(f, fdot, spec.h)
     return FactorSolution(spec.algebra, spec.h, f, fdot, phase, "RK4",
                           error_estimate=err)
@@ -299,30 +298,28 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
 def _adjoints() -> List[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     """(ad X_j, f ↦ exp(-f ad X_j)) for X1..X5 on the basis (i, X1..X5).
 
-    The ad matrices come from the exact bracket engine, once.  The
-    exponential map takes an array of n values of f to n 6 x 6 matrices:
-    ad X2 and ad X3 are nilpotent (cube zero), so their series stops after
-    the square; ad X1 (a rotation) and ad X4, ad X5 (boosts) are
-    diagonalisable and are exponentiated through an eigendecomposition
-    computed here.  Both agree with the exact exponential to 1e-14 relative
-    to its largest entry for |f| <= 3, closer than scipy's expm there.
+    The ad matrices are read, once, from the exact structure constants:
+    (ad X_j)[k][l] = table[j, l][k].  The exponential map takes an array
+    of n values of f to n 6 x 6 matrices: ad X2 and ad X3 are nilpotent
+    (cube zero), so their series stops after the square; ad X1 (a
+    rotation) and ad X4, ad X5 (boosts) are diagonalisable and are
+    exponentiated through an eigendecomposition computed here.  Both agree
+    with the exact exponential to 1e-14 relative to its largest entry for
+    |f| <= 3, closer than scipy's expm there.
     """
-    from .lie_engine import LieSpan, bracket
+    from .classify import StructureConstants
+    from .lie_engine import LieSpan
     from .weyl_core import MINUS, PLUS, SkewPoly, number_op, unit_i
 
     M = SkewPoly.monomial
-    basis = [unit_i(), number_op(), M(MINUS, (1, 0)), M(PLUS, (1, 0)),
-             M(MINUS, (2, 0)), M(PLUS, (2, 0))]
-    span = LieSpan(basis)
-    out = []
-    for j in range(1, 6):
-        cols = []
-        for b in basis:
-            coords = span.coordinates(bracket(basis[j], b))
-            cols.append([float(c) for c in coords])
-        ad = np.array(cols).T
-        out.append((ad, _exp_map(ad)))
-    return out
+    table = StructureConstants.from_span(LieSpan([
+        unit_i(), number_op(), M(MINUS, (1, 0)), M(PLUS, (1, 0)),
+        M(MINUS, (2, 0)), M(PLUS, (2, 0))])).table
+    ads = np.zeros((6, 6, 6))
+    for (j, l), v in table.items():
+        for k, c in v.items():
+            ads[j, k, l] = float(c)
+    return [(ad, _exp_map(ad)) for ad in ads[1:]]
 
 
 def _exp_map(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

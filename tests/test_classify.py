@@ -1,7 +1,9 @@
 """Series, Killing forms, fingerprints, and catalog identification."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -33,6 +35,7 @@ from skewweyl.weyl_core import (
     SkewPoly,
     number_op,
     schrodinger_monomials,
+    skew_from_json,
     unit_i,
 )
 
@@ -142,13 +145,13 @@ def dense_killing(sc):
     """Reference Gram matrix Tr(ad_i ad_j) from dense ad matrices, whose
     column j holds the coordinates of [b_i, b_j]."""
     n = sc.n
-    ads = [[[sc.table[i][j][k] for j in range(n)] for k in range(n)]
-           for i in range(n)]
+    ads = [[[sc.table.get((i, j), {}).get(k, Fraction(0)) for j in range(n)]
+            for k in range(n)] for i in range(n)]
     return [[sum((P[k][l] * Q[l][k] for k in range(n) for l in range(n)),
                  Fraction(0)) for Q in ads] for P in ads]
 
 
-def _killing_cases():
+def _table_cases():
     """The concrete catalog, L_2..L_7, Ltilde_2..Ltilde_5 and the 22
     glossary spans."""
     cases = list(_CONCRETE_SC.items())
@@ -162,7 +165,7 @@ def _killing_cases():
 
 
 class TestKillingAgainstDenseReference:
-    @pytest.mark.parametrize("sc", _killing_cases())
+    @pytest.mark.parametrize("sc", _table_cases())
     def test_gram_rank_and_signature(self, sc):
         want = dense_killing(sc)
         gram, rank, sig = _killing_from_sc(sc)
@@ -170,6 +173,35 @@ class TestKillingAgainstDenseReference:
         assert rank == sympy.Matrix(want).rank()
         assert rank == sig[0] + sig[1] and sum(sig) == sc.n
         assert _fingerprint_from_sc(sc).killing_rank == rank
+
+
+class TestSparseTable:
+    @pytest.mark.parametrize("sc", _table_cases())
+    def test_antisymmetric_without_zero_entries(self, sc):
+        for (i, j), v in sc.table.items():
+            assert i != j and 0 <= min(i, j) and max(i, j) < sc.n
+            assert v and all(v.values()) and set(v) <= set(range(sc.n))
+            assert sc.table[j, i] == {k: -c for k, c in v.items()}
+
+    def test_derived_algebra_is_formed_once(self, monkeypatch):
+        from skewweyl import classify
+
+        path = Path(__file__).parent / "data" / "classify_graded_chain.json"
+        span = LieSpan(skew_from_json(e) for e in json.loads(path.read_text()))
+        n = span.dim
+        # fill the reference caches first, so only the span's own table runs
+        assert identify(span).name == "Unrecognized"
+        full = []
+        real = classify._subspace_product
+
+        def counted(sc, A, B):
+            if len(A) == len(B) == n:
+                full.append(sc)
+            return real(sc, A, B)
+
+        monkeypatch.setattr(classify, "_subspace_product", counted)
+        assert identify(span).name == "Unrecognized"
+        assert len(full) == 1
 
 
 class TestFingerprintAndIdentify:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,18 @@ class TestSimulate:
         header = csv.read_text().splitlines()[0]
         assert header == "t,f1,f2,f3,phase"
 
+    def test_csv_in_missing_directory_is_usage_error(self, tmp_path, capsys):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1.0, 0.0, 0.0],
+            "t_final": 0.1, "h": 1e-2,
+        }))
+        csv = tmp_path / "no" / "such" / "f.csv"
+        assert_input_error(["simulate", "--algebra", "wh2", "--controls",
+                            str(controls), "--fock-dim", "16", "--csv",
+                            str(csv)], capsys)
+        assert not csv.parent.exists()
+
     def test_algebra_mismatch_is_usage_error(self, tmp_path):
         controls = tmp_path / "c.json"
         controls.write_text(json.dumps({
@@ -211,6 +224,28 @@ class TestSelftest:
         assert doc["table1"] == "15/15"
         assert doc["glossary"]["total_spans"] == 22
         assert doc["glossary"]["mismatches"] == {}
+
+    def test_failure_report(self, out, monkeypatch):
+        # a reference table with [b2, b3] changed and [b4, b5] dropped
+        from skewweyl import classify
+
+        real = classify.reference_structure("Schrodinger")
+        entries = {pair: v for pair, v in real.table.items()
+                   if pair[0] < pair[1] and pair != (4, 5)}
+        entries[2, 3] = {0: Fraction(-3)}
+        fake = classify.StructureConstants(6, entries)
+        monkeypatch.setattr(classify, "reference_structure", lambda name: fake)
+        assert run(["selftest"]) == 1
+        doc = out()
+        assert doc["passed"] is False
+        assert doc["table1"] == "13/15"
+        zeros = ["0"] * 4
+        assert doc["table1_failures"] == [
+            {"pair": [2, 3], "got": ["-2", "0"] + zeros,
+             "want": ["-3", "0"] + zeros},
+            {"pair": [4, 5], "got": ["-4", "-8"] + zeros,
+             "want": ["0", "0"] + zeros},
+        ]
 
     def test_passes_without_sympy(self):
         # sympy is only a test reference: block its import in a fresh

@@ -8,12 +8,14 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
 from skewweyl.fock_oracle import direct_propagator, state_fidelity
+from skewweyl.lie_engine import LieSpan, bracket
 from skewweyl.wei_norman import (ControlSpec, FactorSolution,
                                  SqueezeBlowUpError, _adjoints, _cumquad,
                                  _integrate, _phase_quadrature, _reconstruct,
-                                 factored_propagator, reconstructed_controls,
-                                 residual_check, schrodinger_factors,
-                                 wh2_factors)
+                                 _rhs, factored_propagator,
+                                 reconstructed_controls, residual_check,
+                                 schrodinger_factors, wh2_factors)
+from skewweyl.weyl_core import MINUS, PLUS, SkewPoly, number_op, unit_i
 
 
 class TestControlSpec:
@@ -322,6 +324,24 @@ class TestNumericalKernels:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("h", [1e-3, 0.0125, 1 / 3, 7e-4])
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_stored_fdot_reads_the_node_controls(self, h, raw):
+        # the controls at the nodes are taken from the stage samples; they
+        # are the controls at t = k h to the bit, preset or spline
+        spec = ControlSpec.from_json({
+            "algebra": "schrodinger", "preset": "sinusoid",
+            "amplitudes": [1.2, -0.3, 0.3, 0.3, -0.3],
+            "frequencies": [1.0, 2.0, 3.0, 1.5, 2.5],
+            "t_final": 0.5, "h": h,
+        })
+        if raw:
+            spec = ControlSpec("schrodinger", h, spec.n_steps, spec.u)
+        sol = schrodinger_factors(spec)
+        want = np.array([_rhs(fk, spec.evaluate(k * h).tolist())
+                         for k, fk in enumerate(sol.f.T.tolist())]).T
+        assert sol.fdot.tobytes() == want.tobytes()
+
     def test_integrate_blow_up_at_the_same_step(self):
         spec = ControlSpec.constant("schrodinger", [0, 0, 0, 10.0, 0],
                                     t_final=12.0, h=1e-2)
@@ -331,6 +351,17 @@ class TestNumericalKernels:
         with pytest.raises(SqueezeBlowUpError) as want:
             _integrate_numpy(spec, 1, u)
         assert got.value.step == want.value.step
+
+    def test_adjoints_are_the_exact_brackets(self):
+        M = SkewPoly.monomial
+        basis = [unit_i(), number_op(), M(MINUS, (1, 0)), M(PLUS, (1, 0)),
+                 M(MINUS, (2, 0)), M(PLUS, (2, 0))]
+        span = LieSpan(basis)
+        for j, (ad, _) in enumerate(_adjoints(), start=1):
+            want = np.array([[float(c) for c in
+                              span.coordinates(bracket(basis[j], b))]
+                             for b in basis]).T
+            assert ad.tobytes() == want.tobytes(), j
 
     def test_nilpotent_adjoints(self):
         for j in (1, 2):  # X2, X3

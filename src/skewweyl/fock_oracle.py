@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .weyl_core import NEG_INF, WeylPoly
+from .weyl_core import CONTROL_GENERATORS, NEG_INF, WeylPoly
 
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
@@ -24,8 +24,8 @@ _STAGED_STEPS = 256
 
 def annihilator(N: int) -> np.ndarray:
     a = np.zeros((N, N), dtype=complex)
-    for n in range(1, N):
-        a[n - 1, n] = np.sqrt(n)
+    n = np.arange(1, N)
+    a[n - 1, n] = np.sqrt(n)
     return a
 
 
@@ -36,18 +36,22 @@ def fock_matrix(p: WeylPoly, N: int) -> np.ndarray:
         raise ValueError(f"truncation dim {N} must exceed degree {d}")
     a = annihilator(N)
     ad = a.conj().T
-    # cache powers
-    maxa = max((b for _, b in p.terms), default=0)
-    maxad = max((al for al, _ in p.terms), default=0)
-    a_pows = [np.eye(N, dtype=complex)]
-    for _ in range(maxa):
+    # cache powers, from the zeroth
+    a_pows = [np.eye(N, dtype=complex), a]
+    for _ in range(1, max((b for _, b in p.terms), default=0)):
         a_pows.append(a_pows[-1] @ a)
-    ad_pows = [np.eye(N, dtype=complex)]
-    for _ in range(maxad):
+    ad_pows = [a_pows[0], ad]
+    for _ in range(1, max((al for al, _ in p.terms), default=0)):
         ad_pows.append(ad_pows[-1] @ ad)
     out = np.zeros((N, N), dtype=complex)
     for (alpha, beta), c in p.terms.items():
-        out += complex(c) * (ad_pows[alpha] @ a_pows[beta])
+        # a term with one exponent 0 is the other power itself, not its
+        # product with the identity
+        if alpha and beta:
+            m = ad_pows[alpha] @ a_pows[beta]
+        else:
+            m = ad_pows[alpha] if alpha else a_pows[beta]
+        out += complex(c) * m
     return out
 
 
@@ -57,7 +61,7 @@ def interior_error(M: np.ndarray, total_degree: int) -> float:
     k = N - total_degree
     if k <= 0:
         raise ValueError("truncation too small for the requested degrees")
-    return float(np.max(np.abs(M[:k, :k]))) if k else 0.0
+    return float(np.max(np.abs(M[:k, :k])))
 
 
 def commutator_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
@@ -88,20 +92,14 @@ def product_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 def hermitian_generators(algebra: str, N: int) -> list:
-    """Hermitian control generators H_j so that H(t) = sum u_j(t) H_j.
-
-    Order: wh2 -> (a†a, -i(a-a†), a+a†);
-    schrodinger adds (-i(a²-a†²), a²+a†²).
-    """
-    a = annihilator(N)
-    ad = a.conj().T
-    gens = [ad @ a, -1j * (a - ad), a + ad]
-    if algebra == "schrodinger":
-        a2, ad2 = a @ a, ad @ ad
-        gens += [-1j * (a2 - ad2), a2 + ad2]
-    elif algebra != "wh2":
+    """Hermitian control generators H_j = -i X_j, so that
+    H(t) = sum u_j(t) H_j, as N x N matrices of the exact skew generators
+    X_j in `weyl_core.CONTROL_GENERATORS`: wh2 -> (a†a, -i(a-a†), a+a†);
+    schrodinger adds (-i(a²-a†²), a²+a†²)."""
+    if algebra not in CONTROL_GENERATORS:
         raise ValueError(f"unknown algebra {algebra!r}")
-    return gens
+    return [-1j * fock_matrix(X.to_weyl(), N)
+            for X in CONTROL_GENERATORS[algebra]]
 
 
 class UnitarityDriftError(RuntimeError):

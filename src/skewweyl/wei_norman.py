@@ -1,23 +1,22 @@
 """Product-of-exponentials factorization of single-mode dynamics.
 
-Control convention (the one table to rule out sign ambiguity):
+The controls drive the skew generators X_j of `weyl_core.CONTROL_GENERATORS`,
 
-    H(t) = u1 a†a  - i u2 (a - a†)  + u3 (a + a†)
-                   - i u4 (a² - a†²) + u5 (a² + a†²)        (hermitian)
+    iH(t) = sum_j u_j(t) X_j,   X1 = i a†a,  X2 = a - a†,  X3 = i(a + a†),
+                                X4 = a² - a†²,  X5 = i(a² + a†²),
 
-equivalently iH(t) = sum_j u_j X_j over the skew generators
-
-    X1 = i a†a,  X2 = a - a†,  X3 = i(a + a†),
-    X4 = a² - a†²,  X5 = i(a² + a†²).
-
-The propagator ansatz is the ordered product
+so H(t) = u1 a†a - i u2 (a - a†) + u3 (a + a†) - i u4 (a² - a†²)
++ u5 (a² + a†²) is hermitian.  The propagator ansatz is the ordered product
 
     U(t) = e^{-f1 X1} e^{-f2 X2} e^{-f3 X3} e^{-f4 X4} e^{-f5 X5} e^{-i f_phase}
 
 (wh2 uses the first three factors only).  For wh2 the factor functions are
 plain quadratures; for the full five-generator algebra they solve a coupled
-ODE system integrated by fixed-step RK4.  The central (global-phase) factor
-is tracked separately and never enters any fidelity.
+ODE system integrated by fixed-step RK4.  Both are hand-derived inverses of
+the forward map f, fdot -> u that `_reconstruct` computes from the exact
+structure constants of the same generators; the residual compares the two.
+The central (global-phase) factor is tracked separately and never enters
+any fidelity.
 """
 
 from __future__ import annotations
@@ -30,9 +29,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import expm
 
-from .fock_oracle import hermitian_generators
+from .fock_oracle import MIN_DIM, hermitian_generators
+from .weyl_core import CONTROL_GENERATORS
 
-N_CONTROLS = {"wh2": 3, "schrodinger": 5}
+N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
 
 
 @dataclass
@@ -257,15 +257,20 @@ def _integrate(spec: ControlSpec, substeps: int,
     f = (0.0,) * 5
     rows = [f]
     for k in range(n):
-        for m in range(substeps):
-            j = 2 * (k * substeps + m)
-            start, mid, end = stages[j:j + 3]
-            k1 = _rhs(f, start)
-            k2 = _rhs([x + a * y for x, y in zip(f, k1)], mid)
-            k3 = _rhs([x + a * y for x, y in zip(f, k2)], mid)
-            k4 = _rhs([x + b * y for x, y in zip(f, k3)], end)
-            f = tuple(x + c * (p + 2 * q + 2 * r + s)
-                      for x, p, q, r, s in zip(f, k1, k2, k3, k4))
+        try:
+            for m in range(substeps):
+                j = 2 * (k * substeps + m)
+                start, mid, end = stages[j:j + 3]
+                k1 = _rhs(f, start)
+                k2 = _rhs([x + a * y for x, y in zip(f, k1)], mid)
+                k3 = _rhs([x + a * y for x, y in zip(f, k2)], mid)
+                k4 = _rhs([x + b * y for x, y in zip(f, k3)], end)
+                f = tuple(x + c * (p + 2 * q + 2 * r + s)
+                          for x, p, q, r, s in zip(f, k1, k2, k3, k4))
+        except (OverflowError, ValueError):
+            # a stage left the float range before the node check below:
+            # cosh overflows, or sin and cos meet an infinite angle
+            raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h) from None
         if not all(map(math.isfinite, f)) or abs(4 * f[3]) > 350.0:
             raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h)
         rows.append(f)
@@ -309,12 +314,10 @@ def _adjoints() -> List[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     """
     from .classify import StructureConstants
     from .lie_engine import LieSpan
-    from .weyl_core import MINUS, PLUS, SkewPoly, number_op, unit_i
+    from .weyl_core import unit_i
 
-    M = SkewPoly.monomial
-    table = StructureConstants.from_span(LieSpan([
-        unit_i(), number_op(), M(MINUS, (1, 0)), M(PLUS, (1, 0)),
-        M(MINUS, (2, 0)), M(PLUS, (2, 0))])).table
+    table = StructureConstants.from_span(LieSpan(
+        (unit_i(), *CONTROL_GENERATORS["schrodinger"]))).table
     ads = np.zeros((6, 6, 6))
     for (j, l), v in table.items():
         for k, c in v.items():
@@ -358,32 +361,13 @@ def _phase_quadrature(f: np.ndarray, fdot: np.ndarray, h: float) -> np.ndarray:
 
 def reconstructed_controls(sol: FactorSolution) -> np.ndarray:
     """Controls implied by the factor functions via the adjoint product;
-    independent of the closed-form forward expressions."""
+    independent of the hand-derived inverse the solvers integrate."""
     return _reconstruct(sol.f, sol.fdot)[1:1 + sol.f.shape[0]]
 
 
 # ---------------------------------------------------------------------------
 # Residuals
 # ---------------------------------------------------------------------------
-
-def _forward_controls(f: np.ndarray, fdot: np.ndarray) -> np.ndarray:
-    """The five forward expressions u_j(f, fdot) for the full system."""
-    f1, f2, f3, f4, _ = f
-    g1, g2, g3, g4, g5 = fdot
-    s1, c1 = np.sin(f1), np.cos(f1)
-    s2, c2 = np.sin(2 * f1), np.cos(2 * f1)
-    sh, ch = np.sinh(4 * f4), np.cosh(4 * f4)
-    em, ep = np.exp(-4 * f4), np.exp(4 * f4)
-    return np.vstack([
-        g1 - 2 * g5 * sh,
-        g2 * c1 - g3 * s1 - 2 * g4 * (f2 * c1 + f3 * s1)
-        + 2 * g5 * (f2 * em * s1 - f3 * ep * c1),
-        g2 * s1 + g3 * c1 + 2 * g4 * (f3 * c1 - f2 * s1)
-        - 2 * g5 * (f2 * em * c1 + f3 * ep * s1),
-        g4 * c2 - g5 * ch * s2,
-        g4 * s2 + g5 * ch * c2,
-    ])
-
 
 def _fd4(f: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative along the last axis."""
@@ -411,8 +395,11 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
                    derivatives: str = "fd") -> float:
     """Max over the grid of |u_reconstructed - u_input|.
 
-    `derivatives="fd"` differentiates the stored factor curves numerically,
-    so the residual genuinely measures the integration error;
+    u_reconstructed is the forward map of `reconstructed_controls`, read
+    from the exact structure constants, so the residual checks the
+    hand-derived inverse the solver integrated against an independent
+    derivation.  `derivatives="fd"` differentiates the stored factor curves
+    numerically, so the residual genuinely measures the integration error;
     `derivatives="stored"` uses the solver's own right-hand sides.
     """
     if sol.f.shape[1] != spec.n_steps + 1:
@@ -423,12 +410,7 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
         fdot = sol.fdot
     else:
         raise ValueError("derivatives must be 'fd' or 'stored'")
-    if spec.algebra == "wh2":
-        f = np.vstack([sol.f, np.zeros((2, sol.f.shape[1]))])
-        fdot = np.vstack([fdot, np.zeros((2, sol.f.shape[1]))])
-        u_rec = _forward_controls(f, fdot)[:3]
-    else:
-        u_rec = _forward_controls(sol.f, fdot)
+    u_rec = _reconstruct(sol.f, fdot)[1:1 + len(sol.f)]
     return float(np.max(np.abs(u_rec - spec.u)))
 
 
@@ -439,8 +421,8 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
 def factored_propagator(sol: FactorSolution, t_index: int,
                         N: int) -> np.ndarray:
     """Product of truncated single-generator exponentials at a grid index."""
-    if N < 8:
-        raise ValueError("need N >= 8")
+    if N < MIN_DIM:
+        raise ValueError(f"need N >= {MIN_DIM}")
     gens = hermitian_generators(sol.algebra, N)
     U = np.eye(N, dtype=complex)
     for f_j, H_j in zip(sol.f[:, t_index], gens):

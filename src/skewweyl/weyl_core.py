@@ -451,6 +451,17 @@ def schrodinger_monomials() -> Tuple[SkewPoly, ...]:
     )
 
 
+#: the control generators of each dynamical algebra, the one table the
+#: Wei–Norman factors, their adjoint matrices and the Fock matrices read:
+#: iH(t) = sum_j u_j(t) X_j over X1 = i a†a, X2 = a - a†, X3 = i(a + a†),
+#: X4 = a² - a†², X5 = i(a² + a†²); wh2 drives the first three
+CONTROL_GENERATORS = {"schrodinger": (
+    number_op(), SkewPoly.monomial(MINUS, (1, 0)),
+    SkewPoly.monomial(PLUS, (1, 0)), SkewPoly.monomial(MINUS, (2, 0)),
+    SkewPoly.monomial(PLUS, (2, 0)))}
+CONTROL_GENERATORS["wh2"] = CONTROL_GENERATORS["schrodinger"][:3]
+
+
 # ---------------------------------------------------------------------------
 # JSON wire formats (bit-exact fraction strings)
 # ---------------------------------------------------------------------------

@@ -386,3 +386,34 @@ class TestErrors:
         first = capsys.readouterr().out
         run(["closure", "--gens", gens])
         assert capsys.readouterr().out == first
+
+
+class TestArithmeticOverflow:
+    """An overflow is a domain error: exit 1 with one `error:` line."""
+
+    @staticmethod
+    def assert_domain_error(argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1, err
+        assert "Traceback" not in err
+
+    def test_igusa_coefficient_beyond_float_range(self, tmp_path, capsys):
+        # the leading coefficients 1e400 have no float value
+        big = Fraction(10) ** 400
+        e1 = write_elements(tmp_path, "e1.json", [
+            mono(PLUS, 3, 0).scale(big) + mono(PLUS, 1, 0)])
+        e2 = write_elements(tmp_path, "e2.json", [
+            mono(MINUS, 4, 1).scale(big) + mono(PLUS, 2, 0)])
+        self.assert_domain_error(["igusa", "--e1", e1, "--e2", e2], capsys)
+
+    def test_squeeze_overflows_inside_a_step(self, tmp_path, capsys):
+        # an RK4 stage drives f4 past the float range before the check at
+        # the grid node
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1, 0, 0, 1e200, 0],
+            "t_final": 0.01, "h": 1e-3}))
+        self.assert_domain_error(["simulate", "--algebra", "schrodinger",
+                                  "--controls", str(controls),
+                                  "--fock-dim", "16"], capsys)

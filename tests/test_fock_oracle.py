@@ -109,6 +109,39 @@ class TestPropagation:
             assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
 
+def _hand_written_generators(algebra, N):
+    """Reference: the hermitian generators written out from the annihilator
+    matrix, as before they were read from the exact skew generators."""
+    a = annihilator(N)
+    ad = a.conj().T
+    gens = [ad @ a, -1j * (a - ad), a + ad]
+    if algebra == "schrodinger":
+        a2, ad2 = a @ a, ad @ ad
+        gens += [-1j * (a2 - ad2), a2 + ad2]
+    return gens
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    @pytest.mark.parametrize("N", [16, 96])
+    def test_generators_equal_hand_written(self, algebra, N):
+        got = hermitian_generators(algebra, N)
+        want = _hand_written_generators(algebra, N)
+        assert len(got) == len(want)
+        for H, ref in zip(got, want):
+            assert np.array_equal(H, ref)
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    @pytest.mark.parametrize("N", [16, 96])
+    def test_band_table_unchanged(self, algebra, N):
+        gens = np.stack(_hand_written_generators(algebra, N))
+        want = np.zeros((len(gens), N, 5), dtype=complex)
+        for d in range(-2, 3):
+            for n in range(max(0, -d), min(N, N - d)):
+                want[:, n, 2 + d] = -1j * gens[:, n, n + d]
+        assert np.array_equal(_band_table(algebra, N), want)
+
+
 def _dense_rk4(spec, N, substeps=4):
     """Reference: RK4 on the full propagator with dense H(t) @ U products
     and per-stage control evaluation."""

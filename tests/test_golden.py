@@ -5,7 +5,9 @@ markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
 short control files.
 
 Regenerate a golden file only when an output change is intended, e.g.
-``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``.
+``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``;
+a `simulate` golden is the output of its `SIMULATE` row, e.g.
+``PYTHONPATH=src python -m skewweyl.cli simulate --algebra wh2 --controls tests/data/controls_wh2_constant.json --fock-dim 24 > tests/golden/simulate_wh2_constant.json``.
 """
 
 import json

@@ -1,13 +1,14 @@
 """Factor functions, residuals, and factored propagators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
-from skewweyl.fock_oracle import direct_propagator, state_fidelity
+from skewweyl.fock_oracle import MIN_DIM, direct_propagator, state_fidelity
 from skewweyl.lie_engine import LieSpan, bracket
 from skewweyl.wei_norman import (ControlSpec, FactorSolution,
                                  SqueezeBlowUpError, _adjoints, _cumquad,
@@ -177,6 +178,15 @@ class TestSchrodingerFactors:
             schrodinger_factors(spec)
         assert exc.value.t <= 12.0
 
+    def test_overflow_inside_a_step_is_blow_up(self):
+        # f4 leaves the float range inside the first step's stages, before
+        # the check at the node: cosh(4 f4) overflows there
+        spec = ControlSpec.constant("schrodinger", [1, 0, 0, 1e200, 0],
+                                    t_final=0.01, h=1e-3)
+        with pytest.raises(SqueezeBlowUpError) as exc:
+            schrodinger_factors(spec)
+        assert exc.value.step == 1
+
     def test_residual_rejects_bad_mode(self):
         spec = ControlSpec.constant("wh2", [1, 0, 0], t_final=0.1, h=0.01)
         sol = wh2_factors(spec)
@@ -221,6 +231,45 @@ class TestFactoredPropagator:
         sol = wh2_factors(spec)
         with pytest.raises(ValueError):
             factored_propagator(sol, 0, 4)
+
+    def test_minimum_truncation_is_the_oracle_minimum(self):
+        spec = ControlSpec.constant("wh2", [1, 0, 0], t_final=0.1, h=0.01)
+        sol = wh2_factors(spec)
+        with pytest.raises(ValueError):
+            factored_propagator(sol, 0, MIN_DIM - 1)
+        assert factored_propagator(sol, 0, MIN_DIM).shape == (MIN_DIM,) * 2
+
+
+class TestResidualDetectsWrongFactors:
+    """The residual compares the solver's factor curves with the forward
+    map of the exact structure constants: a curve off by a smooth 1e-6
+    bump must show."""
+
+    SPECS = {
+        "wh2": {"algebra": "wh2", "preset": "sinusoid",
+                "amplitudes": [1.0, 0.3, 0.2],
+                "frequencies": [1.0, 2.0, 3.0],
+                "t_final": 1.0, "h": 1e-3},
+        "schrodinger": {"algebra": "schrodinger", "preset": "sinusoid",
+                        "amplitudes": [1.0, 0.3, 0.2, 0.05, 0.1],
+                        "frequencies": [1.0, 2.0, 3.0, 1.0, 2.0],
+                        "t_final": 1.0, "h": 1e-3},
+    }
+
+    @pytest.mark.parametrize("algebra,row", [
+        ("wh2", 0), ("wh2", 2), ("schrodinger", 1), ("schrodinger", 3)])
+    def test_bump_raises_residual(self, algebra, row):
+        spec = ControlSpec.from_json(self.SPECS[algebra])
+        solve = wh2_factors if algebra == "wh2" else schrodinger_factors
+        sol = solve(spec)
+        clean = residual_check(spec, sol, "fd")
+        f = sol.f.copy()
+        t = sol.grid / sol.grid[-1]
+        f[row] += 1e-6 * np.sin(np.pi * t) ** 2
+        bumped = residual_check(spec, replace(sol, f=f), "fd")
+        assert clean < 1e-8
+        assert bumped > 1e-6
+        assert bumped > 100 * clean
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,14 @@ polynomials of total degree D is exact on the rows/columns with index
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import zaxpy, zgbmv
 
 from .weyl_core import CONTROL_GENERATORS, NEG_INF, WeylPoly
 
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
 
-#: RK4 steps of `direct_propagator` whose stage diagonals one matrix product
+#: RK4 steps of `direct_propagator` whose stage bands one matrix product
 #: computes: enough to amortise the call, few enough to stay in cache
 _STAGED_STEPS = 256
 
@@ -113,14 +113,16 @@ class UnitarityDriftError(RuntimeError):
 
 
 def _band_table(algebra: str, N: int) -> np.ndarray:
-    """-i H_j read off by diagonals: entry [j, n, 2 + d] is -i H_j[n, n + d]
-    for the offsets d = -2..2, zero where n + d leaves the truncation.
-    Shape (n_generators, N, 5)."""
+    """-i H_j in LAPACK band storage, one generator after another: entry
+    [j, c, 2 - d] is -i H_j[c - d, c] for column c and the offsets
+    d = -2..2, zero where c - d leaves the truncation.  Shape
+    (n_generators, N, 5); the transpose of a slab [j] is the Fortran-ordered
+    (5, N) array that BLAS `zgbmv` reads with two sub- and superdiagonals."""
     gens = np.stack(hermitian_generators(algebra, N))
     table = np.zeros((len(gens), N, 5), dtype=complex)
     for d in range(-2, 3):
-        rows = np.arange(max(0, -d), min(N, N - d))
-        table[:, rows, 2 + d] = -1j * gens[:, rows, rows + d]
+        cols = np.arange(max(0, d), min(N, N + d))
+        table[:, cols, 2 - d] = -1j * gens[:, cols - d, cols]
     return table
 
 
@@ -131,7 +133,9 @@ def direct_propagator(spec, N: int, *, psi0=None,
     `psi0` is an N-vector or an N x k block of columns and the result has
     its shape; None means the identity, so the result is the full
     propagator U.  Every generator is pentadiagonal in the number basis,
-    so H(t) Y is formed from the five diagonals of H(t), O(N k) per stage.
+    so -i H(t) is a band matrix: the columns of Y are independent, and each
+    is stepped on its own by BLAS, `zgbmv` for a stage derivative and
+    `zaxpy` for the stage arguments and the update, O(N) per stage.
 
     `spec` is a wei_norman.ControlSpec; the controls are sampled once on the
     RK4 stage grid (exact callables, or its interpolant) so that half-step
@@ -159,47 +163,29 @@ def direct_propagator(spec, N: int, *, psi0=None,
     table = _band_table(spec.algebra, N).reshape(-1, N * 5)
     u = spec.stage_samples(substeps)
 
-    # Y and the stage arguments live in zero-padded buffers, so that row n
-    # of a window view holds rows n-2..n+2 and one batched matmul of the
-    # (N, 1, 5) diagonals against the (N, 5, k) windows is -i H(t) Y.
-    cols = Y0.shape[1]
-    ybuf = np.zeros((N + 4, cols), dtype=complex)
-    sbuf = np.zeros_like(ybuf)
-    Y, S = ybuf[2:-2], sbuf[2:-2]
-    Y[:] = Y0
-    y_win = sliding_window_view(ybuf, 5, axis=0).transpose(0, 2, 1)
-    s_win = sliding_window_view(sbuf, 5, axis=0).transpose(0, 2, 1)
-    # k1..k4 and one scratch array, written in place every step; the
-    # arithmetic is the elementwise RK4 update in its usual order
-    kbuf = np.empty((4, N, 1, cols), dtype=complex)
-    out1, out2, out3, out4 = kbuf
-    k1, k2, k3 = out1[:, 0], out2[:, 0], out3[:, 0]
-    k23 = kbuf[1:3]
-    tmp = np.empty((N, cols), dtype=complex)
-    tmp_sum = tmp[:, None]
+    # one contiguous row y per column of Y, stepped in place: zaxpy writes
+    # the sum into its y argument when that is a contiguous complex array
+    rows = Y0.T.copy()
     for s0 in range(0, n_steps, _STAGED_STEPS):
         s1 = min(s0 + _STAGED_STEPS, n_steps)
-        # -i H at the stage times j h/2 of these steps, shape (N, 1, 5)
-        # each; a step's end is the next step's start
-        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, 1, 5)
-        for i in range(s1 - s0):
-            start, mid, end = bands[2 * i:2 * i + 3]
-            np.matmul(start, y_win, out=out1)
-            np.multiply(h / 2, k1, out=tmp)
-            np.add(Y, tmp, out=S)
-            np.matmul(mid, s_win, out=out2)
-            np.multiply(h / 2, k2, out=tmp)
-            np.add(Y, tmp, out=S)
-            np.matmul(mid, s_win, out=out3)
-            np.multiply(h, k3, out=tmp)
-            np.add(Y, tmp, out=S)
-            np.matmul(end, s_win, out=out4)
-            # Y += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4); a sum over the
-            # leading axis adds the rows one after another, in this order
-            np.multiply(2, k23, out=k23)
-            np.add.reduce(kbuf, axis=0, out=tmp_sum)
-            np.multiply(h / 6, tmp, out=tmp)
-            Y += tmp
+        # -i H at the stage times j h/2 of these steps, each a Fortran-
+        # ordered (5, N) band; a step's end is the next step's start
+        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, 5) \
+            .transpose(0, 2, 1)
+        for y in rows:
+            end = bands[0]
+            for j in range(1, len(bands), 2):
+                start, mid, end = end, bands[j], bands[j + 1]
+                k1 = zgbmv(N, N, 2, 2, 1.0, start, y)
+                k2 = zgbmv(N, N, 2, 2, 1.0, mid, zaxpy(k1, y.copy(), a=h / 2))
+                k3 = zgbmv(N, N, 2, 2, 1.0, mid, zaxpy(k2, y.copy(), a=h / 2))
+                k4 = zgbmv(N, N, 2, 2, 1.0, end, zaxpy(k3, y.copy(), a=h))
+                # y += h / 6 * ((k1 + k4) + 2 k2 + 2 k3)
+                zaxpy(k4, k1)
+                zaxpy(k2, k1, a=2.0)
+                zaxpy(k3, k1, a=2.0)
+                zaxpy(k1, y, a=h / 6)
+    Y = rows.T
     interior = ~np.any(Y0[N - 4:], axis=0)
     if np.any(interior):
         Yi, Y0i = Y[:, interior], Y0[:, interior]

@@ -198,19 +198,28 @@ def _cumquad(y: np.ndarray, h: float) -> np.ndarray:
 
 def wh2_factors(spec: ControlSpec) -> FactorSolution:
     """f1 = ∫u1, then a rotating-frame quadrature for the displacements and
-    the phase quadrature  d(phase)/dt = 2 f2 df3/dt."""
+    the phase quadrature  d(phase)/dt = 2 f2 df3/dt.
+
+    Raises OverflowError at the first grid node where a factor or the phase
+    leaves the float range."""
     if spec.algebra != "wh2":
         raise ValueError("wh2_factors requires a wh2 ControlSpec")
     u1, u2, u3 = spec.u
     h = spec.h
-    f1 = _cumquad(u1, h)
-    c, s = np.cos(f1), np.sin(f1)
-    f2dot = c * u2 + s * u3
-    f3dot = c * u3 - s * u2
-    f2 = _cumquad(f2dot, h)
-    f3 = _cumquad(f3dot, h)
-    phase = _cumquad(2.0 * f2 * f3dot, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f1 = _cumquad(u1, h)
+        c, s = np.cos(f1), np.sin(f1)
+        f2dot = c * u2 + s * u3
+        f3dot = c * u3 - s * u2
+        f2 = _cumquad(f2dot, h)
+        f3 = _cumquad(f3dot, h)
+        phase = _cumquad(2.0 * f2 * f3dot, h)
     f = np.vstack([f1, f2, f3])
+    finite = np.isfinite(f).all(axis=0) & np.isfinite(phase)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise OverflowError(f"wh2 factors overflow at grid index {k} "
+                            f"(t = {k * h:.6g})")
     fdot = np.vstack([u1, f2dot, f3dot])
     return FactorSolution(spec.algebra, h, f, fdot, phase,
                           "ClosedFormQuadrature")

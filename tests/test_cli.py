@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,10 +394,14 @@ class TestArithmeticOverflow:
 
     @staticmethod
     def assert_domain_error(argv, capsys):
-        assert run(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1, err
         assert "Traceback" not in err
+        # outside a test run every warning is one more stderr line
+        assert not caught, [str(w.message) for w in caught]
 
     def test_igusa_coefficient_beyond_float_range(self, tmp_path, capsys):
         # the leading coefficients 1e400 have no float value
@@ -415,5 +420,22 @@ class TestArithmeticOverflow:
             "preset": "constant", "values": [1, 0, 0, 1e200, 0],
             "t_final": 0.01, "h": 1e-3}))
         self.assert_domain_error(["simulate", "--algebra", "schrodinger",
+                                  "--controls", str(controls),
+                                  "--fock-dim", "16"], capsys)
+
+    @pytest.mark.parametrize("algebra, values", [
+        # the wh2 phase quadrature overflows at the first grid node
+        ("wh2", [1, 1e300, 1e300]),
+        # the factors stay finite; the oracle's state turns NaN and its
+        # drift guard is what stops it
+        ("schrodinger", [0, 0, 0, 0, 1e300]),
+    ])
+    def test_simulate_controls_beyond_float_range(self, algebra, values,
+                                                  tmp_path, capsys):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": values,
+            "t_final": 0.01, "h": 1e-3}))
+        self.assert_domain_error(["simulate", "--algebra", algebra,
                                   "--controls", str(controls),
                                   "--fock-dim", "16"], capsys)

@@ -2,7 +2,8 @@
 files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
 `skewweyl classify` on seven closed spans and `skewweyl simulate` on three
-short control files.
+short control files; `scripts/factorization_demo.py`, whose output is
+float-formatted, only has to run and agree with the direct propagator.
 
 Regenerate a golden file only when an output change is intended, e.g.
 ``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``;
@@ -12,6 +13,7 @@ a `simulate` golden is the output of its `SIMULATE` row, e.g.
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,28 @@ def test_simulate_schrodinger_matches_golden():
             assert abs(got[key] - want[key]) <= 1e-15
         else:
             assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("algebra, u", [
+    ("wh2", ["1.0", "0.2", "0.1"]),
+    ("schrodinger", ["1.0", "0.2", "0.1", "0.0", "0.1"]),
+])
+def test_factorization_demo_agrees_with_oracle(algebra, u, monkeypatch,
+                                               capsys):
+    # in this interpreter: a fresh one would spend most of the test on
+    # importing numpy and scipy
+    script = str(ROOT / "scripts" / "factorization_demo.py")
+    monkeypatch.setattr(sys, "argv", [script, "--algebra", algebra, "--u",
+                                      *u, "--t-final", "0.2",
+                                      "--fock-dim", "24"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    fidelity = [line for line in out.splitlines()
+                if line.startswith("vacuum fidelity vs direct propagator")]
+    assert len(fidelity) == 1, out
+    assert float(fidelity[0].rsplit(":", 1)[1]) >= 1 - 1e-5
 
 
 def test_numerical_modules_import_no_scipy_integrate():

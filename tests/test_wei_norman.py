@@ -114,6 +114,14 @@ class TestWh2Factors:
         assert residual_check(spec, sol, derivatives="stored") < 1e-10
         assert residual_check(spec, sol, derivatives="fd") < 1e-7
 
+    def test_overflow_names_first_grid_node(self):
+        # the phase integrand 2 f2 df3/dt leaves the float range at the
+        # first node after t = 0
+        spec = ControlSpec.constant("wh2", [1, 1e300, 1e300],
+                                    t_final=0.01, h=1e-3)
+        with pytest.raises(OverflowError, match=r"grid index 1 "):
+            wh2_factors(spec)
+
 
 class TestSchrodingerFactors:
     def test_reduction_matches_wh2(self):

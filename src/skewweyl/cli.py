@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import List
 
 import numpy as np
@@ -54,8 +55,59 @@ def _load_elements(path: str) -> List[SkewPoly]:
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write(_dumps(obj))
     sys.stdout.write("\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _flat(indent: str):
+    """Encoder of a scalar, or of a container with no container inside, as
+    `json` indents it at `indent`: the C encoder, with a line break and
+    `indent` as its item separator.  It keeps no circular-reference marks,
+    since what it is given holds no container."""
+    sep = ",\n" + indent
+    encoder = json.JSONEncoder(separators=(sep, ": "), sort_keys=True)
+    if c_make_encoder is None:
+        return encoder.encode
+    c_encoder = c_make_encoder(None, encoder.default, encode_basestring_ascii,
+                               None, ": ", sep, True, False, True)
+    return lambda obj: "".join(c_encoder(obj, 0))
+
+
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), the same text.  Given an
+    indent, `json` runs its pure-Python encoder; this one writes the
+    nesting itself and hands scalars, and containers of them, to the C
+    encoder."""
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return _flat(indent)(obj)
+    inner = indent + "  "
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        text = _flat(inner)(obj)
+        if len(text) == 2:  # empty
+            return text
+    elif isinstance(obj, dict):
+        text = "{" + (",\n" + inner).join(
+            _key(k) + ": " + _dumps(v, inner)
+            for k, v in sorted(obj.items())) + "}"
+    else:
+        text = "[" + (",\n" + inner).join(_dumps(v, inner) for v in obj) + "]"
+    return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+
+
+def _key(k) -> str:
+    """A dict key as `json` writes it: a string, or the string that a
+    number, a bool or None turns into."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    return _flat("")({k: None})[1:-len(": null}")]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +167,8 @@ def _cmd_igusa(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .fock_oracle import MIN_DIM, direct_propagator, state_fidelity
+    from .fock_oracle import (MIN_DIM, RK4_SUBSTEPS, direct_propagator,
+                              state_fidelity)
     from .wei_norman import (ControlSpec, factored_propagator, residual_check,
                              schrodinger_factors, wh2_factors)
 
@@ -131,6 +184,9 @@ def _cmd_simulate(args) -> int:
         spec = ControlSpec.from_json(obj)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.controls}: {exc}")
+    # sample the controls once, on the oracle's stage grid: the factor
+    # solver's grid is every other row of it
+    spec.stage_samples(RK4_SUBSTEPS)
     sol = wh2_factors(spec) if spec.algebra == "wh2" else schrodinger_factors(spec)
     N = args.fock_dim
     U_fac = factored_propagator(sol, sol.f.shape[1] - 1, N)

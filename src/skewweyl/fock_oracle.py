@@ -17,6 +17,9 @@ from .weyl_core import CONTROL_GENERATORS, NEG_INF, WeylPoly
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
 
+#: RK4 steps of `direct_propagator` per grid interval, unless asked
+RK4_SUBSTEPS = 4
+
 #: RK4 steps of `direct_propagator` whose stage bands one matrix product
 #: computes: enough to amortise the call, few enough to stay in cache
 _STAGED_STEPS = 256
@@ -127,21 +130,30 @@ def _band_table(algebra: str, N: int) -> np.ndarray:
 
 
 def direct_propagator(spec, N: int, *, psi0=None,
-                      substeps: int = 4) -> np.ndarray:
+                      substeps: int = RK4_SUBSTEPS) -> np.ndarray:
     """Time-ordered propagation by RK4 on dY/dt = -i H(t) Y, Y(0) = psi0.
 
     `psi0` is an N-vector or an N x k block of columns and the result has
     its shape; None means the identity, so the result is the full
-    propagator U.  Every generator is pentadiagonal in the number basis,
-    so -i H(t) is a band matrix: the columns of Y are independent, and each
-    is stepped on its own by BLAS, `zgbmv` for a stage derivative and
-    `zaxpy` for the stage arguments and the update, O(N) per stage.
+    propagator U.
 
     `spec` is a wei_norman.ControlSpec; the controls are sampled once on the
     RK4 stage grid (exact callables, or its interpolant) so that half-step
     samples keep fourth order.  `substeps` subdivides each grid interval:
     the stability-limited error scales with (h·N/substeps)^5 because the
     number operator's top eigenvalue grows with the truncation.
+
+    The stage samples select one of two ways to take the same n RK4 steps:
+
+    - controls that differ anywhere on the stage grid: every generator is
+      pentadiagonal in the number basis, so -i H(t) is a band matrix, the
+      columns of Y are independent, and each is stepped on its own by
+      BLAS, `zgbmv` for a stage derivative and `zaxpy` for the stage
+      arguments and the update, O(N) per stage;
+    - controls equal at every stage time: each step then applies the same
+      matrix, the degree-4 Taylor polynomial T4(z) of z = -i h H, so one
+      `eigh` of the dense H = V diag(λ) V† gives Y = V diag(T4(-i h λ)^n)
+      V† psi0 without stepping.
 
     Raises UnitarityDriftError when the Gram matrix Y†Y of the columns that
     start with zero weight in the top four levels moves by more than 1e-6
@@ -160,9 +172,22 @@ def direct_propagator(spec, N: int, *, psi0=None,
     substeps = max(1, substeps)
     h = spec.h / substeps
     n_steps = int(round(spec.h * spec.n_steps / h))
-    table = _band_table(spec.algebra, N).reshape(-1, N * 5)
     u = spec.stage_samples(substeps)
+    if (u == u[0]).all():
+        # an overflow turns Y into NaN, which the drift guard reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = _rk4_power(spec.algebra, u[0], N, Y0, h, n_steps)
+    else:
+        Y = _rk4_steps(spec.algebra, u, N, Y0, h, n_steps)
+    _check_drift(Y, Y0, n_steps)
+    return Y.reshape(shape).copy()
 
+
+def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
+               h: float, n_steps: int) -> np.ndarray:
+    """n RK4 steps of each column of Y0 by BLAS on the banded -i H(t),
+    the controls `u` sampled on the stage grid."""
+    table = _band_table(algebra, N).reshape(-1, N * 5)
     # one contiguous row y per column of Y, stepped in place: zaxpy writes
     # the sum into its y argument when that is a contiguous complex array
     rows = Y0.T.copy()
@@ -185,14 +210,30 @@ def direct_propagator(spec, N: int, *, psi0=None,
                 zaxpy(k2, k1, a=2.0)
                 zaxpy(k3, k1, a=2.0)
                 zaxpy(k1, y, a=h / 6)
-    Y = rows.T
-    interior = ~np.any(Y0[N - 4:], axis=0)
+    return rows.T
+
+
+def _rk4_power(algebra: str, u0: np.ndarray, N: int, Y0: np.ndarray,
+               h: float, n_steps: int) -> np.ndarray:
+    """n RK4 steps of Y0 under the constant controls `u0`.  One step is
+    the matrix T4(z) = 1 + z + z²/2 + z³/6 + z⁴/24 of z = -i h H, so n
+    steps are T4(z)^n, applied in the eigenbasis of the hermitian H."""
+    H = sum(c * Hj for c, Hj in zip(u0, hermitian_generators(algebra, N)))
+    lam, V = np.linalg.eigh(H)
+    z = -1j * h * lam
+    step = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))
+    return (V * step ** n_steps) @ (V.conj().T @ Y0)
+
+
+def _check_drift(Y: np.ndarray, Y0: np.ndarray, n_steps: int) -> None:
+    """The unitarity guard of `direct_propagator`: the Gram matrix of the
+    columns of Y0 with zero weight in the top four levels, against Y."""
+    interior = ~np.any(Y0[-4:], axis=0)
     if np.any(interior):
         Yi, Y0i = Y[:, interior], Y0[:, interior]
         drift = float(np.max(np.abs(Yi.conj().T @ Yi - Y0i.conj().T @ Y0i)))
         if not drift <= 1e-6:  # a NaN drift fails too
             raise UnitarityDriftError(drift, n_steps)
-    return Y.reshape(shape).copy()
 
 
 def state_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -65,6 +65,7 @@ class ControlSpec:
         if not np.all(np.isfinite(self.u)):
             raise ValueError("controls must be finite-valued")
         self._spline = None
+        self._stages = {}
 
     @property
     def grid(self) -> np.ndarray:
@@ -87,15 +88,27 @@ class ControlSpec:
     def stage_samples(self, substeps: int) -> np.ndarray:
         """Controls at the RK4 stage times t_j = j h / (2 substeps),
         j = 0..2 substeps n_steps: the start, midpoint and end of every
-        substep.  Shape (2 substeps n_steps + 1, n_controls)."""
+        substep.  Shape (2 substeps n_steps + 1, n_controls), read-only.
+
+        The samples are kept, so each control is sampled once per grid: a
+        grid whose times are every k-th time of a kept grid, k a power of
+        two, is read from it, because (j k)·(h / (2 k s)) == j·(h / (2 s))
+        in floating point."""
+        for kept, u in self._stages.items():
+            k, rem = divmod(kept, substeps)
+            if not rem and not k & (k - 1):
+                return u[::k]
         m = 2 * substeps * self.n_steps + 1
         ts = np.arange(m) * (self.h / (2 * substeps))
         if self.funcs is None:
-            return self._interpolant()(ts).T
-        out = np.empty((m, len(self.funcs)))
-        times = ts.tolist()
-        for j, f in enumerate(self.funcs):
-            out[:, j] = [f(t) for t in times]
+            out = self._interpolant()(ts).T
+        else:
+            out = np.empty((m, len(self.funcs)))
+            times = ts.tolist()
+            for j, f in enumerate(self.funcs):
+                out[:, j] = [f(t) for t in times]
+        out.flags.writeable = False
+        self._stages[substeps] = out
         return out
 
     # -- constructors ------------------------------------------------------

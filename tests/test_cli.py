@@ -9,9 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skewweyl import wei_norman
-from skewweyl.cli import run
+from skewweyl.cli import _dumps, run
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
                                 schrodinger_monomials, skew_to_json, unit_i)
 
@@ -39,6 +41,45 @@ def out(capsys):
     def read():
         return json.loads(capsys.readouterr().out)
     return read
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text())
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=5)
+        | st.dictionaries(st.integers() | st.floats(allow_nan=False),
+                          children, max_size=3)
+        | st.dictionaries(st.booleans() | st.none(), children, max_size=1)),
+    max_leaves=40)
+
+
+class TestOutputText:
+    """The writer behind every subcommand's output is json.dumps(...,
+    indent=2, sort_keys=True), character for character."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DOCS)
+    @example({"b": [], "a": {}, "é\u2028\ud800": [[float("nan")], ()]})
+    @example([1.0, -0.0, float("inf"), -float("inf"), 10 ** 30, True, None])
+    @example({2.5: 1, 1: [{}], -3: "x"})
+    def test_same_text_as_json(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        [{1: 0, "a": 0}],           # keys json cannot sort
+        {"a": [Fraction(1, 2)]},    # a value json cannot write
+        {"a": {"b": {1j: 0}}},      # a key json cannot write
+    ])
+    def test_same_error_as_json(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            _dumps(doc)
+        assert str(got.value) == str(want.value)
 
 
 class TestClosure:
@@ -194,6 +235,35 @@ class TestSimulate:
         }))
         assert run(["simulate", "--algebra", "schrodinger",
                     "--controls", str(controls)]) == 2
+
+    @pytest.mark.parametrize("algebra, n", [("wh2", 3), ("schrodinger", 5)])
+    def test_each_control_sampled_once_per_grid(self, tmp_path, monkeypatch,
+                                                 algebra, n):
+        # the grid nodes once when the spec is built, then the oracle's
+        # stage grid (4 substeps) once, which also serves the factor solver
+        calls = [0] * n
+
+        def counted(j, f):
+            def g(t):
+                calls[j] += 1
+                return f(t)
+            return g
+
+        from_funcs = wei_norman.ControlSpec.from_funcs
+        monkeypatch.setattr(
+            wei_norman.ControlSpec, "from_funcs",
+            staticmethod(lambda alg, funcs, t_final, h: from_funcs(
+                alg, [counted(j, f) for j, f in enumerate(funcs)],
+                t_final, h)))
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "sinusoid", "amplitudes": [1.0, 0.3, 0.2, 0.1, 0.15][:n],
+            "frequencies": [1.0, 2.0, 3.0, 1.5, 2.5][:n],
+            "t_final": 0.05, "h": 1e-3}))
+        assert run(["simulate", "--algebra", algebra, "--controls",
+                    str(controls), "--fock-dim", "16"]) == 0
+        n_steps = 50
+        assert calls == [(n_steps + 1) + (8 * n_steps + 1)] * n
 
 
 class TestRepeatedRuns:

@@ -1,5 +1,7 @@
 """Truncated number-basis matrices as independent floating-point checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import zaxpy, zgbmv
@@ -241,6 +243,73 @@ class TestStagedPropagation:
         spec = _sinusoid(algebra, 0.1)
         got = direct_propagator(spec, N)
         assert np.array_equal(got, _banded_rk4_per_step(spec, N))
+
+
+def _constant(algebra):
+    values = [1.0, 0.3, -0.2, 0.1, 0.15]
+    return ControlSpec.constant(algebra, values[:3 if algebra == "wh2" else 5],
+                                t_final=0.1, h=1e-3)
+
+
+class TestConstantControls:
+    """Controls equal at every stage time: n RK4 steps as the n-th power
+    of one step's matrix, taken in the eigenbasis of H, against the
+    stepping loop."""
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_state_block_and_propagator_match_stepping(self, algebra):
+        N = 24
+        spec = _constant(algebra)
+        vac = np.zeros(N)
+        vac[0] = 1.0
+        block = np.zeros((N, 2), dtype=complex)
+        block[0, 0] = 1.0
+        block[1, 1] = block[2, 1] = 1.0 / np.sqrt(2)
+        for psi0 in (vac, block, None):
+            got = direct_propagator(spec, N, psi0=psi0)
+            want = _banded_rk4_per_step(spec, N, psi0=psi0)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_larger_truncation_state_matches_stepping(self, algebra):
+        N = 96
+        spec = _constant(algebra)
+        vac = np.zeros(N)
+        vac[0] = 1.0
+        got = direct_propagator(spec, N, psi0=vac)
+        assert np.max(np.abs(got - _banded_rk4_per_step(spec, N, psi0=vac))) \
+            <= 1e-12
+
+    def test_constant_on_nodes_only_takes_the_stepping_loop(self):
+        # equal on the grid nodes, different at the stage times between
+        # them: the eigenbasis form does not apply, the loop runs
+        N, h = 24, 1e-3
+        nodes = set((np.arange(101) * h).tolist())
+        funcs = [lambda t: 1.0, lambda t: 0.3 if t in nodes else -0.3,
+                 lambda t: 0.2]
+        spec = ControlSpec.from_funcs("wh2", funcs, t_final=0.1, h=h)
+        assert np.all(spec.u == spec.u[:, :1])
+        vac = np.zeros(N)
+        vac[0] = 1.0
+        got = direct_propagator(spec, N, psi0=vac)
+        assert np.array_equal(got, _banded_rk4_per_step(spec, N, psi0=vac))
+
+    @pytest.mark.parametrize("values, substeps", [
+        ([1.0, 0.0, 0.0, 0.0, 0.5], 1),    # unstable step, |T4| > 1
+        ([0.0, 0.0, 0.0, 0.0, 1e300], 4),  # T4(z)^n leaves the float range
+        ([0.0, 0.0, 0.0, 0.0, 1e308], 4),  # so does H itself
+    ])
+    def test_overflow_is_one_drift_error(self, values, substeps):
+        spec = ControlSpec.constant("schrodinger", values, t_final=2.0,
+                                    h=0.05)
+        vac = np.zeros(96)
+        vac[0] = 1.0
+        for psi0 in (None, vac):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UnitarityDriftError):
+                    direct_propagator(spec, 96, psi0=psi0, substeps=substeps)
 
 
 class TestStatePropagation:

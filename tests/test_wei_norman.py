@@ -72,6 +72,29 @@ class TestControlSpec:
         # spline evaluation reproduces nodes exactly
         assert spec.evaluate(0.4)[0] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("h", [1e-3, 0.0137])
+    def test_stage_grid_read_from_a_kept_finer_one(self, raw, h):
+        # the rows a kept grid serves are the samples a fresh spec takes
+        def make():
+            if raw:
+                u = np.random.default_rng(5).normal(size=(5, 41))
+                return ControlSpec("schrodinger", h, 40, u)
+            return ControlSpec.from_json({
+                "algebra": "wh2", "preset": "sinusoid",
+                "amplitudes": [1.0, 0.3, 0.2], "frequencies": [1.0, 2.0, 3.0],
+                "phases": [0.3, 1.7, 4.1], "t_final": 40 * h, "h": h})
+
+        spec = make()
+        fine = spec.stage_samples(8)
+        assert not fine.flags.writeable
+        for substeps in (8, 4, 2, 1, 3):
+            got = spec.stage_samples(substeps)
+            want = make().stage_samples(substeps)
+            assert np.array_equal(got, want)
+        # 3 does not divide 8 by a power of two: sampled and kept
+        assert sorted(spec._stages) == [3, 8]
+
 
 class TestWh2Factors:
     def test_pure_rotation(self):

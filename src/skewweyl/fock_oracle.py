@@ -9,6 +9,9 @@ polynomials of total degree D is exact on the rows/columns with index
 
 from __future__ import annotations
 
+import functools
+from typing import Tuple
+
 import numpy as np
 from scipy.linalg.blas import zaxpy, zgbmv
 
@@ -94,15 +97,23 @@ def product_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
 # Hamiltonians and direct propagation
 # ---------------------------------------------------------------------------
 
-def hermitian_generators(algebra: str, N: int) -> list:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: what a cache hands out is shared."""
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def hermitian_generators(algebra: str, N: int) -> Tuple[np.ndarray, ...]:
     """Hermitian control generators H_j = -i X_j, so that
     H(t) = sum u_j(t) H_j, as N x N matrices of the exact skew generators
     X_j in `weyl_core.CONTROL_GENERATORS`: wh2 -> (a†a, -i(a-a†), a+a†);
-    schrodinger adds (-i(a²-a†²), a²+a†²)."""
+    schrodinger adds (-i(a²-a†²), a²+a†²).  Cached per (algebra, N), and
+    read-only."""
     if algebra not in CONTROL_GENERATORS:
         raise ValueError(f"unknown algebra {algebra!r}")
-    return [-1j * fock_matrix(X.to_weyl(), N)
-            for X in CONTROL_GENERATORS[algebra]]
+    return tuple(read_only(-1j * fock_matrix(X.to_weyl(), N))
+                 for X in CONTROL_GENERATORS[algebra])
 
 
 class UnitarityDriftError(RuntimeError):
@@ -115,18 +126,30 @@ class UnitarityDriftError(RuntimeError):
         self.step = step
 
 
+@functools.lru_cache(maxsize=8)
 def _band_table(algebra: str, N: int) -> np.ndarray:
     """-i H_j in LAPACK band storage, one generator after another: entry
     [j, c, 2 - d] is -i H_j[c - d, c] for column c and the offsets
     d = -2..2, zero where c - d leaves the truncation.  Shape
     (n_generators, N, 5); the transpose of a slab [j] is the Fortran-ordered
-    (5, N) array that BLAS `zgbmv` reads with two sub- and superdiagonals."""
+    (5, N) array that BLAS `zgbmv` reads with two sub- and superdiagonals.
+    Cached per (algebra, N), and read-only."""
     gens = np.stack(hermitian_generators(algebra, N))
     table = np.zeros((len(gens), N, 5), dtype=complex)
     for d in range(-2, 3):
         cols = np.arange(max(0, d), min(N, N + d))
         table[:, cols, 2 - d] = -1j * gens[:, cols - d, cols]
-    return table
+    return read_only(table)
+
+
+def state_columns(psi0, N: int) -> Tuple[np.ndarray, tuple]:
+    """`psi0`, an N-vector or an N x k block, as a complex N x k copy, and
+    its shape; None means the identity."""
+    Y = np.eye(N, dtype=complex) if psi0 is None else \
+        np.array(psi0, dtype=complex)
+    if Y.ndim not in (1, 2) or Y.shape[0] != N:
+        raise ValueError(f"psi0 must be an N-vector or N x k block, N = {N}")
+    return Y.reshape(N, -1), Y.shape
 
 
 def direct_propagator(spec, N: int, *, psi0=None,
@@ -163,12 +186,7 @@ def direct_propagator(spec, N: int, *, psi0=None,
     """
     if N < MIN_DIM:
         raise ValueError(f"need N >= {MIN_DIM}")
-    Y0 = np.eye(N, dtype=complex) if psi0 is None else \
-        np.array(psi0, dtype=complex)
-    if Y0.ndim not in (1, 2) or Y0.shape[0] != N:
-        raise ValueError(f"psi0 must be an N-vector or N x k block, N = {N}")
-    shape = Y0.shape
-    Y0 = Y0.reshape(N, -1)
+    Y0, shape = state_columns(psi0, N)
     substeps = max(1, substeps)
     h = spec.h / substeps
     n_steps = int(round(spec.h * spec.n_steps / h))

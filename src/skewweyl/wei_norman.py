@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fock_oracle import MIN_DIM, hermitian_generators
+from .fock_oracle import (MIN_DIM, hermitian_generators, read_only,
+                          state_columns)
 from .weyl_core import CONTROL_GENERATORS
 
 N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
@@ -161,6 +161,17 @@ class FactorSolution:
     phase: np.ndarray  # central-factor function, shape (n_steps + 1,)
     method: str        # "ClosedFormQuadrature" | "RK4"
     error_estimate: Optional[float] = None
+    # (a copy of f, its `_adjoint_frames`), kept by `frames`
+    _frames: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def frames(self) -> np.ndarray:
+        """The `_adjoint_frames` of f, read-only, formed once while f keeps
+        its values: the phase and the residual of one solution share them."""
+        if self._frames is None or not np.array_equal(self._frames[0],
+                                                      self.f):
+            self._frames = (self.f.copy(), read_only(_adjoint_frames(self.f)))
+        return self._frames[1]
 
     @property
     def grid(self) -> np.ndarray:
@@ -243,10 +254,16 @@ def wh2_factors(spec: ControlSpec) -> FactorSolution:
 # ---------------------------------------------------------------------------
 
 def _rhs(f: Sequence[float], u: Sequence[float]) -> Tuple[float, ...]:
-    """Right-hand side of the factor ODEs on Python floats: per call they
-    cost a fraction of numpy scalars and arrays, with the same bits."""
-    f1, f2, f3, f4, _ = f
-    u1, u2, u3, u4, u5 = u
+    """Right-hand side of the factor ODEs at the factors `f` and controls
+    `u`; f5 does not enter it."""
+    return _rhs_scalars(*f[:4], *u)
+
+
+def _rhs_scalars(f1: float, f2: float, f3: float, f4: float, u1: float,
+                 u2: float, u3: float, u4: float,
+                 u5: float) -> Tuple[float, ...]:
+    """`_rhs` on Python floats passed one by one: per call they cost a
+    fraction of numpy scalars and arrays, with the same bits."""
     th = math.tanh(4 * f4)
     ch = math.cosh(4 * f4)
     s1, c1 = math.sin(f1), math.cos(f1)
@@ -270,32 +287,41 @@ def _integrate(spec: ControlSpec, substeps: int,
     controls on their stage grid, `spec.stage_samples(substeps)`.  Returns
     f on the grid nodes.
 
-    The state is a tuple of Python floats and every update is written out
-    per component, in the order numpy's elementwise form evaluates it."""
+    The state is five Python floats and every update is written out per
+    component, in the order numpy's elementwise form evaluates it; f5 does
+    not enter the right-hand side, so the stages leave it out."""
     n = spec.n_steps
     hh = spec.h / substeps
     a, b, c = hh / 2, hh, hh / 6
     stages = u.tolist()
-    f = (0.0,) * 5
-    rows = [f]
+    f1 = f2 = f3 = f4 = f5 = 0.0
+    rows = [(f1, f2, f3, f4, f5)]
+    rhs = _rhs_scalars
     for k in range(n):
         try:
             for m in range(substeps):
                 j = 2 * (k * substeps + m)
                 start, mid, end = stages[j:j + 3]
-                k1 = _rhs(f, start)
-                k2 = _rhs([x + a * y for x, y in zip(f, k1)], mid)
-                k3 = _rhs([x + a * y for x, y in zip(f, k2)], mid)
-                k4 = _rhs([x + b * y for x, y in zip(f, k3)], end)
-                f = tuple(x + c * (p + 2 * q + 2 * r + s)
-                          for x, p, q, r, s in zip(f, k1, k2, k3, k4))
+                p1, p2, p3, p4, p5 = rhs(f1, f2, f3, f4, *start)
+                q1, q2, q3, q4, q5 = rhs(f1 + a * p1, f2 + a * p2,
+                                         f3 + a * p3, f4 + a * p4, *mid)
+                r1, r2, r3, r4, r5 = rhs(f1 + a * q1, f2 + a * q2,
+                                         f3 + a * q3, f4 + a * q4, *mid)
+                s1, s2, s3, s4, s5 = rhs(f1 + b * r1, f2 + b * r2,
+                                         f3 + b * r3, f4 + b * r4, *end)
+                f1 = f1 + c * (p1 + 2 * q1 + 2 * r1 + s1)
+                f2 = f2 + c * (p2 + 2 * q2 + 2 * r2 + s2)
+                f3 = f3 + c * (p3 + 2 * q3 + 2 * r3 + s3)
+                f4 = f4 + c * (p4 + 2 * q4 + 2 * r4 + s4)
+                f5 = f5 + c * (p5 + 2 * q5 + 2 * r5 + s5)
         except (OverflowError, ValueError):
             # a stage left the float range before the node check below:
             # cosh overflows, or sin and cos meet an infinite angle
             raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h) from None
-        if not all(map(math.isfinite, f)) or abs(4 * f[3]) > 350.0:
+        row = (f1, f2, f3, f4, f5)
+        if not all(map(math.isfinite, row)) or abs(4 * f4) > 350.0:
             raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h)
-        rows.append(f)
+        rows.append(row)
     return np.array(rows).T.copy()
 
 
@@ -312,9 +338,11 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     # the grid nodes are every fourth point of the substep-2 stage grid
     fdot = np.array([_rhs(fk, uk) for fk, uk in
                      zip(f.T.tolist(), u[::4].tolist())]).T.copy()
-    phase = _phase_quadrature(f, fdot, spec.h)
-    return FactorSolution(spec.algebra, spec.h, f, fdot, phase, "RK4",
-                          error_estimate=err)
+    sol = FactorSolution(spec.algebra, spec.h, f, fdot, None, "RK4",
+                         error_estimate=err)
+    # the adjoint phase quadrature, on the frames the residual reads too
+    sol.phase = _cumquad(-_reconstruct(sol.frames(), fdot)[0], spec.h)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +389,37 @@ def _exp_map(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
                       @ Vinv).real
 
 
-def _reconstruct(f: np.ndarray, fdot: np.ndarray) -> np.ndarray:
-    """Coordinates of sum_j fdot_j Ad(U1..U_{j-1}) X_j in the basis
-    (i, X1..X5) at every grid point, shape (6, n): row 0 is the central
-    component, rows 1.. are the reconstructed controls.  One batched
-    adjoint exponential per factor covers the whole grid."""
+def _adjoint_frames(f: np.ndarray) -> np.ndarray:
+    """Column j + 1 of Ad(U1..U_j-1) in the basis (i, X1..X5) at every grid
+    point, for each factor j: shape (n_factors, 6, n).  They depend on f
+    alone.  One batched adjoint exponential per factor covers the whole
+    grid."""
     ads = _adjoints()
     n_factors, n = f.shape
-    acc = np.zeros((6, n))
+    frames = np.empty((n_factors, 6, n))
     left = np.broadcast_to(np.eye(6), (n, 6, 6))
     for j in range(n_factors):
-        acc += fdot[j] * left[:, :, j + 1].T
+        frames[j] = left[:, :, j + 1].T
         if j + 1 < n_factors:
             left = left @ ads[j][1](f[j])
+    return frames
+
+
+def _reconstruct(frames: np.ndarray, fdot: np.ndarray) -> np.ndarray:
+    """Coordinates of sum_j fdot_j Ad(U1..U_{j-1}) X_j in the basis
+    (i, X1..X5) at every grid point, shape (6, n), from the
+    `_adjoint_frames` of f: row 0 is the central component, rows 1.. are
+    the reconstructed controls."""
+    acc = np.zeros(frames.shape[1:])
+    for frame, d in zip(frames, fdot):
+        acc += d * frame
     return acc
-
-
-def _phase_quadrature(f: np.ndarray, fdot: np.ndarray, h: float) -> np.ndarray:
-    return _cumquad(-_reconstruct(f, fdot)[0], h)
 
 
 def reconstructed_controls(sol: FactorSolution) -> np.ndarray:
     """Controls implied by the factor functions via the adjoint product;
     independent of the hand-derived inverse the solvers integrate."""
-    return _reconstruct(sol.f, sol.fdot)[1:1 + sol.f.shape[0]]
+    return _reconstruct(sol.frames(), sol.fdot)[1:1 + sol.f.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +467,7 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
         fdot = sol.fdot
     else:
         raise ValueError("derivatives must be 'fd' or 'stored'")
-    u_rec = _reconstruct(sol.f, fdot)[1:1 + len(sol.f)]
+    u_rec = _reconstruct(sol.frames(), fdot)[1:1 + len(sol.f)]
     return float(np.max(np.abs(u_rec - spec.u)))
 
 
@@ -440,14 +475,33 @@ def residual_check(spec: ControlSpec, sol: FactorSolution,
 # Propagators
 # ---------------------------------------------------------------------------
 
-def factored_propagator(sol: FactorSolution, t_index: int,
-                        N: int) -> np.ndarray:
-    """Product of truncated single-generator exponentials at a grid index."""
+@functools.lru_cache(maxsize=8)
+def _generator_eighs(algebra: str, N: int) -> Tuple[tuple, ...]:
+    """(λ, V) with H_j = V diag(λ) V† for each hermitian control generator,
+    read-only: one `eigh` per (algebra, N) and generator."""
+    return tuple(tuple(read_only(x) for x in np.linalg.eigh(H))
+                 for H in hermitian_generators(algebra, N))
+
+
+def expm(f: float, eig: tuple, Y: np.ndarray) -> np.ndarray:
+    """exp(-i f H_j) Y for the columns of Y, the exponential of one
+    control generator from its eigendecomposition eig = (λ, V)."""
+    lam, V = eig
+    return V @ (np.exp(-1j * f * lam)[:, None] * (V.conj().T @ Y))
+
+
+def factored_propagator(sol: FactorSolution, t_index: int, N: int, *,
+                        psi0=None) -> np.ndarray:
+    """U psi0 for the product U of truncated single-generator exponentials
+    at a grid index, the factors applied from the right to `psi0`, an
+    N-vector or an N x k block; None means the identity, so the result is
+    U itself."""
     if N < MIN_DIM:
         raise ValueError(f"need N >= {MIN_DIM}")
-    gens = hermitian_generators(sol.algebra, N)
-    U = np.eye(N, dtype=complex)
-    for f_j, H_j in zip(sol.f[:, t_index], gens):
+    Y, shape = state_columns(psi0, N)
+    factors = list(zip(sol.f[:, t_index].tolist(),
+                       _generator_eighs(sol.algebra, N)))
+    for f_j, eig in reversed(factors):
         if f_j:
-            U = U @ expm(-1j * f_j * H_j)
-    return U * np.exp(-1j * sol.phase[t_index])
+            Y = expm(f_j, eig, Y)
+    return (Y * np.exp(-1j * sol.phase[t_index])).reshape(shape)

@@ -112,6 +112,18 @@ class TestPropagation:
         with pytest.raises(ValueError):
             hermitian_generators("su3", 16)
 
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    def test_cached_tables_are_read_only(self, algebra):
+        gens = hermitian_generators(algebra, 24)
+        assert hermitian_generators(algebra, 24) is gens
+        table = _band_table(algebra, 24)
+        assert _band_table(algebra, 24) is table
+        for a in (*gens, table):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.reshape(-1)[0] = 1.0
+
     def test_generators_hermitian(self):
         for H in hermitian_generators("schrodinger", 24):
             assert np.max(np.abs(H - H.conj().T)) < 1e-12

@@ -137,3 +137,29 @@ def test_numerical_modules_import_no_scipy_integrate():
             "print(sorted(m for m in sys.modules if m.startswith("
             "('scipy.integrate', 'scipy.interpolate'))))\n")
     assert _run(["-c", code]) == "[]\n"
+
+
+def test_structural_commands_import_no_numpy(tmp_path):
+    # the exact half runs on the stdlib alone: only `simulate` loads numpy
+    # and scipy
+    element = {"skew": [{"sigma": "+", "alpha": 3, "beta": 0, "coeff": "1"}]}
+    (tmp_path / "e1.json").write_text(json.dumps(element))
+    element["skew"][0].update(sigma="-", alpha=2, beta=1)
+    (tmp_path / "e2.json").write_text(json.dumps(element))
+    data = ROOT / "tests" / "data"
+    commands = [
+        ["closure", "--gens", str(data / "mixed_basis.json")],
+        ["classify", "--basis", str(data / "classify_chain_3.json")],
+        ["enumerate", "--basis", str(data / "mixed_basis.json")],
+        ["igusa", "--e1", str(tmp_path / "e1.json"),
+         "--e2", str(tmp_path / "e2.json")],
+        ["selftest"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from skewweyl import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('numpy', 'scipy'))))\n")
+    assert _run(["-c", code]) == "[]\n"

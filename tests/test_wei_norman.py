@@ -12,8 +12,9 @@ from skewweyl.fock_oracle import MIN_DIM, direct_propagator, state_fidelity
 from skewweyl.lie_engine import LieSpan, bracket
 from skewweyl.wei_norman import (ControlSpec, FactorSolution,
                                  SqueezeBlowUpError, _adjoints, _cumquad,
-                                 _integrate, _phase_quadrature, _reconstruct,
-                                 _rhs, factored_propagator,
+                                 _adjoint_frames, _generator_eighs,
+                                 _integrate, _reconstruct, _rhs,
+                                 factored_propagator,
                                  reconstructed_controls, residual_check,
                                  schrodinger_factors, wh2_factors)
 from skewweyl.weyl_core import MINUS, PLUS, SkewPoly, number_op, unit_i
@@ -271,6 +272,82 @@ class TestFactoredPropagator:
         assert factored_propagator(sol, 0, MIN_DIM).shape == (MIN_DIM,) * 2
 
 
+def _expm_product(sol, t_index, N):
+    """Reference: the factored propagator as the product of scipy's
+    matrix exponentials of the truncated generators."""
+    from skewweyl.fock_oracle import hermitian_generators
+
+    U = np.eye(N, dtype=complex)
+    for f_j, H_j in zip(sol.f[:, t_index], hermitian_generators(sol.algebra, N)):
+        U = U @ expm(-1j * f_j * H_j)
+    return U * np.exp(-1j * sol.phase[t_index])
+
+
+class TestFactoredPropagatorOnStates:
+    """The factors applied to a state from their cached eigenbases, against
+    the full product and against scipy's `expm`."""
+
+    @staticmethod
+    def _solution():
+        spec = ControlSpec.from_json({
+            "algebra": "schrodinger", "preset": "sinusoid",
+            "amplitudes": [1.2, -0.3, 0.3, 0.3, -0.3],
+            "frequencies": [1.0, 2.0, 3.0, 1.5, 2.5],
+            "phases": [0.0, 0.4, 0.8, 1.2, 1.6],
+            "t_final": 1.0, "h": 1e-2,
+        })
+        return schrodinger_factors(spec)
+
+    @pytest.mark.parametrize("N", [16, 48, 96])
+    def test_state_is_the_propagator_times_the_state(self, N):
+        sol = self._solution()
+        rng = np.random.default_rng(N)
+        v = rng.normal(size=N) + 1j * rng.normal(size=N)
+        v /= np.linalg.norm(v)
+        k = sol.f.shape[1] - 1
+        got = factored_propagator(sol, k, N, psi0=v)
+        assert got.shape == (N,)
+        U = factored_propagator(sol, k, N)
+        assert np.max(np.abs(got - U @ v)) <= 1e-12
+        ref = _expm_product(sol, k, N)
+        assert np.max(np.abs(got - ref @ v)) <= 1e-12
+        assert np.max(np.abs(U - ref)) <= 1e-12
+
+    def test_block_of_states(self):
+        sol = self._solution()
+        block = np.eye(24)[:, :3]
+        got = factored_propagator(sol, 50, 24, psi0=block)
+        assert got.shape == (24, 3)
+        assert np.max(np.abs(got - _expm_product(sol, 50, 24) @ block)) \
+            <= 1e-12
+
+    def test_rejects_a_state_of_the_wrong_size(self):
+        with pytest.raises(ValueError):
+            factored_propagator(self._solution(), 0, 24, psi0=np.ones(16))
+
+    def test_cached_eigenbases_are_read_only(self):
+        for lam, V in _generator_eighs("schrodinger", 24):
+            for a in (lam, V):
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
+        assert _generator_eighs("schrodinger", 24) \
+            is _generator_eighs("schrodinger", 24)
+
+    def test_frames_kept_while_f_keeps_its_values(self):
+        sol = self._solution()
+        frames = sol.frames()
+        assert sol.frames() is frames
+        with pytest.raises(ValueError):
+            frames[0, 0, 0] = 1.0
+        assert np.array_equal(frames, _adjoint_frames(sol.f))
+        sol.f[1, 10:] += 1e-3
+        moved = sol.frames()
+        assert np.array_equal(moved, _adjoint_frames(sol.f))
+        assert not np.array_equal(moved, frames)
+        other = replace(sol, f=sol.f[:, ::-1].copy())
+        assert np.array_equal(other.frames(), _adjoint_frames(other.f))
+
+
 class TestResidualDetectsWrongFactors:
     """The residual compares the solver's factor curves with the forward
     map of the exact structure constants: a curve off by a smooth 1e-6
@@ -479,6 +556,6 @@ class TestNumericalKernels:
         spec = _schrodinger_specs()[name]
         sol = schrodinger_factors(spec)
         want = _reconstruct_expm(sol.f, sol.fdot)
-        assert np.max(np.abs(_reconstruct(sol.f, sol.fdot) - want)) <= 1e-15
-        phase = _phase_quadrature(sol.f, sol.fdot, spec.h)
-        assert np.max(np.abs(phase - _cumquad(-want[0], spec.h))) <= 1e-16
+        got = _reconstruct(_adjoint_frames(sol.f), sol.fdot)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.max(np.abs(sol.phase - _cumquad(-want[0], spec.h))) <= 1e-16

@@ -45,10 +45,10 @@ def main() -> int:
     print(f"phase({args.t_final:g}) = {sol.phase[-1]: .10f}")
 
     N = args.fock_dim
-    Uf = factored_propagator(sol, spec.n_steps, N)
     psi = np.zeros(N)
     psi[0] = 1.0
-    fid = state_fidelity(Uf @ psi, direct_propagator(spec, N, psi0=psi))
+    fid = state_fidelity(factored_propagator(sol, spec.n_steps, N, psi0=psi),
+                         direct_propagator(spec, N, psi0=psi))
     print(f"vacuum fidelity vs direct propagator (N={N}): {fid:.12f}")
 
     if args.csv:

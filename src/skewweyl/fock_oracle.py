@@ -23,6 +23,11 @@ MIN_DIM = 16
 #: RK4 steps of `direct_propagator` per grid interval, unless asked
 RK4_SUBSTEPS = 4
 
+#: half-width of the band of every control generator in the number basis:
+#: a term a†^α a^β (α >= β) of X_j fills the diagonals ±(α - β)
+BAND = max(alpha - beta for gens in CONTROL_GENERATORS.values()
+           for X in gens for _, (alpha, beta) in X.terms)
+
 #: RK4 steps of `direct_propagator` whose stage bands one matrix product
 #: computes: enough to amortise the call, few enough to stay in cache
 _STAGED_STEPS = 256
@@ -129,16 +134,17 @@ class UnitarityDriftError(RuntimeError):
 @functools.lru_cache(maxsize=8)
 def _band_table(algebra: str, N: int) -> np.ndarray:
     """-i H_j in LAPACK band storage, one generator after another: entry
-    [j, c, 2 - d] is -i H_j[c - d, c] for column c and the offsets
-    d = -2..2, zero where c - d leaves the truncation.  Shape
-    (n_generators, N, 5); the transpose of a slab [j] is the Fortran-ordered
-    (5, N) array that BLAS `zgbmv` reads with two sub- and superdiagonals.
-    Cached per (algebra, N), and read-only."""
+    [j, c, BAND - d] is -i H_j[c - d, c] for column c and the offsets
+    d = -BAND..BAND, zero where c - d leaves the truncation.  Shape
+    (n_generators, N, 2 BAND + 1); the transpose of a slab [j] is the
+    Fortran-ordered (2 BAND + 1, N) array that BLAS `zgbmv` reads with
+    BAND sub- and superdiagonals.  Cached per (algebra, N), and
+    read-only."""
     gens = np.stack(hermitian_generators(algebra, N))
-    table = np.zeros((len(gens), N, 5), dtype=complex)
-    for d in range(-2, 3):
+    table = np.zeros((len(gens), N, 2 * BAND + 1), dtype=complex)
+    for d in range(-BAND, BAND + 1):
         cols = np.arange(max(0, d), min(N, N + d))
-        table[:, cols, 2 - d] = -1j * gens[:, cols - d, cols]
+        table[:, cols, BAND - d] = -1j * gens[:, cols - d, cols]
     return read_only(table)
 
 
@@ -168,11 +174,11 @@ def direct_propagator(spec, N: int, *, psi0=None,
 
     The stage samples select one of two ways to take the same n RK4 steps:
 
-    - controls that differ anywhere on the stage grid: every generator is
-      pentadiagonal in the number basis, so -i H(t) is a band matrix, the
-      columns of Y are independent, and each is stepped on its own by
-      BLAS, `zgbmv` for a stage derivative and `zaxpy` for the stage
-      arguments and the update, O(N) per stage;
+    - controls that differ anywhere on the stage grid: every generator lies
+      within `BAND` diagonals of the main one in the number basis, so
+      -i H(t) is a band matrix, the columns of Y are independent, and each
+      is stepped on its own by BLAS, `zgbmv` for a stage derivative and
+      `zaxpy` for the stage arguments and the update, O(N) per stage;
     - controls equal at every stage time: each step then applies the same
       matrix, the degree-4 Taylor polynomial T4(z) of z = -i h H, so one
       `eigh` of the dense H = V diag(λ) V† gives Y = V diag(T4(-i h λ)^n)
@@ -187,10 +193,9 @@ def direct_propagator(spec, N: int, *, psi0=None,
     if N < MIN_DIM:
         raise ValueError(f"need N >= {MIN_DIM}")
     Y0, shape = state_columns(psi0, N)
-    substeps = max(1, substeps)
-    h = spec.h / substeps
-    n_steps = int(round(spec.h * spec.n_steps / h))
     u = spec.stage_samples(substeps)
+    h = spec.h / substeps
+    n_steps = spec.n_steps * substeps
     if (u == u[0]).all():
         # an overflow turns Y into NaN, which the drift guard reports
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,24 +210,25 @@ def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
                h: float, n_steps: int) -> np.ndarray:
     """n RK4 steps of each column of Y0 by BLAS on the banded -i H(t),
     the controls `u` sampled on the stage grid."""
-    table = _band_table(algebra, N).reshape(-1, N * 5)
+    b, w = BAND, 2 * BAND + 1  # sub- and superdiagonals, band rows
+    table = _band_table(algebra, N).reshape(-1, N * w)
     # one contiguous row y per column of Y, stepped in place: zaxpy writes
     # the sum into its y argument when that is a contiguous complex array
     rows = Y0.T.copy()
     for s0 in range(0, n_steps, _STAGED_STEPS):
         s1 = min(s0 + _STAGED_STEPS, n_steps)
         # -i H at the stage times j h/2 of these steps, each a Fortran-
-        # ordered (5, N) band; a step's end is the next step's start
-        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, 5) \
+        # ordered (w, N) band; a step's end is the next step's start
+        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, w) \
             .transpose(0, 2, 1)
         for y in rows:
             end = bands[0]
             for j in range(1, len(bands), 2):
                 start, mid, end = end, bands[j], bands[j + 1]
-                k1 = zgbmv(N, N, 2, 2, 1.0, start, y)
-                k2 = zgbmv(N, N, 2, 2, 1.0, mid, zaxpy(k1, y.copy(), a=h / 2))
-                k3 = zgbmv(N, N, 2, 2, 1.0, mid, zaxpy(k2, y.copy(), a=h / 2))
-                k4 = zgbmv(N, N, 2, 2, 1.0, end, zaxpy(k3, y.copy(), a=h))
+                k1 = zgbmv(N, N, b, b, 1.0, start, y)
+                k2 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k1, y.copy(), a=h / 2))
+                k3 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k2, y.copy(), a=h / 2))
+                k4 = zgbmv(N, N, b, b, 1.0, end, zaxpy(k3, y.copy(), a=h))
                 # y += h / 6 * ((k1 + k4) + 2 k2 + 2 k3)
                 zaxpy(k4, k1)
                 zaxpy(k2, k1, a=2.0)

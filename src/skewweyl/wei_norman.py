@@ -14,9 +14,10 @@ so H(t) = u1 a†a - i u2 (a - a†) + u3 (a + a†) - i u4 (a² - a†²)
 plain quadratures; for the full five-generator algebra they solve a coupled
 ODE system integrated by fixed-step RK4.  Both are hand-derived inverses of
 the forward map f, fdot -> u that `_reconstruct` computes from the exact
-structure constants of the same generators; the residual compares the two.
-The central (global-phase) factor is tracked separately and never enters
-any fidelity.
+structure constants of the same generators.  A `FactorSolution` forms that
+map's adjoint frames from f once; its central row gives the phase of both
+algebras, and the residual compares the other rows with the controls.
+The central (global-phase) factor never enters any fidelity.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ class ControlSpec:
         grid whose times are every k-th time of a kept grid, k a power of
         two, is read from it, because (j k)·(h / (2 k s)) == j·(h / (2 s))
         in floating point."""
+        if substeps < 1:
+            raise ValueError(f"substeps must be at least 1, not {substeps}")
         for kept, u in self._stages.items():
             k, rem = divmod(kept, substeps)
             if not rem and not k & (k - 1):
@@ -139,6 +142,11 @@ class ControlSpec:
                 amps = obj["amplitudes"]
                 freqs = obj["frequencies"]
                 phases = obj.get("phases", [0.0] * len(amps))
+                n = N_CONTROLS.get(algebra)
+                if n and {len(amps), len(freqs), len(phases)} != {n}:
+                    raise ValueError(f"the sinusoid preset of {algebra} "
+                                     f"needs {n} amplitudes, frequencies and "
+                                     "phases: one per control")
                 funcs = [
                     lambda t, A=A, w=w, p=p: A * math.sin(w * t + p)
                     for A, w, p in zip(amps, freqs, phases)
@@ -152,26 +160,38 @@ class ControlSpec:
         return ControlSpec(algebra, h, u.shape[1] - 1, u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorSolution:
+    """Factor functions on the grid, with the `_adjoint_frames` of f that
+    the residual reads too and the phase, the integral of minus the central
+    row of `_reconstruct`: read-only copies, which `dataclasses.replace`
+    forms again.  Raises OverflowError at the first grid node where a
+    factor or the phase leaves the float range."""
     algebra: str
     h: float
     f: np.ndarray      # shape (n_factors, n_steps + 1)
     fdot: np.ndarray   # same shape, stored derivatives
-    phase: np.ndarray  # central-factor function, shape (n_steps + 1,)
     method: str        # "ClosedFormQuadrature" | "RK4"
     error_estimate: Optional[float] = None
-    # (a copy of f, its `_adjoint_frames`), kept by `frames`
-    _frames: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False, compare=False)
+    frames: np.ndarray = field(init=False, repr=False)  # (n_factors, 6, n)
+    phase: np.ndarray = field(init=False)  # central factor, (n_steps + 1,)
 
-    def frames(self) -> np.ndarray:
-        """The `_adjoint_frames` of f, read-only, formed once while f keeps
-        its values: the phase and the residual of one solution share them."""
-        if self._frames is None or not np.array_equal(self._frames[0],
-                                                      self.f):
-            self._frames = (self.f.copy(), read_only(_adjoint_frames(self.f)))
-        return self._frames[1]
+    def __post_init__(self):
+        f, fdot = (read_only(np.array(a, dtype=float, order="C"))
+                   for a in (self.f, self.fdot))
+        # past the float range the frames and the phase turn inf or NaN,
+        # which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames = read_only(_adjoint_frames(f))
+            phase = read_only(_cumquad(-_reconstruct(frames, fdot)[0],
+                                       self.h))
+        finite = np.isfinite(f).all(axis=0) & np.isfinite(phase)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise OverflowError(f"{self.algebra} factors overflow at grid "
+                                f"index {k} (t = {k * self.h:.6g})")
+        # frozen: the fields are set past __setattr__
+        vars(self).update(f=f, fdot=fdot, frames=frames, phase=phase)
 
     @property
     def grid(self) -> np.ndarray:
@@ -221,8 +241,7 @@ def _cumquad(y: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def wh2_factors(spec: ControlSpec) -> FactorSolution:
-    """f1 = ∫u1, then a rotating-frame quadrature for the displacements and
-    the phase quadrature  d(phase)/dt = 2 f2 df3/dt.
+    """f1 = ∫u1, then a rotating-frame quadrature for the displacements.
 
     Raises OverflowError at the first grid node where a factor or the phase
     leaves the float range."""
@@ -237,15 +256,8 @@ def wh2_factors(spec: ControlSpec) -> FactorSolution:
         f3dot = c * u3 - s * u2
         f2 = _cumquad(f2dot, h)
         f3 = _cumquad(f3dot, h)
-        phase = _cumquad(2.0 * f2 * f3dot, h)
-    f = np.vstack([f1, f2, f3])
-    finite = np.isfinite(f).all(axis=0) & np.isfinite(phase)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise OverflowError(f"wh2 factors overflow at grid index {k} "
-                            f"(t = {k * h:.6g})")
-    fdot = np.vstack([u1, f2dot, f3dot])
-    return FactorSolution(spec.algebra, h, f, fdot, phase,
+    return FactorSolution(spec.algebra, h, np.vstack([f1, f2, f3]),
+                          np.vstack([u1, f2dot, f3dot]),
                           "ClosedFormQuadrature")
 
 
@@ -253,17 +265,12 @@ def wh2_factors(spec: ControlSpec) -> FactorSolution:
 # Five-generator system: RK4 on the inverted equations
 # ---------------------------------------------------------------------------
 
-def _rhs(f: Sequence[float], u: Sequence[float]) -> Tuple[float, ...]:
-    """Right-hand side of the factor ODEs at the factors `f` and controls
-    `u`; f5 does not enter it."""
-    return _rhs_scalars(*f[:4], *u)
-
-
-def _rhs_scalars(f1: float, f2: float, f3: float, f4: float, u1: float,
-                 u2: float, u3: float, u4: float,
-                 u5: float) -> Tuple[float, ...]:
-    """`_rhs` on Python floats passed one by one: per call they cost a
-    fraction of numpy scalars and arrays, with the same bits."""
+def _rhs(f1: float, f2: float, f3: float, f4: float, u1: float, u2: float,
+         u3: float, u4: float, u5: float) -> Tuple[float, ...]:
+    """Right-hand side of the factor ODEs at the factors f1..f4 and the
+    controls u1..u5; f5 does not enter it.  Python floats passed one by
+    one: per call they cost a fraction of numpy scalars and arrays, with
+    the same bits."""
     th = math.tanh(4 * f4)
     ch = math.cosh(4 * f4)
     s1, c1 = math.sin(f1), math.cos(f1)
@@ -296,7 +303,7 @@ def _integrate(spec: ControlSpec, substeps: int,
     stages = u.tolist()
     f1 = f2 = f3 = f4 = f5 = 0.0
     rows = [(f1, f2, f3, f4, f5)]
-    rhs = _rhs_scalars
+    rhs = _rhs
     for k in range(n):
         try:
             for m in range(substeps):
@@ -327,7 +334,7 @@ def _integrate(spec: ControlSpec, substeps: int,
 
 def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     """RK4 integration of the inverted factor ODEs, with a step-halving
-    error estimate and the adjoint phase quadrature."""
+    error estimate."""
     if spec.algebra != "schrodinger":
         raise ValueError("schrodinger_factors requires a schrodinger spec")
     # the substep-1 stage grid is every other point of the substep-2 grid
@@ -336,13 +343,10 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     f_half = _integrate(spec, 2, u)
     err = float(np.max(np.abs(f - f_half)))
     # the grid nodes are every fourth point of the substep-2 stage grid
-    fdot = np.array([_rhs(fk, uk) for fk, uk in
-                     zip(f.T.tolist(), u[::4].tolist())]).T.copy()
-    sol = FactorSolution(spec.algebra, spec.h, f, fdot, None, "RK4",
-                         error_estimate=err)
-    # the adjoint phase quadrature, on the frames the residual reads too
-    sol.phase = _cumquad(-_reconstruct(sol.frames(), fdot)[0], spec.h)
-    return sol
+    fdot = np.array([_rhs(*fk[:4], *uk) for fk, uk in
+                     zip(f.T.tolist(), u[::4].tolist())]).T
+    return FactorSolution(spec.algebra, spec.h, f, fdot, "RK4",
+                          error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,7 @@ def _reconstruct(frames: np.ndarray, fdot: np.ndarray) -> np.ndarray:
 def reconstructed_controls(sol: FactorSolution) -> np.ndarray:
     """Controls implied by the factor functions via the adjoint product;
     independent of the hand-derived inverse the solvers integrate."""
-    return _reconstruct(sol.frames(), sol.fdot)[1:1 + sol.f.shape[0]]
+    return _reconstruct(sol.frames, sol.fdot)[1:1 + sol.f.shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +452,19 @@ def _fd4(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def residual_check(spec: ControlSpec, sol: FactorSolution,
-                   derivatives: str = "fd") -> float:
+def residual_check(spec: ControlSpec, sol: FactorSolution) -> float:
     """Max over the grid of |u_reconstructed - u_input|.
 
     u_reconstructed is the forward map of `reconstructed_controls`, read
     from the exact structure constants, so the residual checks the
     hand-derived inverse the solver integrated against an independent
-    derivation.  `derivatives="fd"` differentiates the stored factor curves
-    numerically, so the residual genuinely measures the integration error;
-    `derivatives="stored"` uses the solver's own right-hand sides.
+    derivation.  It differentiates the stored factor curves numerically,
+    so the residual genuinely measures the integration error; the
+    solver's own right-hand sides give `reconstructed_controls`.
     """
     if sol.f.shape[1] != spec.n_steps + 1:
         raise ValueError("solution and spec grids differ")
-    if derivatives == "fd":
-        fdot = _fd4(sol.f, sol.h)
-    elif derivatives == "stored":
-        fdot = sol.fdot
-    else:
-        raise ValueError("derivatives must be 'fd' or 'stored'")
-    u_rec = _reconstruct(sol.frames(), fdot)[1:1 + len(sol.f)]
+    u_rec = _reconstruct(sol.frames, _fd4(sol.f, sol.h))[1:1 + len(sol.f)]
     return float(np.max(np.abs(u_rec - spec.u)))
 
 

@@ -196,10 +196,6 @@ class WeylPoly:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero() -> "WeylPoly":
-        return WeylPoly()
-
-    @staticmethod
     def term(alpha: int, beta: int, coeff: GaussianRational = GR_ONE) -> "WeylPoly":
         if alpha < 0 or beta < 0:
             raise ValueError(f"negative powers in ({alpha}, {beta})")
@@ -252,12 +248,6 @@ class WeylPoly:
 
     def truncate_to_degree(self, d: int) -> "WeylPoly":
         return WeylPoly({k: v for k, v in self.terms.items() if k[0] + k[1] <= d})
-
-    def top_part(self) -> "WeylPoly":
-        d = self.degree
-        if d == NEG_INF:
-            return WeylPoly()
-        return WeylPoly({k: v for k, v in self.terms.items() if k[0] + k[1] == d})
 
     def coeff(self, alpha: int, beta: int) -> GaussianRational:
         return self.terms.get((alpha, beta), GR_ZERO)

@@ -411,6 +411,14 @@ class TestErrors:
         assert_input_error(["simulate", "--algebra", "wh2", "--controls",
                             str(controls), "--fock-dim", dim], capsys)
 
+    def test_sinusoid_with_an_extra_amplitude(self, tmp_path, capsys):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "sinusoid", "amplitudes": [1, 2, 3, 4],
+            "frequencies": [1, 2, 3], "t_final": 0.1, "h": 1e-2}))
+        assert_input_error(["simulate", "--algebra", "wh2", "--controls",
+                            str(controls), "--fock-dim", "16"], capsys)
+
     def test_fock_dim_at_bound(self, tmp_path, capsys):
         controls = tmp_path / "c.json"
         controls.write_text(json.dumps({

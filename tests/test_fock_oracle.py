@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zaxpy, zgbmv
 
-from skewweyl.fock_oracle import (UnitarityDriftError, _band_table,
+from skewweyl.fock_oracle import (BAND, UnitarityDriftError, _band_table,
                                   annihilator, commutator_crosscheck,
                                   direct_propagator, fock_matrix,
                                   hermitian_generators, interior_error,
@@ -106,6 +106,13 @@ class TestPropagation:
         with pytest.raises(ValueError):
             direct_propagator(spec, 8)
 
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_requires_a_substep(self, substeps):
+        spec = ControlSpec.constant("wh2", [1.0, 0.0, 0.0], t_final=0.05,
+                                    h=1e-2)
+        with pytest.raises(ValueError, match="substeps"):
+            direct_propagator(spec, 16, substeps=substeps)
+
     def test_generator_count_per_algebra(self):
         assert len(hermitian_generators("wh2", 16)) == 3
         assert len(hermitian_generators("schrodinger", 16)) == 5
@@ -164,6 +171,20 @@ class TestGeneratorTable:
             for c in range(max(0, d), min(N, N + d)):
                 dense[:, c - d, c] = table[:, c, 2 - d]
         assert np.array_equal(dense, want)
+
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    @pytest.mark.parametrize("N", [16, 48])
+    def test_band_holds_every_nonzero(self, algebra, N):
+        # a² and a†² reach two diagonals off the main one
+        assert BAND == 2
+        gens = -1j * np.stack(hermitian_generators(algebra, N))
+        rows, cols = np.indices((N, N))
+        assert not np.any(gens[:, np.abs(rows - cols) > BAND])
+        table = _band_table(algebra, N)
+        assert table.shape == (len(gens), N, 2 * BAND + 1)
+        j, r, c = np.nonzero(gens)
+        assert np.array_equal(table[j, c, BAND - c + r], gens[j, r, c])
+        assert np.count_nonzero(table) == len(j)
 
 
 def _dense_rk4(spec, N, substeps=4):

@@ -1,10 +1,12 @@
 """Factor functions, residuals, and factored propagators."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import expm
 
@@ -63,6 +65,28 @@ class TestControlSpec:
             "t_final": 0.5, "h": 0.1,
         })
         assert sin.evaluate(0.25)[1] == pytest.approx(math.sin(0.5))
+
+    @pytest.mark.parametrize("lists", [
+        {"amplitudes": [1, 2, 3, 4], "frequencies": [1, 2, 3]},
+        {"amplitudes": [1, 2, 3, 4], "frequencies": [1, 2, 3, 4]},
+        {"amplitudes": [1, 2], "frequencies": [1, 2]},
+        {"amplitudes": [1, 2, 3], "frequencies": [1, 2, 3],
+         "phases": [0, 0]},
+        {"amplitudes": [1, 2, 3], "frequencies": [1, 2, 3],
+         "phases": [0, 0, 0, 0]},
+    ])
+    def test_sinusoid_needs_one_entry_per_control(self, lists):
+        # zip would drop the entries past the shortest list
+        with pytest.raises(ValueError, match="one per control"):
+            ControlSpec.from_json({"algebra": "wh2", "preset": "sinusoid",
+                                   "t_final": 0.5, "h": 0.1, **lists})
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_stage_grid_needs_a_substep(self, substeps):
+        spec = ControlSpec.constant("wh2", [1, 0, 0], t_final=0.5, h=0.1)
+        spec.stage_samples(2)
+        with pytest.raises(ValueError, match="substeps"):
+            spec.stage_samples(substeps)
 
     def test_from_json_raw_samples(self):
         u = np.zeros((3, 6))
@@ -135,8 +159,8 @@ class TestWh2Factors:
             "t_final": 2.0, "h": 1e-3,
         })
         sol = wh2_factors(spec)
-        assert residual_check(spec, sol, derivatives="stored") < 1e-10
-        assert residual_check(spec, sol, derivatives="fd") < 1e-7
+        assert np.max(np.abs(reconstructed_controls(sol) - spec.u)) < 1e-10
+        assert residual_check(spec, sol) < 1e-7
 
     def test_overflow_names_first_grid_node(self):
         # the phase integrand 2 f2 df3/dt leaves the float range at the
@@ -145,6 +169,33 @@ class TestWh2Factors:
                                     t_final=0.01, h=1e-3)
         with pytest.raises(OverflowError, match=r"grid index 1 "):
             wh2_factors(spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_phase_is_the_closed_form_quadrature(self, data):
+        # the central row of the forward map is 2 f2 df3/dt, formed from
+        # exact scalings, so the phase is the closed form to the bit
+        h = data.draw(st.floats(1e-3, 0.1))
+        n_steps = data.draw(st.integers(1, int(3.0 / h)))
+        values = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
+        kind = data.draw(st.sampled_from(["constant", "sinusoid", "raw"]))
+        if kind == "constant":
+            spec = ControlSpec.constant("wh2", data.draw(values),
+                                        n_steps * h, h)
+        elif kind == "sinusoid":
+            spec = ControlSpec.from_json({
+                "algebra": "wh2", "preset": "sinusoid",
+                "amplitudes": data.draw(values),
+                "frequencies": data.draw(values),
+                "phases": data.draw(values),
+                "t_final": n_steps * h, "h": h})
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+            spec = ControlSpec("wh2", h, n_steps,
+                               rng.uniform(-5.0, 5.0, (3, n_steps + 1)))
+        sol = wh2_factors(spec)
+        want = _cumquad(2.0 * sol.f[1] * sol.fdot[2], sol.h)
+        assert sol.phase.tobytes() == want.tobytes()
 
 
 class TestSchrodingerFactors:
@@ -199,8 +250,8 @@ class TestSchrodingerFactors:
             })
         coarse = make(2e-2)
         fine = make(1e-2)
-        r_coarse = residual_check(coarse, schrodinger_factors(coarse), "fd")
-        r_fine = residual_check(fine, schrodinger_factors(fine), "fd")
+        r_coarse = residual_check(coarse, schrodinger_factors(coarse))
+        r_fine = residual_check(fine, schrodinger_factors(fine))
         assert r_coarse / r_fine >= 8.0
 
     def test_blow_up_detected(self):
@@ -219,11 +270,18 @@ class TestSchrodingerFactors:
             schrodinger_factors(spec)
         assert exc.value.step == 1
 
-    def test_residual_rejects_bad_mode(self):
-        spec = ControlSpec.constant("wh2", [1, 0, 0], t_final=0.1, h=0.01)
-        sol = wh2_factors(spec)
-        with pytest.raises(ValueError):
-            residual_check(spec, sol, derivatives="exact")
+    def test_phase_overflow_names_first_grid_node(self):
+        # the central row 2 f2 df3/dt is infinite from node 8 on; the
+        # Simpson parts of the interval 6..7 read node 8, so the phase
+        # leaves the float range at node 7
+        f = np.zeros((5, 21))
+        f[1] = 1.0
+        fdot = np.zeros((5, 21))
+        fdot[2, 8:] = 1e308
+        with pytest.raises(OverflowError,
+                           match=r"schrodinger factors overflow at grid "
+                                 r"index 7 "):
+            FactorSolution("schrodinger", 0.1, f, fdot, "RK4")
 
 
 class TestFactoredPropagator:
@@ -333,19 +391,29 @@ class TestFactoredPropagatorOnStates:
         assert _generator_eighs("schrodinger", 24) \
             is _generator_eighs("schrodinger", 24)
 
-    def test_frames_kept_while_f_keeps_its_values(self):
+    def test_solution_arrays_are_read_only(self):
         sol = self._solution()
-        frames = sol.frames()
-        assert sol.frames() is frames
-        with pytest.raises(ValueError):
-            frames[0, 0, 0] = 1.0
-        assert np.array_equal(frames, _adjoint_frames(sol.f))
-        sol.f[1, 10:] += 1e-3
-        moved = sol.frames()
-        assert np.array_equal(moved, _adjoint_frames(sol.f))
-        assert not np.array_equal(moved, frames)
-        other = replace(sol, f=sol.f[:, ::-1].copy())
-        assert np.array_equal(other.frames(), _adjoint_frames(other.f))
+        assert np.array_equal(sol.frames, _adjoint_frames(sol.f))
+        for a in (sol.f, sol.fdot, sol.frames, sol.phase):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            sol.f = sol.f.copy()
+
+    def test_replace_forms_frames_and_phase_again(self):
+        sol = self._solution()
+        g = sol.f.copy()
+        g[1, 10:] += 1e-3
+        moved = replace(sol, f=g)
+        frames = _adjoint_frames(g)
+        assert np.array_equal(moved.frames, frames)
+        assert not np.array_equal(moved.frames, sol.frames)
+        want = _cumquad(-_reconstruct(frames, sol.fdot)[0], sol.h)
+        assert moved.phase.tobytes() == want.tobytes()
+        assert not np.array_equal(moved.phase, sol.phase)
+        # the solution keeps its own copy of f
+        g[1, 10] = 5.0
+        assert moved.f[1, 10] != 5.0
 
 
 class TestResidualDetectsWrongFactors:
@@ -370,11 +438,11 @@ class TestResidualDetectsWrongFactors:
         spec = ControlSpec.from_json(self.SPECS[algebra])
         solve = wh2_factors if algebra == "wh2" else schrodinger_factors
         sol = solve(spec)
-        clean = residual_check(spec, sol, "fd")
+        clean = residual_check(spec, sol)
         f = sol.f.copy()
         t = sol.grid / sol.grid[-1]
         f[row] += 1e-6 * np.sin(np.pi * t) ** 2
-        bumped = residual_check(spec, replace(sol, f=f), "fd")
+        bumped = residual_check(spec, replace(sol, f=f))
         assert clean < 1e-8
         assert bumped > 1e-6
         assert bumped > 100 * clean
@@ -495,7 +563,7 @@ class TestNumericalKernels:
         if raw:
             spec = ControlSpec("schrodinger", h, spec.n_steps, spec.u)
         sol = schrodinger_factors(spec)
-        want = np.array([_rhs(fk, spec.evaluate(k * h).tolist())
+        want = np.array([_rhs(*fk[:4], *spec.evaluate(k * h).tolist())
                          for k, fk in enumerate(sol.f.T.tolist())]).T
         assert sol.fdot.tobytes() == want.tobytes()
 

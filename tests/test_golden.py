@@ -1,27 +1,34 @@
 """Byte-for-byte comparison of user-facing output against committed golden
 files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
-`skewweyl classify` on seven closed spans and `skewweyl simulate` on three
-short control files; `scripts/factorization_demo.py`, whose output is
-float-formatted, only has to run and agree with the direct propagator.
+`skewweyl classify` on seven closed spans, `skewweyl igusa` on the pairs of
+tests/data/igusa_pairs.json and `skewweyl simulate` on three short control
+files; `scripts/factorization_demo.py`, whose output is float-formatted,
+only has to run and agree with the direct propagator.
 
 Regenerate a golden file only when an output change is intended, e.g.
 ``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``;
 a `simulate` golden is the output of its `SIMULATE` row, e.g.
-``PYTHONPATH=src python -m skewweyl.cli simulate --algebra wh2 --controls tests/data/controls_wh2_constant.json --fock-dim 24 > tests/golden/simulate_wh2_constant.json``.
+``PYTHONPATH=src python -m skewweyl.cli simulate --algebra wh2 --controls tests/data/controls_wh2_constant.json --fock-dim 24 > tests/golden/simulate_wh2_constant.json``;
+the `igusa` golden is
+``PYTHONPATH=src:tests python3 -c "import test_golden; print(test_golden.igusa_golden(), end='')" > tests/golden/igusa_pairs.json``.
 """
 
+import contextlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = ROOT / "perfbench"
 
 COMMANDS = {
     "selftest.json": ["-m", "skewweyl.cli", "selftest"],
@@ -74,6 +81,50 @@ def _run(args):
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_matches_golden(name):
     assert _run(COMMANDS[name]) == (GOLDEN / name).read_text()
+
+
+def _igusa_outputs():
+    """(pair, `skewweyl igusa` stdout) for each pair of
+    tests/data/igusa_pairs.json, run in this interpreter."""
+    from skewweyl import cli
+
+    pairs = json.loads((ROOT / "tests" / "data" / "igusa_pairs.json")
+                       .read_text())
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for pair in pairs:
+            paths = []
+            for key in ("e1", "e2"):
+                paths.append(os.path.join(tmp, f"{key}.json"))
+                Path(paths[-1]).write_text(json.dumps(pair[key]))
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert cli.run(["igusa", "--e1", paths[0],
+                                "--e2", paths[1]]) == 0, pair["name"]
+            out.append((pair, stdout.getvalue()))
+    return out
+
+
+def igusa_golden(outputs=None):
+    """The outputs as one JSON object keyed by pair name, each output's text
+    kept byte for byte and indented one level."""
+    outputs = _igusa_outputs() if outputs is None else outputs
+    return "{\n" + ",\n".join(
+        f"  {json.dumps(pair['name'])}: "
+        + text.rstrip("\n").replace("\n", "\n  ")
+        for pair, text in outputs) + "\n}\n"
+
+
+def test_igusa_matches_golden_and_benchmark_check(monkeypatch):
+    # the benchmark rebuilds each certificate from its `sigma` and verifies
+    # it again: every frame the search emits must stay readable there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from checks import check_igusa
+
+    outputs = _igusa_outputs()
+    assert igusa_golden(outputs) == (GOLDEN / "igusa_pairs.json").read_text()
+    for pair, text in outputs:
+        assert check_igusa(json.loads(text), pair) is None, pair["name"]
 
 
 def _simulate(name):

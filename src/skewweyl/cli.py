@@ -149,20 +149,15 @@ def _cmd_enumerate(args) -> int:
 def _cmd_igusa(args) -> int:
     from .igusa import symplectic_search
 
-    if args.samples < 0:
-        raise InputError("--samples must be non-negative")
     pair = [_load_elements(path) for path in (args.e1, args.e2)]
     if any(len(elements) != 1 for elements in pair):
         raise InputError("--e1 and --e2 must each hold exactly one element")
     (e1,), (e2,) = pair
     # the search tries the exact identity frame first
-    cert = symplectic_search(e1, e2, samples=args.samples, seed=args.seed)
+    cert = symplectic_search(e1, e2)
     identity = cert is not None and cert.params is None
     out = {"identity_verdict": "infinite" if identity else "inconclusive"}
-    if cert is not None:
-        out.update(cert.to_json())
-    else:
-        out["verdict"] = "inconclusive"
+    out.update(cert.to_json() if cert else {"verdict": "inconclusive"})
     _emit(out)
     return 0
 
@@ -283,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("igusa", help="two-element infiniteness certificate")
     c.add_argument("--e1", required=True)
     c.add_argument("--e2", required=True)
-    c.add_argument("--samples", type=int, default=256)
-    c.add_argument("--seed", type=int, default=7)
     c.set_defaults(fn=_cmd_igusa)
 
     c = sub.add_parser("simulate", help="factorized dynamics vs oracle")

@@ -6,9 +6,8 @@ commutator chain of strictly increasing degree: if a0·b0 != 0 and the mixed
 invariant delta = d2·a1·b0 - d1·a0·b1 != 0, the generated Lie algebra is
 infinite-dimensional.  When the raw coefficients fail the test, a symplectic
 change of frame a† -> s11·a† + s12·a, a -> s21·a† + s22·a (det = 1) can make
-them generic; `symplectic_search` scans the identity frame, a small
-deterministic family and seeded random draws, and returns a re-checkable
-certificate on success.
+them generic; `symplectic_search` decides whether some frame does, and
+returns a re-checkable certificate when one does.
 
 The leading data in a new frame come from the top homogeneous part alone.
 Substituting the frame into (a†)^α a^β and normal ordering the result gives
@@ -22,6 +21,16 @@ O(d) per element; `transform`, the full normal-ordered frame change, is
 kept as its reference.  The identity frame is evaluated in exact
 Gaussian-rational arithmetic, every other frame in floating point.
 
+Which frames certify.  With p, q the degree-d parts as commuting polynomials
+in (x, y) and v = (s12, s22), Euler's identity d·p = x·p_x + y·p_y gives
+a0 = p(v) and delta = (p_x·q_y - p_y·q_x)(v) = {p, q}(v) (det = 1, up to the
+positive normalisation); s11 and s21 drop out.  As the associated graded of
+the Weyl algebra is the Poisson algebra (Dixmier, Bull. SMF 96, 1968),
+-{p, q} is the degree d1 + d2 - 2 part of [e1, e2].  A frame certifies iff
+P = p·q·{p, q} is nonzero at v.  If deg [e1, e2] < d1 + d2 - 2, P = 0 and no
+frame does; else P, homogeneous of degree D = 2(d1 + d2) - 2, vanishes on at
+most D lines, and of D + 1 frames with distinct ratios s12/s22 one certifies.
+
 The condition is sufficient only; the verdict vocabulary is
 {"infinite", "inconclusive"} and never "finite".
 """
@@ -31,7 +40,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -236,23 +244,19 @@ def _evaluate_frame(x: WeylPoly, y: WeylPoly,
     return None
 
 
-def symplectic_search(e1: SkewPoly, e2: SkewPoly, samples: int = 256,
-                      seed: int = 7) -> Optional[IgusaCertificate]:
-    """Search for a frame certifying infinite-dimensionality.
-
-    Schedule: identity frame (exact arithmetic), then the deterministic grid
-    s in {±1/2, ±1} x phi, theta in {0, pi/2}, then `samples` seeded random
-    draws.  Returns the first certificate found, or None.
-    """
+def symplectic_search(e1: SkewPoly, e2: SkewPoly) -> Optional[IgusaCertificate]:
+    """The first certifying frame, or None where no frame certifies (module
+    docstring): None at once, with no frame evaluated, unless the top parts'
+    bracket has degree d1 + d2 - 2; else the exact identity, then the D + 1
+    frames SymplecticParams(1/2, 0, 2πk/(D + 1)), with distinct ratios
+    s12/s22 = e^{iθ}·tanh(1/2).  Float frames must clear NUMERIC_TOLERANCE."""
     x, y = _weyl_pair(e1, e2, "symplectic_search")
-    grid = (SymplecticParams(s, phi, theta) for s in (0.5, -0.5, 1.0, -1.0)
-            for phi in (0.0, math.pi / 2) for theta in (0.0, math.pi / 2))
-    rng = random.Random(seed)
-    draws = (SymplecticParams(rng.uniform(-1.5, 1.5),
-                              rng.uniform(0.0, 2 * math.pi),
-                              rng.uniform(0.0, 2 * math.pi))
-             for _ in range(samples))
-    for params in itertools.chain([None], grid, draws):
+    d1, d2 = e1.degree, e2.degree
+    if bracket(e1.top_part(), e2.top_part()).degree != d1 + d2 - 2:
+        return None
+    n = 2 * (d1 + d2) - 1  # D + 1
+    frames = (SymplecticParams(0.5, 0.0, 2 * math.pi * k / n) for k in range(n))
+    for params in itertools.chain([None], frames):
         cert = _evaluate_frame(x, y, params)
         if cert is not None:
             return cert

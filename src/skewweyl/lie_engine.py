@@ -18,13 +18,13 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .weyl_core import (
-    MINUS,
     NEG_INF,
     PLUS,
     MultiIndex,
     SkewPoly,
     _monomial_bracket,
     monomial_key_order,
+    schrodinger_monomials,
     skew_to_json,
     subspace_of,
 )
@@ -281,14 +281,8 @@ class ClosureOutcome:
 # Decision helpers
 # ---------------------------------------------------------------------------
 
-_SCHRODINGER_KEYS = {
-    (PLUS, (0, 0)),
-    (PLUS, (1, 1)),
-    (PLUS, (1, 0)),
-    (MINUS, (1, 0)),
-    (PLUS, (2, 0)),
-    (MINUS, (2, 0)),
-}
+_SCHRODINGER_KEYS = frozenset(k for m in schrodinger_monomials()
+                              for k in m.terms)
 
 
 def _drift_term(g: SkewPoly) -> Optional[Tuple[Fraction, Fraction]]:

@@ -470,6 +470,14 @@ def skew_to_json(s: SkewPoly) -> dict:
     }
 
 
+def _exact(value) -> Fraction:
+    """A coefficient from a string such as "1/3" or a JSON integer: 0.1 or
+    true is a bad term, not 3602879701896397/2^55 or 1."""
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError(f"coefficients must be strings or integers, got {value!r}")
+    return Fraction(value)
+
+
 def _terms_from_json(obj, name: str, read, zero) -> dict:
     """The terms of the array obj[name], summed by key; `read(e, gamma)`
     gives one term's (key, coefficient).  alpha and beta must be JSON
@@ -493,7 +501,7 @@ def _terms_from_json(obj, name: str, read, zero) -> dict:
 
 def skew_from_json(obj: dict) -> SkewPoly:
     return SkewPoly(_terms_from_json(obj, "skew", lambda e, gamma: (
-        ({"+": PLUS, "-": MINUS}[e["sigma"]], gamma), Fraction(e["coeff"])),
+        ({"+": PLUS, "-": MINUS}[e["sigma"]], gamma), _exact(e["coeff"])),
         Fraction(0)))
 
 
@@ -508,5 +516,5 @@ def weyl_to_json(p: WeylPoly) -> dict:
 
 def weyl_from_json(obj: dict) -> WeylPoly:
     return WeylPoly(_terms_from_json(obj, "weyl", lambda e, gamma: (
-        gamma, GaussianRational(Fraction(e["re"]), Fraction(e["im"]))),
+        gamma, GaussianRational(_exact(e["re"]), _exact(e["im"]))),
         GR_ZERO))

@@ -366,6 +366,13 @@ class TestErrors:
             {"sigma": "+", "alpha": 1, "beta": 0, "coeff": "1/0"}]}]))
         assert_input_error(["closure", "--gens", str(path)], capsys)
 
+    @pytest.mark.parametrize("coeff", [0.1, True])
+    def test_inexact_coefficient_rejected(self, tmp_path, capsys, coeff):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps([{"skew": [
+            {"sigma": "+", "alpha": 1, "beta": 0, "coeff": coeff}]}]))
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+
     def test_fractional_power_rejected(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(json.dumps([{"skew": [
@@ -439,11 +446,13 @@ class TestErrors:
         gens = write_elements(tmp_path, "g.json", [mono(PLUS, 1, 0)])
         assert_input_error(["closure", "--gens", gens, flag, "0"], capsys)
 
-    def test_negative_samples(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--samples", "0"]],
+                             ids=["seed", "samples"])
+    def test_igusa_has_no_search_knobs(self, tmp_path, capsys, flag):
+        # the search decides, with a fixed frame family: nothing to tune
         e1 = write_elements(tmp_path, "e1.json", [mono(MINUS, 3, 0)])
         e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])
-        assert_input_error(["igusa", "--e1", e1, "--e2", e2,
-                            "--samples", "-5"], capsys)
+        assert_input_error(["igusa", "--e1", e1, "--e2", e2, *flag], capsys)
 
     @pytest.mark.parametrize("controls", [
         {"preset": "constant", "values": [1.0, 0.0, 0.0], "t_final": 0.004,

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewweyl import igusa
 from skewweyl.igusa import (NUMERIC_TOLERANCE, SymplecticParams,
                             _evaluate_frame, _frame_leading, chain_degrees,
                             cpoly_bracket, delta, identity_check,
                             leading_pair, symplectic_search, transform,
                             verify_certificate, weyl_to_cpoly)
-from skewweyl.lie_engine import lie_closure
+from skewweyl.lie_engine import bracket, lie_closure
 from skewweyl.weyl_core import (GR_I, GR_ONE, MINUS, PLUS, GaussianRational,
                                 SkewPoly, WeylPoly)
 
@@ -223,24 +224,9 @@ class TestSearch:
             # exact identity certificate: sigma serialized as "identity"
             assert cert.to_json()["sigma"] == "identity"
 
-    def test_zero_samples_can_return_none(self):
-        # a pair engineered to fail the identity frame and small grid may
-        # still fail with no random samples; whatever comes back must verify
-        e1, e2 = gm(3, 0), gp(3, 0)
-        cert = symplectic_search(e1, e2, samples=0)
-        if cert is not None:
-            assert verify_certificate(cert, e1, e2)
-
     def test_search_rejects_quadratics(self):
         with pytest.raises(ValueError):
             symplectic_search(gp(2, 0), gp(3, 0))
-
-    def test_search_deterministic(self):
-        e1, e2 = gm(3, 0), gp(3, 0)
-        c1 = symplectic_search(e1, e2, seed=7)
-        c2 = symplectic_search(e1, e2, seed=7)
-        assert c1.params == c2.params
-        assert c1.a0b0 == c2.a0b0
 
     def test_json_shape(self):
         cert = symplectic_search(gm(3, 0), gp(3, 0))
@@ -248,3 +234,86 @@ class TestSearch:
         assert set(j) == {"verdict", "sigma", "a0b0", "delta"}
         assert j["verdict"] == "infinite"
         assert set(j["sigma"]) == {"s", "phi", "theta"}
+
+
+# ---------------------------------------------------------------------------
+# The search as a decision: some frame certifies iff deg [e1, e2] = d1+d2-2
+# ---------------------------------------------------------------------------
+
+_LOW_KEYS = [(sigma, (a, b)) for a in range(3) for b in range(a + 1)
+             if a + b <= 2 for sigma in (PLUS, MINUS)
+             if not (sigma == MINUS and a == b)]
+_small_fractions = st.fractions(min_value=-4, max_value=4,
+                                max_denominator=3).filter(bool)
+
+
+@st.composite
+def low_bracket_pairs(draw):
+    """Pairs of degree 3..7 with deg [e1, e2] < d1 + d2 - 2: the second top
+    part a multiple of the first, or both tops functions of a†a alone."""
+    low1, low2 = (SkewPoly(draw(st.dictionaries(
+        st.sampled_from(_LOW_KEYS), _small_fractions, max_size=3)))
+        for _ in range(2))
+    if draw(st.booleans()):
+        e1 = draw(elements_of_degree_3_to_7())
+        return e1, e1.top_part().scale(draw(_small_fractions)) + low2
+    k1, k2 = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    return (gp(k1, k1, draw(_small_fractions)) + low1,
+            gp(k2, k2, draw(_small_fractions)) + low2)
+
+
+def _top_bracket_is_full(e1, e2):
+    return bracket(e1, e2).degree == e1.degree + e2.degree - 2
+
+
+def _deleted_schedule():
+    """The frames the search tried before it decided: the identity, a
+    16-frame grid and 256 draws seeded with 7."""
+    grid = [SymplecticParams(s, phi, theta) for s in (0.5, -0.5, 1.0, -1.0)
+            for phi in (0.0, math.pi / 2) for theta in (0.0, math.pi / 2)]
+    rng = random.Random(7)
+    draws = [SymplecticParams(rng.uniform(-1.5, 1.5),
+                              rng.uniform(0.0, 2 * math.pi),
+                              rng.uniform(0.0, 2 * math.pi))
+             for _ in range(256)]
+    return [None] + grid + draws
+
+
+class TestDecision:
+    @given(st.one_of(st.tuples(elements_of_degree_3_to_7(),
+                               elements_of_degree_3_to_7()),
+                     low_bracket_pairs()))
+    @settings(max_examples=120, deadline=None)
+    def test_certificate_iff_top_degree_bracket(self, pair):
+        e1, e2 = pair
+        cert = symplectic_search(e1, e2)
+        assert (cert is not None) == _top_bracket_is_full(e1, e2)
+        if cert is not None:
+            assert verify_certificate(cert, e1, e2)
+
+    def test_commuting_and_proportional_pairs_evaluate_no_frame(
+            self, monkeypatch):
+        calls = []
+        evaluate = igusa._evaluate_frame
+        monkeypatch.setattr(igusa, "_evaluate_frame",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        e = gm(6, 0, -2) + gm(5, 1, 3) + gp(4, 2, Fraction(1, 2))
+        kerr = gp(2, 2) + gp(1, 1)
+        for e1, e2 in [(e, e.scale(Fraction(3, 2))), (e, e),
+                       (gp(2, 2), gp(3, 3, 2)), (kerr, gp(3, 3))]:
+            assert symplectic_search(e1, e2) is None
+        assert calls == []
+        # the counter sees the search when it runs: the identity fails and
+        # the first frame of the family certifies
+        assert symplectic_search(gm(3, 0), gp(3, 0)).params \
+            == SymplecticParams(0.5, 0.0, 0.0)
+        assert len(calls) == 2
+
+    @given(low_bracket_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_deleted_schedule_finds_nothing_below_the_top_degree(self, pair):
+        e1, e2 = pair
+        assert not _top_bracket_is_full(e1, e2)
+        x, y = e1.to_weyl(), e2.to_weyl()
+        assert all(_evaluate_frame(x, y, params) is None
+                   for params in _deleted_schedule())

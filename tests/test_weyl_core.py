@@ -151,6 +151,29 @@ class TestJson:
             weyl_from_json({"weyl": [{"alpha": 1, "beta": index, "re": "1",
                                       "im": "0"}]})
 
+    @pytest.mark.parametrize("coeff", [0.1, True, 1.0])
+    def test_inexact_coefficients_rejected(self, coeff):
+        # 0.1 used to be read as 3602879701896397/36028797018963968, true as 1
+        with pytest.raises(ValueError, match="bad skew term at index 0"):
+            skew_from_json({"skew": [{"sigma": "+", "alpha": 1, "beta": 0,
+                                      "coeff": coeff}]})
+        with pytest.raises(ValueError, match="bad weyl term at index 0"):
+            weyl_from_json({"weyl": [{"alpha": 1, "beta": 0, "re": coeff,
+                                      "im": "0"}]})
+        with pytest.raises(ValueError, match="bad weyl term at index 0"):
+            weyl_from_json({"weyl": [{"alpha": 1, "beta": 0, "re": "1",
+                                      "im": coeff}]})
+
+    @pytest.mark.parametrize("coeff, want", [("1/3", Fraction(1, 3)),
+                                             (-2, Fraction(-2))])
+    def test_string_and_integer_coefficients_are_exact(self, coeff, want):
+        assert skew_from_json({"skew": [
+            {"sigma": "+", "alpha": 1, "beta": 0, "coeff": coeff}]}) \
+            == gp(1, 0, want)
+        assert weyl_from_json({"weyl": [
+            {"alpha": 1, "beta": 0, "re": coeff, "im": coeff}]}) \
+            == WeylPoly.term(1, 0, GaussianRational(want, want))
+
     def test_zero_denominator_is_value_error(self):
         with pytest.raises(ValueError, match="index 0"):
             skew_from_json({"skew": [{"sigma": "+", "alpha": 1, "beta": 0,

@@ -1,7 +1,8 @@
 """Byte-for-byte comparison of user-facing output against committed golden
 files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
-`skewweyl classify` on seven closed spans, `skewweyl igusa` on the pairs of
+`skewweyl classify` on seven closed spans, `skewweyl closure` on five
+filiform chain generator pairs, `skewweyl igusa` on the pairs of
 tests/data/igusa_pairs.json and `skewweyl simulate` on three short control
 files; `scripts/factorization_demo.py`, whose output is float-formatted,
 only has to run and agree with the direct propagator.
@@ -57,6 +58,18 @@ COMMANDS.update({
                               str(ROOT / "tests" / "data"
                                   / f"classify_{name}.json")]
     for name in CLASSIFY})
+
+
+#: closure goldens: generators in tests/data/closure_chain_<n>.json, output in
+#: tests/golden/closure_chain_<n>.json; the generators are
+#: perfbench.workloads.chain_generators(random.Random(n), n) for n = 3..7,
+#: whose closures (dims 5-9, degree up to 7) are the largest exact span
+#: work of the suite
+COMMANDS.update({
+    f"closure_chain_{n}.json": ["-m", "skewweyl.cli", "closure", "--gens",
+                                str(ROOT / "tests" / "data"
+                                    / f"closure_chain_{n}.json")]
+    for n in range(3, 8)})
 
 
 #: simulate goldens: (algebra, Fock dimension) per control file

@@ -45,7 +45,8 @@ def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
     The bracket is bilinear, and two skew monomials have integer bracket
     coefficients, memoised in `weyl_core._monomial_bracket`.  x and y are
     scaled to integer vectors lx·x and ly·y, the table entries are summed
-    as Python ints, and the sum is divided once by lx·ly.
+    as Python ints, and the sum is divided once by lx·ly.  The table holds
+    only valid skew keys, so the result skips `SkewPoly`'s key checks.
     """
     lx, xs = _integer_terms(x)
     ly, ys = _integer_terms(y)
@@ -56,7 +57,8 @@ def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
             for key, n in _monomial_bracket(k1, k2):
                 acc[key] = acc.get(key, 0) + ab * n
     d = lx * ly
-    return SkewPoly({k: Fraction(v, d) for k, v in acc.items() if v})
+    return SkewPoly._from_terms({k: Fraction(v, d)
+                                 for k, v in acc.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -65,37 +67,60 @@ def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
 
 class Rref:
     """Sparse reduced row echelon form over the rationals, built by
-    `insert`: `rows` maps each pivot column to its row {column: Fraction}.
+    `insert` with fraction-free integer elimination.
 
-    A row's pivot is its least column under `order` (the column index if
-    None), so `rows` is the unique RREF whatever order rows arrive in.
-    `Rref(rows, ncols)` reduces a dense matrix with `ncols` columns."""
+    `integer_rows` maps each pivot column to (d, {column: int}): a
+    primitive integer vector whose pivot entry d is positive, so nums/d is
+    the RREF row, 1 at the pivot and 0 at every other pivot.  A row's pivot
+    is its least column under `order` (the column index if None), so the
+    rows are the unique RREF, and their primitive integer forms unique,
+    whatever order rows arrive in.  `Rref(rows, ncols)` reduces a dense
+    matrix with `ncols` columns.  Entries may be ints or Fractions."""
 
     def __init__(self, rows: Iterable[Sequence] = (), ncols: int = 0,
                  order=None):
         self.ncols = ncols
         self.order = order
-        self.rows: Dict = {}
+        self.integer_rows: Dict = {}
         for row in rows:
-            self.insert({c: Fraction(x) for c, x in enumerate(row) if x})
+            self.insert({c: x for c, x in enumerate(row) if x})
+
+    @property
+    def rows(self) -> Dict:
+        """The RREF rows as {column: Fraction} by pivot, formed per call."""
+        return {p: {k: Fraction(c, d) for k, c in nums.items()}
+                for p, (d, nums) in self.integer_rows.items()}
 
     @property
     def pivots(self) -> List:
-        return sorted(self.rows, key=self.order)
+        return sorted(self.integer_rows, key=self.order)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.integer_rows)
 
     def reduce(self, v: Dict) -> Dict:
-        # the rows are fully reduced: each vanishes at every other pivot, so
-        # one pass over the pivots present in v clears them all
-        row = dict(v)
-        for key, c in v.items():
-            pivot_row = self.rows.get(key)
-            if pivot_row is not None:
-                for k2, c2 in pivot_row.items():
-                    row[k2] = row.get(k2, Fraction(0)) - c * c2
+        """A positive integer multiple of v minus its part in the row
+        space: {} exactly when v lies in it.
+
+        v is scaled to integers by the lcm of its denominators, then by the
+        lcm m of the pivot entries d of the rows it meets, so subtracting
+        (entry at the pivot)·(m/d) times each such row stays in the
+        integers.  The rows are fully reduced: each vanishes at every other
+        pivot, so one pass over the pivots present in v clears them all.
+        """
+        l = math.lcm(*(c.denominator for c in v.values()))
+        row = {k: c.numerator * (l // c.denominator) for k, c in v.items()}
+        rows = self.integer_rows
+        hits = [(c, rows[k]) for k, c in row.items() if k in rows]
+        if hits:
+            m = math.lcm(*(d for _, (d, _) in hits))
+            if m != 1:
+                row = {k: c * m for k, c in row.items()}
+            for c, (d, nums) in hits:
+                f = c * (m // d)
+                for k2, c2 in nums.items():
+                    row[k2] = row.get(k2, 0) - f * c2
         return {k: c for k, c in row.items() if c}
 
     def insert(self, v: Dict) -> bool:
@@ -104,43 +129,46 @@ class Rref:
         if not residual:
             return False
         pivot = min(residual, key=self.order)
-        c = residual[pivot]
-        new_row = {k: val / c for k, val in residual.items()}
-        # keep all rows fully reduced against each other
-        for p, row in self.rows.items():
-            if pivot in row:
-                f = row[pivot]
+        new_row = _primitive(residual, residual[pivot] < 0)
+        d = new_row[pivot]
+        # keep all rows fully reduced against each other: d·row - f·new_row
+        # vanishes at the new pivot and keeps a positive pivot entry
+        for p, (dp, row) in self.integer_rows.items():
+            f = row.get(pivot)
+            if f:
+                if d != 1:
+                    row = {k: c * d for k, c in row.items()}
+                else:
+                    row = dict(row)
                 for k2, c2 in new_row.items():
-                    row[k2] = row.get(k2, Fraction(0)) - f * c2
-                self.rows[p] = {k: val for k, val in row.items() if val}
-        self.rows[pivot] = new_row
+                    row[k2] = row.get(k2, 0) - f * c2
+                row = _primitive({k: c for k, c in row.items() if c})
+                self.integer_rows[p] = (row[p], row)
+        self.integer_rows[pivot] = (d, new_row)
         return True
 
     def nullspace(self) -> List[Dict[int, Fraction]]:
         """Kernel basis: a sparse vector per free column, 1 at that column."""
         out = []
         for f in range(self.ncols):
-            if f in self.rows:
+            if f in self.integer_rows:
                 continue
             v = {f: Fraction(1)}
-            for p, row in self.rows.items():
-                if f in row:
-                    v[p] = -row[f]
+            for p, (d, nums) in self.integer_rows.items():
+                if f in nums:
+                    v[p] = Fraction(-nums[f], d)
             out.append(v)
         return out
 
 
-def solve(a: Sequence[Sequence], b: Sequence,
-          n: int) -> Optional[List[Fraction]]:
-    """A solution x of a x = b for a matrix a with n columns (free unknowns
-    set to 0), or None if the system is inconsistent."""
-    aug = Rref([list(row) + [c] for row, c in zip(a, b)], n + 1)
-    if n in aug.rows:
-        return None
-    x = [Fraction(0)] * n
-    for p, row in aug.rows.items():
-        x[p] = row.get(n, Fraction(0))
-    return x
+def _primitive(v: Dict, negate: bool = False) -> Dict:
+    """v divided by the gcd of its entries, negated as well if `negate`."""
+    g = math.gcd(*v.values())
+    if negate:
+        g = -g
+    if g == 1:
+        return v
+    return {k: c // g for k, c in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +185,11 @@ class LieSpan:
     def __init__(self, vectors: Iterable[SkewPoly] = ()):
         self.basis: List[SkewPoly] = []
         self._echelon = Rref(order=monomial_key_order)
-        # pivot key -> column of the inverse pivot-entry matrix; built by
-        # `coordinates`, dropped by `insert`
-        self._inverse: Optional[Dict[MonKey, List[Fraction]]] = None
+        # (pivot keys, per basis index j the pair (d_j, N_j) with row j of
+        # the inverse pivot-entry matrix N_j/d_j); built by `coordinates`,
+        # dropped by `insert`
+        self._inverse: Optional[Tuple[List[MonKey],
+                                      List[Tuple[int, List[int]]]]] = None
         for v in vectors:
             self.insert(v)
 
@@ -184,34 +214,37 @@ class LieSpan:
         The rows are fully reduced, so an element of the span is fixed by
         its coefficients at the pivots, and its coordinates are the inverse
         of the basis vectors' pivot-entry matrix applied to those.  The
-        inverse is built by one `Rref` on first use and dropped by `insert`,
-        so each further call is one matrix-vector product.
+        inverse is built by one `Rref` on first use, kept as integer rows
+        over a positive denominator each and dropped by `insert`, so each
+        further call is one integer matrix-vector product and one division
+        per coordinate.
         """
         if self._echelon.reduce(v.terms):
             return None
         n = self.dim
         if self._inverse is None:
-            pivots = list(self._echelon.rows)
+            pivots = list(self._echelon.integer_rows)
             # [M | I] reduces to [I | M^-1]
             inv = Rref([[b.terms.get(p, 0) for b in self.basis]
                         + [int(r == c) for c in range(n)]
-                        for r, p in enumerate(pivots)], 2 * n).rows
-            self._inverse = {p: [inv[j].get(n + r, 0) for j in range(n)]
-                             for r, p in enumerate(pivots)}
-        x = [Fraction(0)] * n
-        for p, c in v.terms.items():
-            col = self._inverse.get(p)
-            if col is not None:
-                for j, m in enumerate(col):
-                    if m:
-                        x[j] += c * m
-        return x
+                        for r, p in enumerate(pivots)], 2 * n).integer_rows
+            self._inverse = (pivots, [
+                (d, [nums.get(n + r, 0) for r in range(n)])
+                for d, nums in (inv[j] for j in range(n))])
+        pivots, inverse = self._inverse
+        at = [(r, v.terms[p]) for r, p in enumerate(pivots) if p in v.terms]
+        l = math.lcm(*(c.denominator for _, c in at))
+        at = [(r, c.numerator * (l // c.denominator)) for r, c in at]
+        return [Fraction(sum(c * row[r] for r, c in at), l * d)
+                for d, row in inverse]
 
     def canonical_key(self) -> Tuple:
-        """Hashable canonical form (RREF rows) identifying the subspace."""
-        rows = self._echelon.rows
-        return tuple(tuple(sorted(rows[p].items(),
-                                  key=lambda kv: monomial_key_order(kv[0])))
+        """Hashable canonical form (the primitive integer RREF rows)
+        identifying the subspace."""
+        rows = self._echelon.integer_rows
+        return tuple((rows[p][0],
+                      tuple(sorted(rows[p][1].items(),
+                                   key=lambda kv: monomial_key_order(kv[0]))))
                      for p in self._echelon.pivots)
 
     def __eq__(self, other) -> bool:

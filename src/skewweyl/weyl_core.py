@@ -151,7 +151,9 @@ def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
     and k1, k2 are skew-hermitian, so [k1, k2] = p - p†.  Its coefficient
     D at (a†)^a a^b, a > b, puts Im D on g+ and -Re D on g-; on the
     diagonal D = 2i·Im p and g+ = 2i (a†)^a a^a, so the coefficient is
-    Im p.  Every coefficient is therefore an integer.  Memoised per pair.
+    Im p.  Every coefficient is therefore an integer.  Only valid skew
+    keys come out: a >= b, no g- on the diagonal and no zero coefficient,
+    so `lie_engine.bracket` wraps its sums unchecked.  Memoised per pair.
     """
     p: Dict[MultiIndex, List[int]] = {}
     for (a1, b1), re1, im1 in _weyl_terms(k1):
@@ -297,6 +299,15 @@ class SkewPoly:
 
     def __setattr__(self, *_):  # pragma: no cover - immutability guard
         raise AttributeError("SkewPoly is immutable")
+
+    @classmethod
+    def _from_terms(cls, terms: Dict[Tuple[int, MultiIndex], Fraction]
+                    ) -> "SkewPoly":
+        """Wrap a term map that already holds only valid skew keys and
+        nonzero `Fraction` coefficients, without `__init__`'s checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     # -- constructors ------------------------------------------------------
     @staticmethod

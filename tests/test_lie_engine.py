@@ -18,7 +18,6 @@ from skewweyl.lie_engine import (
     decide_monomial_set,
     decide_with_free_hamiltonian,
     lie_closure,
-    solve,
     span_is_bracket_closed,
     verify_chain_witness,
 )
@@ -34,6 +33,8 @@ from skewweyl.weyl_core import (
     schrodinger_monomials,
     unit_i,
 )
+
+from test_linalg import solve
 
 
 def gp(a, b, c=1):
@@ -101,6 +102,17 @@ class TestBracketKernel:
     @settings(max_examples=150, deadline=None)
     def test_matches_weyl_product(self, x, y):
         assert bracket(x, y) == weyl_bracket(x, y)
+
+    @given(skew_polys(max_degree=4), skew_polys(max_degree=4))
+    @settings(max_examples=150, deadline=None)
+    def test_result_passes_full_validation(self, x, y):
+        # `bracket` builds its result without SkewPoly's key checks
+        z = bracket(x, y)
+        checked = SkewPoly(dict(z.terms))
+        assert z == checked and list(z.terms) == list(checked.terms)
+        assert all(type(c) is Fraction and c for c in z.terms.values())
+        assert all(a >= b >= 0 and not (s == MINUS and a == b)
+                   for s, (a, b) in z.terms)
 
     def test_monomial_table_exhaustive(self):
         # every pair of skew keys of degree <= 6, both orders

@@ -1,7 +1,9 @@
-"""The exact Fraction linear algebra behind spans and classification
-(`Rref`, `solve`, characteristic polynomials and rational eigenvalues),
-checked against sympy as the reference."""
+"""The exact linear algebra behind spans and classification (`Rref`,
+characteristic polynomials and rational eigenvalues), checked against sympy
+as the reference, and `solve`, the tests' reference for
+`LieSpan.coordinates`."""
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -9,10 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewweyl.classify import _char_poly, _rational_eigenvalues
-from skewweyl.lie_engine import Rref, solve
+from skewweyl.lie_engine import LieSpan, Rref
+from skewweyl.weyl_core import MINUS, PLUS, SkewPoly
 
 entries = st.one_of(st.just(Fraction(0)),
                     st.fractions(-3, 3, max_denominator=4))
+
+
+def solve(a, b, n):
+    """A solution x of a x = b for a matrix a with n columns (free unknowns
+    set to 0), or None if the system is inconsistent."""
+    aug = Rref([list(row) + [c] for row, c in zip(a, b)], n + 1)
+    if n in aug.integer_rows:
+        return None
+    x = [Fraction(0)] * n
+    for p, row in aug.rows.items():
+        x[p] = row.get(n, Fraction(0))
+    return x
 
 
 def matmul(a, b, inner):
@@ -75,6 +90,55 @@ def test_rows_independent_of_insertion_order(m, rng):
     shuffled = list(a)
     rng.shuffle(shuffled)
     assert Rref(shuffled, cols).rows == Rref(a, cols).rows
+
+
+@st.composite
+def rational_vectors(draw, cols=5):
+    """1 to 7 rational vectors with `cols` entries: up to four drawn
+    freely, the rest rational combinations of those, in a drawn order."""
+    free = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=4))
+    out = list(free)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = [draw(entries) for _ in free]
+        out.append([sum((c * row[j] for c, row in zip(coeffs, free)),
+                        Fraction(0)) for j in range(cols)])
+    return draw(st.permutations(out)), cols
+
+
+@given(rational_vectors(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_integer_rows_are_primitive_and_unique(m, rng):
+    a, cols = m
+    rr = Rref(a, cols)
+    shuffled = list(a)
+    rng.shuffle(shuffled)
+    assert Rref(shuffled, cols).integer_rows == rr.integer_rows
+    for p, (d, nums) in rr.integer_rows.items():
+        # nums/d is the RREF row: 1 at its least column, 0 at other pivots
+        assert d > 0 and nums[p] == d and min(nums) == p
+        assert all(type(c) is int and c for c in nums.values())
+        assert math.gcd(*nums.values()) == 1
+        assert not any(q in nums for q in rr.integer_rows if q != p)
+    reduced, pivots = to_sympy(a, cols).rref()
+    assert rr.pivots == list(pivots)
+    assert [dense(rr.rows[p], cols) for p in rr.pivots] == [
+        [from_sympy(x) for x in reduced.row(r)] for r in range(rr.rank)]
+
+
+_KEYS = [(PLUS, (0, 0)), (MINUS, (1, 0)), (PLUS, (1, 0)), (PLUS, (2, 2)),
+         (MINUS, (3, 0))]
+
+
+@given(rational_vectors(cols=len(_KEYS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_canonical_key_of_rescaled_permuted_basis(m, data):
+    a, _ = m
+    span = LieSpan(SkewPoly(dict(zip(_KEYS, row))) for row in a)
+    copy = [b.scale(data.draw(entries.filter(bool))) for b in span.basis]
+    other = LieSpan(data.draw(st.permutations(copy)))
+    assert other.dim == span.dim
+    assert other.canonical_key() == span.canonical_key()
 
 
 @given(matrices(), st.data())

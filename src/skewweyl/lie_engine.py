@@ -32,11 +32,11 @@ from .weyl_core import (
 MonKey = Tuple[int, MultiIndex]
 
 
-def _integer_terms(x: SkewPoly) -> Tuple[int, List[Tuple[MonKey, int]]]:
-    """(l, terms of l·x as ints) for l the lcm of x's denominators."""
-    l = math.lcm(*(c.denominator for c in x.terms.values()))
-    return l, [(k, c.numerator * (l // c.denominator))
-               for k, c in x.terms.items()]
+def _integer_terms(v: Dict) -> Tuple[int, Dict]:
+    """(l, l·v as ints) for l the lcm of the denominators of v's entries
+    (ints or Fractions)."""
+    l = math.lcm(*(c.denominator for c in v.values()))
+    return l, {k: c.numerator * (l // c.denominator) for k, c in v.items()}
 
 
 def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
@@ -48,11 +48,11 @@ def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
     as Python ints, and the sum is divided once by lx·ly.  The table holds
     only valid skew keys, so the result skips `SkewPoly`'s key checks.
     """
-    lx, xs = _integer_terms(x)
-    ly, ys = _integer_terms(y)
+    lx, xs = _integer_terms(x.terms)
+    ly, ys = _integer_terms(y.terms)
     acc: Dict[MonKey, int] = {}
-    for k1, a in xs:
-        for k2, b in ys:
+    for k1, a in xs.items():
+        for k2, b in ys.items():
             ab = a * b
             for key, n in _monomial_bracket(k1, k2):
                 acc[key] = acc.get(key, 0) + ab * n
@@ -69,9 +69,9 @@ class Rref:
     """Sparse reduced row echelon form over the rationals, built by
     `insert` with fraction-free integer elimination.
 
-    `integer_rows` maps each pivot column to (d, {column: int}): a
-    primitive integer vector whose pivot entry d is positive, so nums/d is
-    the RREF row, 1 at the pivot and 0 at every other pivot.  A row's pivot
+    `integer_rows` maps each pivot column to (d, nums): nums is a
+    primitive integer vector {column: int} whose pivot entry d is positive,
+    so nums/d is the RREF row, 1 at the pivot and 0 at every other pivot.  A row's pivot
     is its least column under `order` (the column index if None), so the
     rows are the unique RREF, and their primitive integer forms unique,
     whatever order rows arrive in.  `Rref(rows, ncols)` reduces a dense
@@ -109,8 +109,7 @@ class Rref:
         integers.  The rows are fully reduced: each vanishes at every other
         pivot, so one pass over the pivots present in v clears them all.
         """
-        l = math.lcm(*(c.denominator for c in v.values()))
-        row = {k: c.numerator * (l // c.denominator) for k, c in v.items()}
+        _, row = _integer_terms(v)
         rows = self.integer_rows
         hits = [(c, rows[k]) for k, c in row.items() if k in rows]
         if hits:
@@ -136,10 +135,7 @@ class Rref:
         for p, (dp, row) in self.integer_rows.items():
             f = row.get(pivot)
             if f:
-                if d != 1:
-                    row = {k: c * d for k, c in row.items()}
-                else:
-                    row = dict(row)
+                row = {k: c * d for k, c in row.items()}
                 for k2, c2 in new_row.items():
                     row[k2] = row.get(k2, 0) - f * c2
                 row = _primitive({k: c for k, c in row.items() if c})
@@ -230,21 +226,19 @@ class LieSpan:
                         for r, p in enumerate(pivots)], 2 * n).integer_rows
             self._inverse = (pivots, [
                 (d, [nums.get(n + r, 0) for r in range(n)])
-                for d, nums in (inv[j] for j in range(n))])
+                for _, (d, nums) in sorted(inv.items())])
         pivots, inverse = self._inverse
-        at = [(r, v.terms[p]) for r, p in enumerate(pivots) if p in v.terms]
-        l = math.lcm(*(c.denominator for _, c in at))
-        at = [(r, c.numerator * (l // c.denominator)) for r, c in at]
-        return [Fraction(sum(c * row[r] for r, c in at), l * d)
+        l, at = _integer_terms({r: v.terms[p] for r, p in enumerate(pivots)
+                                if p in v.terms})
+        return [Fraction(sum(c * row[r] for r, c in at.items()), l * d)
                 for d, row in inverse]
 
     def canonical_key(self) -> Tuple:
         """Hashable canonical form (the primitive integer RREF rows)
         identifying the subspace."""
         rows = self._echelon.integer_rows
-        return tuple((rows[p][0],
-                      tuple(sorted(rows[p][1].items(),
-                                   key=lambda kv: monomial_key_order(kv[0]))))
+        return tuple(tuple(sorted(rows[p][1].items(),
+                                  key=lambda kv: monomial_key_order(kv[0])))
                      for p in self._echelon.pivots)
 
     def __eq__(self, other) -> bool:

@@ -71,11 +71,12 @@ class Rref:
 
     `integer_rows` maps each pivot column to (d, nums): nums is a
     primitive integer vector {column: int} whose pivot entry d is positive,
-    so nums/d is the RREF row, 1 at the pivot and 0 at every other pivot.  A row's pivot
-    is its least column under `order` (the column index if None), so the
-    rows are the unique RREF, and their primitive integer forms unique,
-    whatever order rows arrive in.  `Rref(rows, ncols)` reduces a dense
-    matrix with `ncols` columns.  Entries may be ints or Fractions."""
+    so nums/d is the RREF row, 1 at the pivot and 0 at every other pivot.
+    A row's pivot is its least column under `order` (the column index if
+    None), so the rows are the unique RREF, and their primitive integer
+    forms unique, whatever order rows arrive in.  `Rref(rows, ncols)`
+    reduces a dense matrix with `ncols` columns.  Entries may be ints or
+    Fractions."""
 
     def __init__(self, rows: Iterable[Sequence] = (), ncols: int = 0,
                  order=None):
@@ -132,7 +133,7 @@ class Rref:
         d = new_row[pivot]
         # keep all rows fully reduced against each other: d·row - f·new_row
         # vanishes at the new pivot and keeps a positive pivot entry
-        for p, (dp, row) in self.integer_rows.items():
+        for p, (_, row) in self.integer_rows.items():
             f = row.get(pivot)
             if f:
                 row = {k: c * d for k, c in row.items()}

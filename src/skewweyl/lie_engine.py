@@ -238,8 +238,9 @@ class LieSpan:
         """Hashable canonical form (the primitive integer RREF rows)
         identifying the subspace."""
         rows = self._echelon.integer_rows
-        return tuple(tuple(sorted(rows[p][1].items(),
-                                  key=lambda kv: monomial_key_order(kv[0])))
+        return tuple((rows[p][0],
+                      tuple(sorted(rows[p][1].items(),
+                                   key=lambda kv: monomial_key_order(kv[0]))))
                      for p in self._echelon.pivots)
 
     def __eq__(self, other) -> bool:

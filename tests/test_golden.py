@@ -3,14 +3,16 @@ files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
 `skewweyl classify` on seven closed spans, `skewweyl closure` on five
 filiform chain generator pairs, `skewweyl igusa` on the pairs of
-tests/data/igusa_pairs.json and `skewweyl simulate` on three short control
+tests/data/igusa_pairs.json and `skewweyl simulate` on four short control
 files; `scripts/factorization_demo.py`, whose output is float-formatted,
 only has to run and agree with the direct propagator.
 
 Regenerate a golden file only when an output change is intended, e.g.
 ``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``;
 a `simulate` golden is the output of its `SIMULATE` row, e.g.
-``PYTHONPATH=src python -m skewweyl.cli simulate --algebra wh2 --controls tests/data/controls_wh2_constant.json --fock-dim 24 > tests/golden/simulate_wh2_constant.json``;
+``PYTHONPATH=src python -m skewweyl.cli simulate --algebra wh2 --controls tests/data/controls_wh2_constant.json --fock-dim 24 > tests/golden/simulate_wh2_constant.json``
+or
+``PYTHONPATH=src python -m skewweyl.cli simulate --algebra schrodinger --controls tests/data/controls_schrodinger_constant.json --fock-dim 32 > tests/golden/simulate_schrodinger_constant.json``;
 the `igusa` golden is
 ``PYTHONPATH=src:tests python3 -c "import test_golden; print(test_golden.igusa_golden(), end='')" > tests/golden/igusa_pairs.json``.
 """
@@ -78,6 +80,9 @@ SIMULATE = {
     "wh2_constant": ("wh2", 24),
     "wh2_sinusoid": ("wh2", 24),
     "schrodinger_sinusoid": ("schrodinger", 32),
+    # constant controls: broadcast samples, the oracle's eigenbasis form
+    # and the RK4 factors
+    "schrodinger_constant": ("schrodinger", 32),
 }
 
 
@@ -153,10 +158,9 @@ def test_simulate_wh2_matches_golden(name):
     assert _simulate(name) == (GOLDEN / f"simulate_{name}.json").read_text()
 
 
-def test_simulate_schrodinger_matches_golden():
+def _assert_schrodinger_matches_golden(name):
     # the adjoint phase quadrature may move in the last bits with the way
     # the adjoint exponentials are computed; everything else is exact
-    name = "schrodinger_sinusoid"
     got = json.loads(_simulate(name))
     want = json.loads((GOLDEN / f"simulate_{name}.json").read_text())
     assert sorted(got) == sorted(want)
@@ -169,6 +173,14 @@ def test_simulate_schrodinger_matches_golden():
             assert abs(got[key] - want[key]) <= 1e-15
         else:
             assert got[key] == want[key], key
+
+
+def test_simulate_schrodinger_matches_golden():
+    _assert_schrodinger_matches_golden("schrodinger_sinusoid")
+
+
+def test_simulate_schrodinger_constant_matches_golden():
+    _assert_schrodinger_matches_golden("schrodinger_constant")
 
 
 @pytest.mark.parametrize("algebra, u", [

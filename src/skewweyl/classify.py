@@ -80,12 +80,19 @@ class StructureConstants:
 
 def _subspace_product(sc: StructureConstants, A: List[Sparse],
                       B: List[Sparse]) -> List[Sparse]:
-    """RREF rows, by pivot, of the span of all [u, v], u in A, v in B."""
+    """RREF rows, by pivot, of the span of all [u, v], u in A, v in B.
+    For B equal to A each unordered pair is bracketed once: [u, u] = 0 and
+    [v, u] = -[u, v] span nothing more, and the RREF of a span does not
+    depend on the rows that reach it."""
     out = Rref(ncols=sc.n)
-    for u in A:
-        for v in B:
-            out.insert(sc.bracket_vec(u, v))
-    return [out.rows[p] for p in out.pivots]
+    if A == B:
+        pairs = itertools.combinations(A, 2)
+    else:
+        pairs = itertools.product(A, B)
+    for u, v in pairs:
+        out.insert(sc.bracket_vec(u, v))
+    rows = out.rows
+    return [rows[p] for p in out.pivots]
 
 
 def _full_basis(n: int) -> List[Sparse]:

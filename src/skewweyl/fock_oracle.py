@@ -209,9 +209,12 @@ def direct_propagator(spec, N: int, *, psi0=None,
 def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
                h: float, n_steps: int) -> np.ndarray:
     """n RK4 steps of each column of Y0 by BLAS on the banded -i H(t),
-    the controls `u` sampled on the stage grid."""
+    the controls `u` sampled on the stage grid.  The steps walk the stage
+    bands by one iterator and call BLAS with positional arguments: at these
+    sizes the calls, not the arithmetic, take most of a step's time."""
     b, w = BAND, 2 * BAND + 1  # sub- and superdiagonals, band rows
     table = _band_table(algebra, N).reshape(-1, N * w)
+    h2, h6 = h / 2, h / 6
     # one contiguous row y per column of Y, stepped in place: zaxpy writes
     # the sum into its y argument when that is a contiguous complex array
     rows = Y0.T.copy()
@@ -222,18 +225,19 @@ def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
         bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, w) \
             .transpose(0, 2, 1)
         for y in rows:
-            end = bands[0]
-            for j in range(1, len(bands), 2):
-                start, mid, end = end, bands[j], bands[j + 1]
+            stages = iter(bands)
+            end = next(stages)
+            for mid, nxt in zip(stages, stages):
+                start, end = end, nxt
                 k1 = zgbmv(N, N, b, b, 1.0, start, y)
-                k2 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k1, y.copy(), a=h / 2))
-                k3 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k2, y.copy(), a=h / 2))
-                k4 = zgbmv(N, N, b, b, 1.0, end, zaxpy(k3, y.copy(), a=h))
+                k2 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k1, y.copy(), N, h2))
+                k3 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k2, y.copy(), N, h2))
+                k4 = zgbmv(N, N, b, b, 1.0, end, zaxpy(k3, y.copy(), N, h))
                 # y += h / 6 * ((k1 + k4) + 2 k2 + 2 k3)
                 zaxpy(k4, k1)
-                zaxpy(k2, k1, a=2.0)
-                zaxpy(k3, k1, a=2.0)
-                zaxpy(k1, y, a=h / 6)
+                zaxpy(k2, k1, N, 2.0)
+                zaxpy(k3, k1, N, 2.0)
+                zaxpy(k1, y, N, h6)
     return rows.T
 
 

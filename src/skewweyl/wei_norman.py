@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -36,13 +37,76 @@ from .weyl_core import CONTROL_GENERATORS
 N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
 
 
+def _real(x) -> float:
+    """A preset parameter as the float that arithmetic with it converts it
+    to; anything else, a numeric string included, is a TypeError, as it is
+    in `A * math.sin(w * t + p)`."""
+    if not isinstance(x, numbers.Real):
+        raise TypeError(f"preset entry {x!r} is not a number")
+    return float(x)
+
+
+class _Constant:
+    """The control u(t) = v of the `constant` preset."""
+    __slots__ = ("v",)
+
+    def __init__(self, v: float):
+        self.v = v
+
+    def __call__(self, t: float) -> float:
+        return self.v
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.v)
+
+
+class _Sinusoid:
+    """The control u(t) = A sin(w t + p) of the `sinusoid` preset.  Over an
+    array of times it is one numpy expression of the same IEEE operations
+    in the same order; where float64 `np.sin` is the libm `sin` that
+    `math.sin` calls, as the tests check, a sample has the bits of the call
+    at its time."""
+    __slots__ = ("A", "w", "p")
+
+    def __init__(self, A: float, w: float, p: float):
+        self.A, self.w, self.p = A, w, p
+
+    def __call__(self, t: float) -> float:
+        return self.A * math.sin(self.w * t + self.p)
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        # past the float range the samples turn NaN, which ControlSpec
+        # rejects; the call at one time raises instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.A * np.sin(self.w * ts + self.p)
+
+
+def _sample(funcs: Sequence[Callable], ts: np.ndarray) -> np.ndarray:
+    """The controls `funcs` at the times `ts`, shape (len(ts), n_controls):
+    a preset by one array expression, any other callable once per time, on
+    Python floats."""
+    out = np.empty((len(ts), len(funcs)))
+    times = None
+    for j, f in enumerate(funcs):
+        if isinstance(f, (_Constant, _Sinusoid)):
+            out[:, j] = f.sample(ts)
+        else:
+            if times is None:
+                times = ts.tolist()
+            out[:, j] = [f(t) for t in times]
+    return out
+
+
 @dataclass
 class ControlSpec:
     """Sampled control functions on a uniform grid t_k = k h, k = 0..n_steps.
 
     `funcs`, when given, are the exact control callables used for dense
     evaluation (RK4 midpoints); otherwise a cubic spline through the samples
-    is used.  The grid needs at least one step.
+    is used.  The presets are callables too, which `_sample` evaluates over
+    a whole time array at once; every sample a spec takes, at the nodes, on
+    a stage grid or at one time, comes from `_sample` or the spline.  The
+    grid needs at least one step.
     """
     algebra: str
     h: float
@@ -81,20 +145,24 @@ class ControlSpec:
             self._spline = CubicSpline(self.grid, self.u, axis=1)
         return self._spline
 
+    def _sample_at(self, ts: np.ndarray) -> np.ndarray:
+        """The controls at the times `ts`, shape (len(ts), n_controls)."""
+        if self.funcs is None:
+            return self._interpolant()(ts).T
+        return _sample(self.funcs, ts)
+
     def evaluate(self, t: float) -> np.ndarray:
-        if self.funcs is not None:
-            return np.array([f(t) for f in self.funcs])
-        return self._interpolant()(t)
+        return self._sample_at(np.array([t]))[0]
 
     def stage_samples(self, substeps: int) -> np.ndarray:
         """Controls at the RK4 stage times t_j = j h / (2 substeps),
         j = 0..2 substeps n_steps: the start, midpoint and end of every
         substep.  Shape (2 substeps n_steps + 1, n_controls), read-only.
 
-        The samples are kept, so each control is sampled once per grid: a
-        grid whose times are every k-th time of a kept grid, k a power of
-        two, is read from it, because (j k)·(h / (2 k s)) == j·(h / (2 s))
-        in floating point."""
+        The samples are kept, so each grid is sampled once, by one call of
+        the spec's sampler: a grid whose times are every k-th time of a
+        kept grid, k a power of two, is read from it, because
+        (j k)·(h / (2 k s)) == j·(h / (2 s)) in floating point."""
         if substeps < 1:
             raise ValueError(f"substeps must be at least 1, not {substeps}")
         for kept, u in self._stages.items():
@@ -102,14 +170,7 @@ class ControlSpec:
             if not rem and not k & (k - 1):
                 return u[::k]
         m = 2 * substeps * self.n_steps + 1
-        ts = np.arange(m) * (self.h / (2 * substeps))
-        if self.funcs is None:
-            out = self._interpolant()(ts).T
-        else:
-            out = np.empty((m, len(self.funcs)))
-            times = ts.tolist()
-            for j, f in enumerate(self.funcs):
-                out[:, j] = [f(t) for t in times]
+        out = self._sample_at(np.arange(m) * (self.h / (2 * substeps)))
         out.flags.writeable = False
         self._stages[substeps] = out
         return out
@@ -119,16 +180,14 @@ class ControlSpec:
     def from_funcs(algebra: str, funcs: Sequence[Callable], t_final: float,
                    h: float) -> "ControlSpec":
         n_steps = int(round(t_final / h))
-        grid = np.arange(n_steps + 1) * h
-        u = np.array([[f(t) for t in grid] for f in funcs])
+        u = _sample(funcs, np.arange(n_steps + 1) * h).T
         return ControlSpec(algebra, h, n_steps, u, funcs=list(funcs))
 
     @staticmethod
     def constant(algebra: str, values: Sequence[float], t_final: float,
                  h: float) -> "ControlSpec":
         return ControlSpec.from_funcs(
-            algebra, [lambda t, v=v: float(v) for v in values], t_final, h
-        )
+            algebra, [_Constant(float(v)) for v in values], t_final, h)
 
     @staticmethod
     def from_json(obj: dict) -> "ControlSpec":
@@ -147,10 +206,8 @@ class ControlSpec:
                     raise ValueError(f"the sinusoid preset of {algebra} "
                                      f"needs {n} amplitudes, frequencies and "
                                      "phases: one per control")
-                funcs = [
-                    lambda t, A=A, w=w, p=p: A * math.sin(w * t + p)
-                    for A, w, p in zip(amps, freqs, phases)
-                ]
+                funcs = [_Sinusoid(_real(A), _real(w), _real(p))
+                         for A, w, p in zip(amps, freqs, phases)]
                 return ControlSpec.from_funcs(algebra, funcs, t_final, h)
             raise ValueError(f"unknown preset {obj['preset']!r}")
         u = np.asarray(obj["controls"], dtype=float)
@@ -271,51 +328,68 @@ def _rhs(f1: float, f2: float, f3: float, f4: float, u1: float, u2: float,
     controls u1..u5; f5 does not enter it.  Python floats passed one by
     one: per call they cost a fraction of numpy scalars and arrays, with
     the same bits."""
-    th = math.tanh(4 * f4)
-    ch = math.cosh(4 * f4)
+    x, y = 4 * f4, 2 * f1
+    th, ch = math.tanh(x), math.cosh(x)
     s1, c1 = math.sin(f1), math.cos(f1)
-    s2, c2 = math.sin(2 * f1), math.cos(2 * f1)
+    s2, c2 = math.sin(y), math.cos(y)
+    # each repeated operand formed once: the same operations, in the same
+    # order, as the expression written out in full
+    v4, v5 = 2 * u4, 2 * u5
+    plus, minus = 1 + th, 1 - th
     return (
-        u1 - 2 * u4 * s2 * th + 2 * u5 * c2 * th,
+        u1 - v4 * s2 * th + v5 * c2 * th,
         u2 * c1 + u3 * s1
-        - 2 * u4 * (f3 * s2 * (1 + th) - f2 * c2)
-        + 2 * u5 * (f3 * c2 * (1 + th) + f2 * s2),
+        - v4 * (f3 * s2 * plus - f2 * c2)
+        + v5 * (f3 * c2 * plus + f2 * s2),
         -u2 * s1 + u3 * c1
-        - 2 * u4 * (f2 * s2 * (1 - th) + f3 * c2)
-        + 2 * u5 * (f2 * c2 * (1 - th) - f3 * s2),
+        - v4 * (f2 * s2 * minus + f3 * c2)
+        + v5 * (f2 * c2 * minus - f3 * s2),
         u4 * c2 + u5 * s2,
         -u4 * s2 / ch + u5 * c2 / ch,
     )
 
 
-def _integrate(spec: ControlSpec, substeps: int,
-               u: np.ndarray) -> np.ndarray:
+def _rk4(spec: ControlSpec, substeps: int, u: np.ndarray,
+         node_rhs: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """RK4 with `substeps` internal steps per grid interval; `u` holds the
     controls on their stage grid, `spec.stage_samples(substeps)`.  Returns
-    f on the grid nodes.
+    f on the grid nodes and, if `node_rhs`, the first-stage right-hand
+    side of every grid interval, which is the derivative at its start node.
 
     The state is five Python floats and every update is written out per
     component, in the order numpy's elementwise form evaluates it; f5 does
-    not enter the right-hand side, so the stages leave it out."""
+    not enter the right-hand side, so the stages leave it out.  The stage
+    rows are walked by one iterator and unpacked once each, so every
+    `_rhs` call passes its nine arguments by position."""
     n = spec.n_steps
     hh = spec.h / substeps
     a, b, c = hh / 2, hh, hh / 6
-    stages = u.tolist()
+    stages = iter(u.tolist())
+    e1, e2, e3, e4, e5 = next(stages)
     f1 = f2 = f3 = f4 = f5 = 0.0
     rows = [(f1, f2, f3, f4, f5)]
+    starts = [] if node_rhs else None
     rhs = _rhs
     for k in range(n):
         try:
-            for m in range(substeps):
-                j = 2 * (k * substeps + m)
-                start, mid, end = stages[j:j + 3]
-                p1, p2, p3, p4, p5 = rhs(f1, f2, f3, f4, *start)
+            for sub in range(substeps):
+                m1, m2, m3, m4, m5 = next(stages)
+                p1, p2, p3, p4, p5 = p = rhs(f1, f2, f3, f4,
+                                             e1, e2, e3, e4, e5)
+                if starts is not None and not sub:
+                    # its floats, not the tuple: a freed tuple would stay
+                    # on the interpreter's free list
+                    starts += p
+                e1, e2, e3, e4, e5 = next(stages)
                 q1, q2, q3, q4, q5 = rhs(f1 + a * p1, f2 + a * p2,
-                                         f3 + a * p3, f4 + a * p4, *mid)
+                                         f3 + a * p3, f4 + a * p4,
+                                         m1, m2, m3, m4, m5)
                 r1, r2, r3, r4, r5 = rhs(f1 + a * q1, f2 + a * q2,
-                                         f3 + a * q3, f4 + a * q4, *mid)
+                                         f3 + a * q3, f4 + a * q4,
+                                         m1, m2, m3, m4, m5)
                 s1, s2, s3, s4, s5 = rhs(f1 + b * r1, f2 + b * r2,
-                                         f3 + b * r3, f4 + b * r4, *end)
+                                         f3 + b * r3, f4 + b * r4,
+                                         e1, e2, e3, e4, e5)
                 f1 = f1 + c * (p1 + 2 * q1 + 2 * r1 + s1)
                 f2 = f2 + c * (p2 + 2 * q2 + 2 * r2 + s2)
                 f3 = f3 + c * (p3 + 2 * q3 + 2 * r3 + s3)
@@ -329,7 +403,18 @@ def _integrate(spec: ControlSpec, substeps: int,
         if not all(map(math.isfinite, row)) or abs(4 * f4) > 350.0:
             raise SqueezeBlowUpError(k + 1, (k + 1) * spec.h)
         rows.append(row)
-    return np.array(rows).T.copy()
+    f = np.array(rows).T.copy()
+    if starts is None:
+        return f, None
+    # the last node starts no interval
+    starts += rhs(f1, f2, f3, f4, e1, e2, e3, e4, e5)
+    return f, np.array(starts).reshape(-1, 5).T
+
+
+def _integrate(spec: ControlSpec, substeps: int,
+               u: np.ndarray) -> np.ndarray:
+    """f on the grid nodes by `_rk4`."""
+    return _rk4(spec, substeps, u)[0]
 
 
 def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
@@ -339,12 +424,9 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
         raise ValueError("schrodinger_factors requires a schrodinger spec")
     # the substep-1 stage grid is every other point of the substep-2 grid
     u = spec.stage_samples(2)
-    f = _integrate(spec, 1, u[::2])
+    f, fdot = _rk4(spec, 1, u[::2], node_rhs=True)
     f_half = _integrate(spec, 2, u)
     err = float(np.max(np.abs(f - f_half)))
-    # the grid nodes are every fourth point of the substep-2 stage grid
-    fdot = np.array([_rhs(*fk[:4], *uk) for fk, uk in
-                     zip(f.T.tolist(), u[::4].tolist())]).T
     return FactorSolution(spec.algebra, spec.h, f, fdot, "RK4",
                           error_estimate=err)
 

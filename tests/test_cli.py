@@ -236,25 +236,41 @@ class TestSimulate:
         assert run(["simulate", "--algebra", "schrodinger",
                     "--controls", str(controls)]) == 2
 
+    @pytest.mark.parametrize("entries", [
+        {"preset": "constant", "values": [1.0, "x", 0.0]},
+        {"preset": "constant", "values": [1.0, None, 0.0]},
+        {"preset": "constant", "values": [1.0, [0.5], 0.0]},
+        # a sinusoid parameter is multiplied or added, never parsed: a
+        # numeric string is no number, and a list does not broadcast
+        {"preset": "sinusoid", "amplitudes": [1.0, "0.5", 0.0],
+         "frequencies": [1.0, 2.0, 3.0]},
+        {"preset": "sinusoid", "amplitudes": [1.0, 0.5, 0.0],
+         "frequencies": [1.0, [2.0], 3.0]},
+        {"preset": "sinusoid", "amplitudes": [1.0, 0.5, 0.0],
+         "frequencies": [1.0, 2.0, 3.0], "phases": [0.0, None, 0.0]},
+    ])
+    def test_non_numeric_preset_entry_is_usage_error(self, tmp_path, capsys,
+                                                     entries):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({"t_final": 0.05, "h": 1e-3,
+                                        **entries}))
+        assert_input_error(["simulate", "--algebra", "wh2", "--controls",
+                            str(controls), "--fock-dim", "16"], capsys)
+
     @pytest.mark.parametrize("algebra, n", [("wh2", 3), ("schrodinger", 5)])
     def test_each_control_sampled_once_per_grid(self, tmp_path, monkeypatch,
                                                  algebra, n):
-        # the grid nodes once when the spec is built, then the oracle's
-        # stage grid (4 substeps) once, which also serves the factor solver
-        calls = [0] * n
+        # one sampler evaluation over all controls on the grid nodes when
+        # the spec is built, then one on the oracle's stage grid (4
+        # substeps), which also serves the factor solver
+        grids = []
+        sample = wei_norman._sample
 
-        def counted(j, f):
-            def g(t):
-                calls[j] += 1
-                return f(t)
-            return g
+        def counted(funcs, ts):
+            grids.append((len(funcs), ts.tolist()))
+            return sample(funcs, ts)
 
-        from_funcs = wei_norman.ControlSpec.from_funcs
-        monkeypatch.setattr(
-            wei_norman.ControlSpec, "from_funcs",
-            staticmethod(lambda alg, funcs, t_final, h: from_funcs(
-                alg, [counted(j, f) for j, f in enumerate(funcs)],
-                t_final, h)))
+        monkeypatch.setattr(wei_norman, "_sample", counted)
         controls = tmp_path / "c.json"
         controls.write_text(json.dumps({
             "preset": "sinusoid", "amplitudes": [1.0, 0.3, 0.2, 0.1, 0.15][:n],
@@ -263,7 +279,9 @@ class TestSimulate:
         assert run(["simulate", "--algebra", algebra, "--controls",
                     str(controls), "--fock-dim", "16"]) == 0
         n_steps = 50
-        assert calls == [(n_steps + 1) + (8 * n_steps + 1)] * n
+        assert grids == [
+            (n, [k * 1e-3 for k in range(n_steps + 1)]),
+            (n, [j * (1e-3 / 8) for j in range(8 * n_steps + 1)])]
 
 
 class TestRepeatedRuns:

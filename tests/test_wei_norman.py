@@ -121,6 +121,88 @@ class TestControlSpec:
         assert sorted(spec._stages) == [3, 8]
 
 
+def _preset_number():
+    return st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                     st.floats(-1e3, 1e3, allow_nan=False))
+
+
+class TestPresetSampler:
+    """A preset is sampled by one numpy expression over a whole time array.
+    Its samples must be the bits of the expression taken at one time at a
+    time, `A * math.sin(w * t + p)` or `float(v)`: a platform whose float64
+    `np.sin` is not libm's `sin` fails here."""
+
+    @staticmethod
+    def _times(spec, substeps):
+        m = 2 * substeps * spec.n_steps + 1
+        return (np.arange(m) * (spec.h / (2 * substeps))).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_samples_are_the_scalar_expression(self, data):
+        algebra = data.draw(st.sampled_from(["wh2", "schrodinger"]))
+        n = 3 if algebra == "wh2" else 5
+        h = data.draw(st.floats(1e-3, 0.5))
+        t_final = data.draw(st.floats(h, 60 * h))
+        entries = st.lists(_preset_number(), min_size=n, max_size=n)
+        if data.draw(st.booleans()):
+            values = data.draw(entries)
+            spec = ControlSpec.from_json({
+                "algebra": algebra, "preset": "constant", "values": values,
+                "t_final": t_final, "h": h})
+            controls = [lambda t, v=v: float(v) for v in values]
+        else:
+            amps, freqs, phases = (data.draw(entries) for _ in range(3))
+            spec = ControlSpec.from_json({
+                "algebra": algebra, "preset": "sinusoid",
+                "amplitudes": amps, "frequencies": freqs, "phases": phases,
+                "t_final": t_final, "h": h})
+            controls = [lambda t, A=A, w=w, p=p: A * math.sin(w * t + p)
+                        for A, w, p in zip(amps, freqs, phases)]
+        nodes = (np.arange(spec.n_steps + 1) * h).tolist()
+        want = np.array([[f(t) for t in nodes] for f in controls])
+        assert spec.u.tobytes() == want.tobytes()
+        substeps = data.draw(st.integers(1, 4))
+        times = self._times(spec, substeps)
+        stages = spec.stage_samples(substeps)
+        want = np.array([[f(t) for f in controls] for t in times])
+        assert stages.tobytes() == want.tobytes()
+        # one time at a time gives the row of its grid
+        for j in data.draw(st.lists(st.integers(0, len(times) - 1),
+                                    min_size=1, max_size=5)):
+            assert spec.evaluate(times[j]).tobytes() == stages[j].tobytes()
+        for k in (0, spec.n_steps):
+            assert spec.evaluate(nodes[k]).tobytes() == \
+                spec.u[:, k].tobytes()
+
+    def test_callables_get_python_floats(self):
+        # math.sin takes no array, and `strict` takes Python floats only:
+        # the sampler calls each once per time
+        def strict(t):
+            assert type(t) is float, type(t)
+            return 0.5 * t
+
+        funcs = [math.sin, math.cos, strict]
+        spec = ControlSpec.from_funcs("wh2", funcs, t_final=0.1, h=0.01)
+        nodes = spec.grid.tolist()
+        assert spec.u.tobytes() == np.array(
+            [[f(t) for t in nodes] for f in funcs]).tobytes()
+        times = self._times(spec, 2)
+        assert spec.stage_samples(2).tobytes() == np.array(
+            [[f(t) for f in funcs] for t in times]).tobytes()
+        assert spec.evaluate(0.037).tobytes() == np.array(
+            [f(0.037) for f in funcs]).tobytes()
+
+    def test_sinusoid_past_the_float_range_is_rejected(self):
+        # w t overflows: the call at one time raises, the array form is
+        # NaN, and neither becomes a control
+        with pytest.raises(ValueError):
+            ControlSpec.from_json({
+                "algebra": "wh2", "preset": "sinusoid",
+                "amplitudes": [1, 1, 1], "frequencies": [1, 1e308, 1],
+                "t_final": 3.0, "h": 1.0})
+
+
 class TestWh2Factors:
     def test_pure_rotation(self):
         omega = 1.7

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .lie_engine import LieSpan, Rref, bracket
+from .lie_engine import LieSpan, Rref, _Commuting, bracket
 from .weyl_core import SkewPoly
 
 Matrix = List[List[Fraction]]
@@ -50,13 +50,35 @@ class StructureConstants:
 
     @staticmethod
     def from_span(b: LieSpan) -> "StructureConstants":
+        """The table of b's basis, which must be closed under the bracket.
+
+        Pairs `_Commuting` proves commute are not bracketed: a scalar with
+        anything, or two elements that commute with the same non-scalar one
+        (by Amitsur's theorem its centralizer is commutative).  The pairs
+        are visited cheapest first, by |x.terms|·|y.terms|, so cheap zero
+        brackets find those common elements before the dear pairs come up;
+        the table does not depend on the order.
+        """
+        basis = b.basis
+        commuting = _Commuting()
+        for x in basis:
+            commuting.add(x)
         entries = {}
-        for i, j in itertools.combinations(range(b.dim), 2):
-            coords = b.coordinates(bracket(b.basis[i], b.basis[j]))
+        for i, j in sorted(itertools.combinations(range(b.dim), 2),
+                           key=lambda ij: len(basis[ij[0]].terms)
+                           * len(basis[ij[1]].terms)):
+            if commuting.zero(i, j):
+                continue
+            z = bracket(basis[i], basis[j])
+            if not z:
+                commuting.record(i, j)
+                continue
+            coords = b.coordinates(z)
             if coords is None:
                 raise ValueError("span is not closed under the bracket")
             entries[i, j] = dict(enumerate(coords))
-        return StructureConstants(b.dim, entries)
+        # the table in (i, j) order, whatever order the pairs were visited in
+        return StructureConstants(b.dim, dict(sorted(entries.items())))
 
     @functools.cached_property
     def derived(self) -> List[Sparse]:

@@ -261,6 +261,35 @@ def span_is_bracket_closed(span: LieSpan) -> bool:
     return True
 
 
+class _Commuting:
+    """Pairs of basis elements whose bracket is known to be 0.
+
+    For every element w of the Weyl algebra that is not a scalar, the
+    centralizer C(w) is commutative (Amitsur, Pacific J. Math. 8, 1958;
+    Dixmier, Bull. SMF 96, 1968): two elements that both commute with the
+    same non-scalar w commute with each other.  Each basis index keeps the
+    non-scalar indices its element is known to commute with, itself
+    included.  A scalar (a multiple of i, or 0) commutes with everything,
+    so it links nothing and keeps None; non-scalar skew elements are those
+    of degree >= 1.
+    """
+
+    def __init__(self):
+        self._known: List[Optional[set]] = []
+
+    def add(self, x: SkewPoly) -> None:
+        self._known.append({len(self._known)} if x.degree > 0 else None)
+
+    def zero(self, i: int, j: int) -> bool:
+        a, b = self._known[i], self._known[j]
+        return a is None or b is None or not a.isdisjoint(b)
+
+    def record(self, i: int, j: int) -> None:
+        """Note that [b_i, b_j] came out 0."""
+        self._known[i].add(j)
+        self._known[j].add(i)
+
+
 # ---------------------------------------------------------------------------
 # Closure outcomes
 # ---------------------------------------------------------------------------
@@ -329,11 +358,17 @@ def _drift_term(g: SkewPoly) -> Optional[Tuple[Fraction, Fraction]]:
 def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
     """Budgeted level-structure closure with exact echelon bookkeeping.
 
-    Each unordered pair is bracketed once.  The dimension budget is checked
+    Each unordered pair is bracketed once, except pairs `_Commuting` proves
+    commute: a scalar with anything, or two elements that commute with the
+    same non-scalar one (by Amitsur's theorem its centralizer is
+    commutative).  Zero brackets are never inserted, so skipping them leaves
+    the basis and its order as they are.  The dimension budget is checked
     after every insert, so an `inconclusive` report stops at max_dim + 1;
     the degree budget is checked before every insert, generators included.
     """
     span = LieSpan()
+    basis = span.basis
+    commuting = _Commuting()
     max_deg_seen = NEG_INF
 
     def over_budget(degree) -> ClosureOutcome:
@@ -349,27 +384,32 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
         if span.insert(g):
+            commuting.add(g)
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
-    frontier = list(span.basis)
-    while frontier:
-        older = span.basis[:span.dim - len(frontier)]
-        new: List[SkewPoly] = []
-        for i, x in enumerate(frontier):
-            # [x, x] = 0, and [x, y] = -[y, x] for an earlier frontier y
-            for y in older + frontier[i + 1:]:
-                z = bracket(x, y)
+    start = 0
+    while start < span.dim:
+        # basis[start:end] is the frontier, the elements of the last level
+        end = span.dim
+        for i in range(start, end):
+            # [b_i, b_i] = 0, and [b_i, b_j] = -[b_j, b_i] for an earlier
+            # frontier j
+            for j in itertools.chain(range(start), range(i + 1, end)):
+                if commuting.zero(i, j):
+                    continue
+                z = bracket(basis[i], basis[j])
                 if not z:
+                    commuting.record(i, j)
                     continue
                 if z.degree > budget.max_degree:
                     return over_budget(z.degree)
                 if span.insert(z):
-                    new.append(z)
+                    commuting.add(z)
                     max_deg_seen = max(max_deg_seen, z.degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
-        frontier = new
+        start = end
     return ClosureOutcome("finite", span=span)
 
 

@@ -26,6 +26,10 @@ from skewweyl.weyl_core import (MINUS, NEG_INF, PLUS, GaussianRational,
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _json(name):
+    return [skew_from_json(e) for e in json.loads((DATA / name).read_text())]
+
+
 def _all_pairs_closure(gens, budget):
     """The reference closure: `_raw_closure`'s levels and pair order, with
     every unordered pair of each level bracketed."""
@@ -198,8 +202,8 @@ class TestClosureMatchesAllPairs:
                          .map(lambda fg: fg[0] + fg[1])), budgets)
     @settings(max_examples=40, deadline=None)
     def test_two_commuting_families(self, gens, budget):
-        # each element commutes with its own family only, so the known
-        # sets grow on both sides of every pair across the families
+        # each element commutes with its own family only: a pair across
+        # the families has two growing known sets that must not meet
         _assert_same_closure(gens, budget)
 
     def test_chains(self):
@@ -211,10 +215,6 @@ class TestClosureMatchesAllPairs:
 # ---------------------------------------------------------------------------
 # StructureConstants.from_span
 # ---------------------------------------------------------------------------
-
-def _json(name):
-    return [skew_from_json(e) for e in json.loads((DATA / name).read_text())]
-
 
 class TestTableMatchesAllPairs:
     def test_glossary_subalgebras(self):
@@ -261,11 +261,10 @@ def bracket_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_chain_bracket_calls(n, bracket_calls):
-    # x and n+1 commuting elements i q^k-polynomials, one of them the
-    # scalar i: x is bracketed with each of the n non-scalars, and the
-    # first zero bracket each of the other n - 1 non-scalars meets links it
-    # to a common one, 2n - 1 = 2 dim - 5 brackets in place of
-    # dim (dim - 1) / 2
+    # the closure is x and n + 1 commuting polynomials in q, one of them
+    # the scalar i: x is bracketed with each of the n non-scalars, and one
+    # zero bracket links each non-scalar but the first to a common one,
+    # 2n - 1 = 2 dim - 5 brackets in place of dim (dim - 1) / 2
     out = _raw_closure(_json(f"closure_chain_{n}.json"), Budget())
     dim = out.dim
     assert dim == n + 2

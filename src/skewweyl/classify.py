@@ -24,8 +24,8 @@ from .lie_engine import LieSpan, Rref, _Commuting, bracket
 from .weyl_core import SkewPoly
 
 Matrix = List[List[Fraction]]
-#: a coordinate vector as a sparse `Rref` row {basis index: Fraction}
-Sparse = Dict[int, Fraction]
+#: a coordinate vector as a sparse integer row {basis index: int}
+Sparse = Dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -37,16 +37,24 @@ class StructureConstants:
 
     `table[i, j]` is the sparse coordinate vector of [b_i, b_j], stored
     only if nonzero and without zero entries; table[j, i] is -table[i, j].
+    `integer_table` is the map times `scale`, the lcm of its denominators,
+    in ints: an isomorphic algebra with the same series and centre, whose
+    Killing form is scale² > 0 times this one, of the same signature.
     """
 
     def __init__(self, n: int, entries: Dict[Tuple[int, int], Dict[int, Fraction]]):
         self.n = n
-        self.table: Dict[Tuple[int, int], Sparse] = {}
+        self.table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for (i, j), comps in entries.items():
             v = {k: Fraction(c) for k, c in comps.items() if c}
             if v:
                 self.table[i, j] = v
                 self.table[j, i] = {k: -c for k, c in v.items()}
+        self.scale = math.lcm(*(c.denominator for v in self.table.values()
+                                for c in v.values()))
+        self.integer_table: Dict[Tuple[int, int], Sparse] = {ij: {
+            k: c.numerator * (self.scale // c.denominator)
+            for k, c in v.items()} for ij, v in self.table.items()}
 
     @staticmethod
     def from_span(b: LieSpan) -> "StructureConstants":
@@ -60,9 +68,7 @@ class StructureConstants:
         the table does not depend on the order.
         """
         basis = b.basis
-        commuting = _Commuting()
-        for x in basis:
-            commuting.add(x)
+        commuting = _Commuting(basis)
         entries = {}
         for i, j in sorted(itertools.combinations(range(b.dim), 2),
                            key=lambda ij: len(basis[ij[0]].terms)
@@ -82,17 +88,17 @@ class StructureConstants:
 
     @functools.cached_property
     def derived(self) -> List[Sparse]:
-        """[g, g] as RREF rows, formed once per table: the first term of
+        """[g, g] as integer rows, formed once per table: the first term of
         the derived series, the lower central series and the diagonal test."""
         return _subspace_product(self, _full_basis(self.n),
                                  _full_basis(self.n))
 
     def bracket_vec(self, u: Sparse, v: Sparse) -> Sparse:
-        """Coordinates of [u, v], for u and v given by their coordinates."""
+        """Coordinates of scale·[u, v], for u and v in integer coordinates."""
         out: Sparse = {}
         for i, a in u.items():
             for j, b in v.items():
-                t = self.table.get((i, j))
+                t = self.integer_table.get((i, j))
                 if t:
                     c = a * b
                     for k, x in t.items():
@@ -102,10 +108,10 @@ class StructureConstants:
 
 def _subspace_product(sc: StructureConstants, A: List[Sparse],
                       B: List[Sparse]) -> List[Sparse]:
-    """RREF rows, by pivot, of the span of all [u, v], u in A, v in B.
-    For B equal to A each unordered pair is bracketed once: [u, u] = 0 and
-    [v, u] = -[u, v] span nothing more, and the RREF of a span does not
-    depend on the rows that reach it."""
+    """Primitive integer `Rref` rows, by pivot, of the span of all [u, v],
+    u in A, v in B.  For B equal to A each unordered pair is bracketed
+    once: [u, u] = 0 and [v, u] = -[u, v] span nothing more, and the RREF
+    of a span does not depend on the rows that reach it."""
     out = Rref(ncols=sc.n)
     if A == B:
         pairs = itertools.combinations(A, 2)
@@ -113,12 +119,12 @@ def _subspace_product(sc: StructureConstants, A: List[Sparse],
         pairs = itertools.product(A, B)
     for u, v in pairs:
         out.insert(sc.bracket_vec(u, v))
-    rows = out.rows
-    return [rows[p] for p in out.pivots]
+    rows = out.integer_rows
+    return [rows[p][1] for p in out.pivots]
 
 
 def _full_basis(n: int) -> List[Sparse]:
-    return [{i: Fraction(1)} for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def _series(sc: StructureConstants, step) -> List[List[Sparse]]:
@@ -141,10 +147,10 @@ def _lower_central_series(sc: StructureConstants) -> List[List[Sparse]]:
     return _series(sc, lambda s: _subspace_product(sc, _full_basis(sc.n), s))
 
 
-def _center(sc: StructureConstants) -> List[Sparse]:
+def _center(sc: StructureConstants) -> List[Dict[int, Fraction]]:
     """Common kernel of the ad maps: row (i, k) holds table[i, j][k] at j."""
     rows: Dict[Tuple[int, int], Sparse] = {}
-    for (i, j), v in sc.table.items():
+    for (i, j), v in sc.integer_table.items():
         for k, c in v.items():
             rows.setdefault((i, k), {})[j] = c
     kernel = Rref(ncols=sc.n)
@@ -185,9 +191,10 @@ def center(b: LieSpan) -> LieSpan:
 # Killing form
 # ---------------------------------------------------------------------------
 
-def _sylvester_signature(G: Matrix) -> Tuple[int, int, int]:
-    """Exact signature of a symmetric rational matrix by congruence
-    reduction."""
+def _sylvester_signature(G: List[List[int]]) -> Tuple[int, int, int]:
+    """Exact signature of a symmetric integer matrix by congruence: with
+    d = G[p][p] != 0, G[i] <- d·G[i] - f·G[p] on rows and then columns is
+    invertible, so by Sylvester's law of inertia it keeps the signature."""
     G = [list(row) for row in G]
     n_plus = n_minus = n_zero = 0
     idx = list(range(len(G)))
@@ -211,12 +218,12 @@ def _sylvester_signature(G: Matrix) -> Tuple[int, int, int]:
         else:
             n_minus += 1
         for i in idx:
-            if i == pivot or G[i][pivot] == 0:
+            f = G[i][pivot]
+            if i == pivot or f == 0:
                 continue
-            f = G[i][pivot] / d
-            G[i] = [x - f * y for x, y in zip(G[i], G[pivot])]
+            G[i] = [d * x - f * y for x, y in zip(G[i], G[pivot])]
             for row in G:
-                row[i] -= f * row[pivot]
+                row[i] = d * row[i] - f * row[pivot]
         idx.remove(pivot)
     return (n_plus, n_minus, n_zero)
 
@@ -227,17 +234,24 @@ def killing_form(b: LieSpan):
     return _killing_from_sc(StructureConstants.from_span(b))
 
 
-def _killing_from_sc(sc: StructureConstants):
-    """Gram matrix, rank n_+ + n_- and signature; (ad b_i)[k][l] is
+def _integer_killing(sc: StructureConstants) -> List[List[int]]:
+    """scale² times the Killing Gram matrix: (ad b_i)[k][l] is
     table[i, l][k], so B(b_i, b_j) = sum table[i, l][k] table[j, k][l]."""
-    ads: List[Dict[Tuple[int, int], Fraction]] = [{} for _ in range(sc.n)]
-    for (i, l), v in sc.table.items():
+    ads: List[Dict[Tuple[int, int], int]] = [{} for _ in range(sc.n)]
+    for (i, l), v in sc.integer_table.items():
         for k, c in v.items():
             ads[i][k, l] = c
-    G = [[sum((c * Q[l, k] for (k, l), c in P.items() if (l, k) in Q),
-              Fraction(0)) for Q in ads] for P in ads]
+    return [[sum(c * Q[l, k] for (k, l), c in P.items() if (l, k) in Q)
+             for Q in ads] for P in ads]
+
+
+def _killing_from_sc(sc: StructureConstants):
+    """Gram matrix (as Fractions), rank n_+ + n_- and signature."""
+    G = _integer_killing(sc)
     signature = _sylvester_signature(G)
-    return G, signature[0] + signature[1], signature
+    s2 = sc.scale ** 2
+    return ([[Fraction(x, s2) for x in row] for row in G],
+            signature[0] + signature[1], signature)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,7 @@ class Fingerprint:
 def _fingerprint_from_sc(sc: StructureConstants) -> Fingerprint:
     der_dims = tuple(len(s) for s in _derived_series(sc))
     lcs_dims = tuple(len(s) for s in _lower_central_series(sc))
-    _, rank, signature = _killing_from_sc(sc)
+    signature = _sylvester_signature(_integer_killing(sc))
     return Fingerprint(
         dim=sc.n,
         derived_dims=der_dims,
@@ -279,7 +293,7 @@ def _fingerprint_from_sc(sc: StructureConstants) -> Fingerprint:
         center_dim=len(_center(sc)),
         solvable=der_dims[-1] == 0,
         nilpotent=lcs_dims[-1] == 0,
-        killing_rank=rank,
+        killing_rank=signature[0] + signature[1],
         killing_signature=signature,
     )
 
@@ -412,19 +426,21 @@ def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[Ca
 def _diagonal_weights(sc: StructureConstants,
                       der: List[Sparse]) -> Optional[Tuple[Fraction, ...]]:
     """Eigenvalues of a complementary generator w acting on the abelian
-    derived algebra `der` (codimension 1, RREF rows), normalized so the
-    largest |weight| is 1.
+    derived algebra `der` (codimension 1, primitive integer RREF rows),
+    normalized so the largest |weight| is 1.
 
-    Coordinates in `der` are the entries at its pivots, and w is the first
-    non-pivot unit vector; any other choice is c·w plus an element of the
-    abelian `der`, which scales the weights by c.  w is fixed only up to
-    sign, so of the sorted weights of w and -w the larger tuple is returned.
+    A row is its pivot entry d times the RREF row, whose coordinates are
+    the entries at the pivots, so a row's image over d is its column of
+    scale·ad w.  w is the first non-pivot unit vector; any other choice is
+    c·w plus an element of the abelian `der`, which scales the weights by
+    c, as `scale` does.  w is fixed only up to sign, so of the sorted
+    weights of w and -w the larger tuple is returned.
     """
     pivots = [min(row) for row in der]
-    outside = {next(i for i in range(sc.n) if i not in pivots): Fraction(1)}
-    images = [sc.bracket_vec(outside, v) for v in der]
-    weights = _rational_eigenvalues([[w.get(p, Fraction(0)) for w in images]
-                                     for p in pivots])
+    outside = {next(i for i in range(sc.n) if i not in pivots): 1}
+    images = [(sc.bracket_vec(outside, v), v[p]) for v, p in zip(der, pivots)]
+    weights = _rational_eigenvalues([[Fraction(w.get(p, 0), d)
+                                      for w, d in images] for p in pivots])
     if weights is None or not any(weights):
         return None
     scale = max(abs(w) for w in weights)

@@ -37,8 +37,9 @@ class RealizationRecord:
         }
 
 
-def _closure_span(gens: Sequence[SkewPoly], budget: Budget) -> LieSpan:
-    out = _raw_closure(gens, budget)
+def _closure_span(gens: Sequence[SkewPoly], budget: Budget,
+                  within: Optional[LieSpan] = None) -> LieSpan:
+    out = _raw_closure(gens, budget, within)
     if out.outcome != "finite":
         raise ValueError("closure exceeded budget during enumeration")
     return out.span
@@ -83,7 +84,8 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
             extend(subset, span, k + 1)
             return
         for ell in range(k, n):
-            bigger = _closure_span(list(span.basis) + [basis[ell]], budget)
+            # the closure of span.basis + [basis[ell]], extending span
+            bigger = _closure_span([basis[ell]], budget, span)
             new_subset = subset + (ell,)
             if record(new_subset, bigger):
                 extend(new_subset, bigger, ell + 1)

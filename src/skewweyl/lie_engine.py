@@ -274,8 +274,10 @@ class _Commuting:
     of degree >= 1.
     """
 
-    def __init__(self):
+    def __init__(self, elements: Iterable[SkewPoly] = ()):
         self._known: List[Optional[set]] = []
+        for x in elements:
+            self.add(x)
 
     def add(self, x: SkewPoly) -> None:
         self._known.append({len(self._known)} if x.degree > 0 else None)
@@ -355,7 +357,8 @@ def _drift_term(g: SkewPoly) -> Optional[Tuple[Fraction, Fraction]]:
     return (w, c)
 
 
-def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
+def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
+                 within: Optional[LieSpan] = None) -> ClosureOutcome:
     """Budgeted level-structure closure with exact echelon bookkeeping.
 
     Each unordered pair is bracketed once, except pairs `_Commuting` proves
@@ -365,11 +368,20 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
     the basis and its order as they are.  The dimension budget is checked
     after every insert, so an `inconclusive` report stops at max_dim + 1;
     the degree budget is checked before every insert, generators included.
+
+    A closed `within` from a closure under the same budget is extended as
+    the closure of `within.basis + gens` would be, in the same order and
+    with the same report, but without its pairs inside `within`.
     """
-    span = LieSpan()
+    span, lo = LieSpan(), 0
+    if within is not None:
+        # `Rref.insert` never mutates a stored row, so the rows are shared
+        span.basis = list(within.basis)
+        span._echelon.integer_rows = dict(within._echelon.integer_rows)
+        lo = within.dim
     basis = span.basis
-    commuting = _Commuting()
-    max_deg_seen = NEG_INF
+    commuting = _Commuting(basis)
+    max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
 
     def over_budget(degree) -> ClosureOutcome:
         return ClosureOutcome(
@@ -393,9 +405,9 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget) -> ClosureOutcome:
         # basis[start:end] is the frontier, the elements of the last level
         end = span.dim
         for i in range(start, end):
-            # [b_i, b_i] = 0, and [b_i, b_j] = -[b_j, b_i] for an earlier
-            # frontier j
-            for j in itertools.chain(range(start), range(i + 1, end)):
+            # [b_i, b_i] = 0, [b_i, b_j] = -[b_j, b_i] for an earlier
+            # frontier j, and [b_i, b_j] lies in `within` for i, j < lo
+            for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
                 if commuting.zero(i, j):
                     continue
                 z = bracket(basis[i], basis[j])

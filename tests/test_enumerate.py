@@ -1,15 +1,22 @@
 """Subset enumeration against the brute-force oracle and the known
 glossary over the degree-<=2 monomial basis."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from skewweyl import classify, lie_engine
 from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS,
                                 brute_force_subalgebras,
                                 enumerate_subalgebras, glossary_markdown,
                                 glossary_report)
-from skewweyl.lie_engine import Budget, bracket, lie_closure
+from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
+                                 lie_closure)
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
-                                unit_i)
+                                skew_from_json, unit_i)
+from test_commuting import _KEYS, _LOW_KEYS, DATA, _with_scalars, skew_polys
 
 
 def gp(a, b):
@@ -119,3 +126,84 @@ class TestGlossary:
         rec = glossary_report()["records"][0]
         assert set(rec) == {"generating_subset", "dim", "basis", "catalog"}
 
+
+
+# ---------------------------------------------------------------------------
+# Closures that extend a closed span
+# ---------------------------------------------------------------------------
+
+_KEYS3 = [k for k in _KEYS if sum(k[1]) <= 3]
+_DEGREE3 = st.one_of(skew_polys(_LOW_KEYS), skew_polys(_KEYS3))
+
+
+@st.composite
+def extensions(draw):
+    """(gens, extra, budget): a degree <= 3 set whose closure under
+    Budget(16, 8) is finite, 1-2 more elements, and a budget under which
+    that closure is the same: max_dim its dim plus 0-4, max_degree from
+    its degree to 8, so either budget can be tight."""
+    gens = draw(_with_scalars(st.lists(_DEGREE3, min_size=1, max_size=3)))
+    out = _raw_closure(gens, Budget(16, 8))
+    assume(out.outcome == "finite")
+    extra = draw(st.lists(_DEGREE3.filter(bool), min_size=1, max_size=2))
+    dim = min(16, max(1, out.dim + draw(st.integers(0, 4))))
+    degree = max([1] + [b.degree for b in out.span.basis])
+    return gens, extra, Budget(dim, draw(st.integers(degree, 8)))
+
+
+class TestExtensionClosure:
+    @given(extensions())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_closure_of_the_union(self, case):
+        gens, extra, budget = case
+        within = _raw_closure(gens, budget)
+        assert within.outcome == "finite"
+        key = within.span.canonical_key()
+        got = _raw_closure(extra, budget, within=within.span)
+        want = _raw_closure(within.span.basis + extra, budget)
+        assert got.outcome == want.outcome
+        assert got.budget_report == want.budget_report
+        if want.span is None:
+            assert got.span is None
+        else:
+            assert len(got.span.basis) == len(want.span.basis)
+            for x, y in zip(got.span.basis, want.span.basis):
+                assert list(x.terms.items()) == list(y.terms.items())
+            assert got.span.canonical_key() == want.span.canonical_key()
+        # the extended span is a copy: `within` is unchanged
+        assert within.span.canonical_key() == key
+
+    def test_span_of_its_own_elements_is_itself(self):
+        span = lie_closure(schrodinger_monomials()).span
+        out = _raw_closure(span.basis[::-1], Budget(), within=span)
+        assert out.outcome == "finite" and out.span.basis == span.basis
+
+
+def _mixed_basis():
+    doc = json.loads((DATA / "mixed_basis.json").read_text())
+    return [skew_from_json(e) for e in doc]
+
+
+@pytest.mark.parametrize("basis, spans, brackets, inserts", [
+    # closing span.basis + [b] from scratch took 130 brackets and 199
+    # inserts on the six monomials, 176 and 253 on the mixed basis
+    (schrodinger_monomials, 22, 119, 135),
+    (_mixed_basis, 20, 162, 182),
+])
+def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
+                                          brackets, inserts):
+    calls = {"bracket": 0, "insert": 0}
+
+    def counted_bracket(x, y):
+        calls["bracket"] += 1
+        return bracket(x, y)
+
+    def counted_insert(self, v, insert=LieSpan.insert):
+        calls["insert"] += 1
+        return insert(self, v)
+
+    monkeypatch.setattr(lie_engine, "bracket", counted_bracket)
+    monkeypatch.setattr(classify, "bracket", counted_bracket)
+    monkeypatch.setattr(LieSpan, "insert", counted_insert)
+    assert len(enumerate_subalgebras(basis())) == spans
+    assert calls == {"bracket": brackets, "insert": inserts}

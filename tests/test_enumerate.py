@@ -1,8 +1,6 @@
 """Subset enumeration against the brute-force oracle and the known
 glossary over the degree-<=2 monomial basis."""
 
-import json
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,8 +13,8 @@ from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS,
 from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
                                  lie_closure)
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
-                                skew_from_json, unit_i)
-from test_commuting import _KEYS, _LOW_KEYS, DATA, _with_scalars, skew_polys
+                                unit_i)
+from test_commuting import _KEYS, _LOW_KEYS, _json, _with_scalars, skew_polys
 
 
 def gp(a, b):
@@ -127,7 +125,6 @@ class TestGlossary:
         assert set(rec) == {"generating_subset", "dim", "basis", "catalog"}
 
 
-
 # ---------------------------------------------------------------------------
 # Closures that extend a closed span
 # ---------------------------------------------------------------------------
@@ -179,16 +176,11 @@ class TestExtensionClosure:
         assert out.outcome == "finite" and out.span.basis == span.basis
 
 
-def _mixed_basis():
-    doc = json.loads((DATA / "mixed_basis.json").read_text())
-    return [skew_from_json(e) for e in doc]
-
-
 @pytest.mark.parametrize("basis, spans, brackets, inserts", [
     # closing span.basis + [b] from scratch took 130 brackets and 199
     # inserts on the six monomials, 176 and 253 on the mixed basis
     (schrodinger_monomials, 22, 119, 135),
-    (_mixed_basis, 20, 162, 182),
+    (lambda: _json("mixed_basis.json"), 20, 162, 182),
 ])
 def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
                                           brackets, inserts):

@@ -8,7 +8,6 @@ table's denominators.  The reference below is the same algorithm on the
 reduction that divides by the pivot."""
 
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -26,9 +25,9 @@ from skewweyl.classify import (
     _sylvester_signature,
 )
 from skewweyl.lie_engine import Budget, LieSpan, Rref, _raw_closure
-from skewweyl.weyl_core import SkewPoly, skew_from_json
+from skewweyl.weyl_core import SkewPoly
 from test_classify import _table_cases, gm, gp, skew_power, span_of
-from test_commuting import _LOW_KEYS, DATA, _with_scalars, skew_polys
+from test_commuting import _LOW_KEYS, _json, _with_scalars, skew_polys
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +152,8 @@ def ref_diagonal_weights(sc):
 def _diagonal_spans():
     """Spans of the r(j1..jn) family, whose weights are read."""
     x = gp(1, 0)
-    doc = json.loads((DATA / "classify_diagonal.json").read_text())
     return [span_of(gm(2, 0), x, skew_power(x, 2), skew_power(x, 3)),
-            LieSpan(skew_from_json(e) for e in doc)]
+            LieSpan(_json("classify_diagonal.json"))]
 
 
 def _diagonal_cases():

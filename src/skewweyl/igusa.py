@@ -18,8 +18,9 @@ degree-d part of an element maps to a nonzero degree-d polynomial: the
 degree stays d, and a0, a1 are the y^d and x·y^(d-1) coefficients of the
 substituted degree-d part.  `_frame_leading` evaluates exactly that, in
 O(d) per element; `transform`, the full normal-ordered frame change, is
-kept as its reference.  The identity frame is evaluated in exact
-Gaussian-rational arithmetic, every other frame in floating point.
+kept as its reference.  The leading data are read from the skew keys:
+exactly at the identity frame (from g±^(d,0) and g±^(d-1,1), as integers
+over one denominator), in floating point at every other frame.
 
 Which frames certify.  With p, q the degree-d parts as commuting polynomials
 in (x, y) and v = (s12, s22), Euler's identity d·p = x·p_x + y·p_y gives
@@ -41,10 +42,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .lie_engine import bracket
-from .weyl_core import GaussianRational, MultiIndex, SkewPoly, WeylPoly, _reorder
+from .weyl_core import MINUS, PLUS, MultiIndex, SkewPoly, WeylPoly, _reorder
 
 #: |value| threshold for "nonzero" under floating-point frames, applied to
 #: leading data normalised as in `_frame_leading`
@@ -52,30 +54,48 @@ NUMERIC_TOLERANCE = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Leading data
+# Leading data, read from the skew keys
 # ---------------------------------------------------------------------------
 
-def leading_pair(x: WeylPoly) -> Tuple[GaussianRational, GaussianRational]:
-    """(a0, a1): the coefficients of a^d and a† a^{d-1}, d = deg x."""
-    d = x.degree
-    if not isinstance(d, int):
-        raise ValueError("zero polynomial has no leading coefficients")
-    return x.coeff(0, d), x.coeff(1, d - 1)
+def _normal_coeff(terms, alpha: int, beta: int) -> Tuple[Fraction, Fraction]:
+    """(re, im) of the coefficient of (a†)^α a^β in the element with skew
+    terms `terms`, exact, as its `WeylPoly` conversion gives it: with c±
+    the coefficients of g±^γ, γ = (max(α, β), min(α, β)), it is c- + i·c+
+    for α < β, -c- + i·c+ for α > β and 2i·c+ for α = β."""
+    if alpha == beta:
+        return 0, 2 * terms.get((PLUS, (alpha, beta)), 0)
+    gamma = (alpha, beta) if alpha > beta else (beta, alpha)
+    minus = terms.get((MINUS, gamma), 0)
+    return -minus if alpha > beta else minus, terms.get((PLUS, gamma), 0)
 
 
-def delta(x: WeylPoly, y: WeylPoly) -> GaussianRational:
-    """The exact invariant d_y·a1·b0 - d_x·a0·b1 built from leading data.
-
-    Up to lower-order terms, [x, y] has a^{d_x+d_y-2} coefficient -delta(x,y).
-    """
-    a0, a1 = leading_pair(x)
-    b0, b1 = leading_pair(y)
-    dx, dy = x.degree, y.degree
-    return a1 * b0 * GaussianRational.real(dy) - a0 * b1 * GaussianRational.real(dx)
+def _identity_leading(e: SkewPoly) -> Tuple[int, int, Tuple[int, ...]]:
+    """(d, n, (Re a0, Im a0, Re a1, Im a1)·n): the coefficients a0 of a^d
+    and a1 of a† a^(d-1) as integers over one denominator n."""
+    d, terms = e.degree, e.terms
+    parts = (*_normal_coeff(terms, 0, d), *_normal_coeff(terms, 1, d - 1))
+    n = math.lcm(*(c.denominator for c in parts))
+    return d, n, tuple(c.numerator * (n // c.denominator) for c in parts)
 
 
-def _frame_leading(x: WeylPoly, frame) -> Tuple[int, complex, complex]:
-    """(d, a0, a1) of x after the frame change (s11, s12, s21, s22).
+def _top_terms(e: SkewPoly) -> Iterator[Tuple[int, int, complex]]:
+    """The degree-d normal-ordered terms (α, β, c) of e in the order of its
+    `WeylPoly` conversion, so every float sum over them runs as over it: per
+    skew key (β, α) before (α, β), and g±^γ merged at the first of them."""
+    d, terms = e.degree, e.terms
+    seen = set()
+    for _, gamma in terms:
+        alpha, beta = gamma
+        if alpha + beta != d or gamma in seen:
+            continue
+        seen.add(gamma)
+        for key in ((beta, alpha), gamma) if alpha != beta else (gamma,):
+            re, im = _normal_coeff(terms, *key)
+            yield key[0], key[1], complex(float(re), float(im))
+
+
+def _frame_leading(e: SkewPoly, frame) -> Tuple[int, complex, complex]:
+    """(d, a0, a1) of e after the frame change (s11, s12, s21, s22).
 
     Over the degree-d terms c·(a†)^α a^β, a0 = Σ c·s12^α·s22^β and
     a1 = Σ c·(α·s11·s12^(α-1)·s22^β + β·s21·s12^α·s22^(β-1)).  Both are
@@ -86,34 +106,29 @@ def _frame_leading(x: WeylPoly, frame) -> Tuple[int, complex, complex]:
     """
     s11, s12, s21, s22 = frame
     r1, r2 = abs(s11) + abs(s12), abs(s21) + abs(s22)
-    d = x.degree
     a0 = a1 = 0j
     scale = 0.0
-    for (alpha, beta), c in x.terms.items():
-        if alpha + beta != d:
-            continue
-        c = complex(c)
+    for alpha, beta, c in _top_terms(e):
         scale += abs(c) * r1 ** alpha * r2 ** beta
         a0 += c * s12 ** alpha * s22 ** beta
         if alpha:
             a1 += c * alpha * s11 * s12 ** (alpha - 1) * s22 ** beta
         if beta:
             a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
-    return d, a0 / scale, a1 / scale
+    return e.degree, a0 / scale, a1 / scale
 
 
-def _weyl_pair(e1: SkewPoly, e2: SkewPoly, who: str) -> Tuple[WeylPoly, WeylPoly]:
+def _require_high_degree(e1: SkewPoly, e2: SkewPoly, who: str) -> None:
     for e in (e1, e2):
         if not isinstance(e.degree, int) or e.degree <= 2:
             raise ValueError(f"{who} requires degree > 2 elements")
-    return e1.to_weyl(), e2.to_weyl()
 
 
 def identity_check(e1: SkewPoly, e2: SkewPoly) -> str:
     """"infinite" if a0·b0 != 0 and delta != 0 hold exactly at the identity
     frame, else "inconclusive".  Requires both degrees > 2."""
-    x, y = _weyl_pair(e1, e2, "identity_check")
-    return "inconclusive" if _evaluate_frame(x, y, None) is None else "infinite"
+    _require_high_degree(e1, e2, "identity_check")
+    return "inconclusive" if _evaluate_frame(e1, e2, None) is None else "infinite"
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +173,6 @@ def cpoly_mul(p: CPoly, q: CPoly) -> CPoly:
                 key = (a1 + s, r + b2)
                 out[key] = out.get(key, 0j) + c * n
     return out
-
-
-def cpoly_bracket(p: CPoly, q: CPoly) -> CPoly:
-    out = cpoly_mul(p, q)
-    for k, v in cpoly_mul(q, p).items():
-        out[k] = out.get(k, 0j) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def weyl_to_cpoly(x: WeylPoly) -> CPoly:
-    return {k: complex(v) for k, v in x.terms.items()}
 
 
 def _cpoly_pow(base: CPoly, n: int) -> CPoly:
@@ -223,20 +227,25 @@ class IgusaCertificate:
         }
 
 
-def _evaluate_frame(x: WeylPoly, y: WeylPoly,
+def _evaluate_frame(e1: SkewPoly, e2: SkewPoly,
                     params: Optional[SymplecticParams]) -> Optional[IgusaCertificate]:
     """The certificate of the pair at one frame, or None where the test
     fails there.  `params` None is the identity frame, evaluated exactly."""
     if params is None:
-        a0, _ = leading_pair(x)
-        b0, _ = leading_pair(y)
-        prod, dlt = a0 * b0, delta(x, y)
-        if prod and dlt:
-            return IgusaCertificate("infinite", None, complex(prod), complex(dlt))
+        d1, n1, (a0r, a0i, a1r, a1i) = _identity_leading(e1)
+        d2, n2, (b0r, b0i, b1r, b1i) = _identity_leading(e2)
+        # a0·b0 and delta = d2·a1·b0 - d1·a0·b1 times n = n1·n2; int / int
+        # rounds correctly, as float(Fraction) does
+        n, prod = n1 * n2, (a0r * b0r - a0i * b0i, a0r * b0i + a0i * b0r)
+        dlt = (d2 * (a1r * b0r - a1i * b0i) - d1 * (a0r * b1r - a0i * b1i),
+               d2 * (a1r * b0i + a1i * b0r) - d1 * (a0r * b1i + a0i * b1r))
+        if any(prod) and any(dlt):
+            return IgusaCertificate("infinite", None, *(
+                complex(re / n, im / n) for re, im in (prod, dlt)))
         return None
     frame = params.matrix()
-    d1, a0, a1 = _frame_leading(x, frame)
-    d2, b0, b1 = _frame_leading(y, frame)
+    d1, a0, a1 = _frame_leading(e1, frame)
+    d2, b0, b1 = _frame_leading(e2, frame)
     prod = a0 * b0
     dlt = d2 * a1 * b0 - d1 * a0 * b1
     if abs(prod) > NUMERIC_TOLERANCE and abs(dlt) > NUMERIC_TOLERANCE:
@@ -250,14 +259,14 @@ def symplectic_search(e1: SkewPoly, e2: SkewPoly) -> Optional[IgusaCertificate]:
     bracket has degree d1 + d2 - 2; else the exact identity, then the D + 1
     frames SymplecticParams(1/2, 0, 2πk/(D + 1)), with distinct ratios
     s12/s22 = e^{iθ}·tanh(1/2).  Float frames must clear NUMERIC_TOLERANCE."""
-    x, y = _weyl_pair(e1, e2, "symplectic_search")
+    _require_high_degree(e1, e2, "symplectic_search")
     d1, d2 = e1.degree, e2.degree
     if bracket(e1.top_part(), e2.top_part()).degree != d1 + d2 - 2:
         return None
     n = 2 * (d1 + d2) - 1  # D + 1
     frames = (SymplecticParams(0.5, 0.0, 2 * math.pi * k / n) for k in range(n))
     for params in itertools.chain([None], frames):
-        cert = _evaluate_frame(x, y, params)
+        cert = _evaluate_frame(e1, e2, params)
         if cert is not None:
             return cert
     return None
@@ -268,7 +277,7 @@ def verify_certificate(cert: IgusaCertificate, e1: SkewPoly,
     """Recompute the certified quantities from the stored frame."""
     if min(e1.degree, e2.degree) <= 2:
         return False
-    fresh = _evaluate_frame(e1.to_weyl(), e2.to_weyl(), cert.params)
+    fresh = _evaluate_frame(e1, e2, cert.params)
     if fresh is None:
         return False
     return (abs(fresh.a0b0 - cert.a0b0) < 1e-9
@@ -283,11 +292,11 @@ def chain_degrees(e1: SkewPoly, e2: SkewPoly,
     so the chain is bracketed exactly in the original frame.  Used to
     confirm certificates independently."""
     frame = params.matrix() if params else (1, 0, 0, 1)
-    aux = [(e, _frame_leading(e.to_weyl(), frame)) for e in (e1, e2)]
+    aux = [(e, _frame_leading(e, frame)) for e in (e1, e2)]
     u = e2
     degrees = [u.degree]
     for _ in range(steps):
-        du, u0, u1 = _frame_leading(u.to_weyl(), frame)
+        du, u0, u1 = _frame_leading(u, frame)
         s = next((e for e, (ds, s0, s1) in aux
                   if abs(ds * u1 * s0 - du * u0 * s1) > NUMERIC_TOLERANCE), None)
         if s is None:

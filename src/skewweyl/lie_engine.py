@@ -87,12 +87,6 @@ class Rref:
             self.insert({c: x for c, x in enumerate(row) if x})
 
     @property
-    def rows(self) -> Dict:
-        """The RREF rows as {column: Fraction} by pivot, formed per call."""
-        return {p: {k: Fraction(c, d) for k, c in nums.items()}
-                for p, (d, nums) in self.integer_rows.items()}
-
-    @property
     def pivots(self) -> List:
         return sorted(self.integer_rows, key=self.order)
 
@@ -629,7 +623,7 @@ def _identity_frame_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWi
 
     for x, y in itertools.combinations(gens, 2):
         if x.degree > 2 and y.degree > 2:
-            cert = _evaluate_frame(x.to_weyl(), y.to_weyl(), None)
+            cert = _evaluate_frame(x, y, None)
             if cert is not None:
                 return InfinitenessWitness(
                     rule="IgusaCertificate",

@@ -342,13 +342,10 @@ class SkewPoly:
     # -- conversions -------------------------------------------------------
     def to_weyl(self) -> WeylPoly:
         out: Dict[MultiIndex, GaussianRational] = {}
-
-        def bump(key: MultiIndex, val: GaussianRational):
-            out[key] = out.get(key, GR_ZERO) + val
-
         for key, c in self.terms.items():
             for gamma, re, im in _weyl_terms(key):
-                bump(gamma, GaussianRational(re * c, im * c))
+                out[gamma] = (out.get(gamma, GR_ZERO)
+                              + GaussianRational(re * c, im * c))
         return WeylPoly(out)
 
     @staticmethod

@@ -1,22 +1,27 @@
 """Leading-coefficient infiniteness test and the symplectic frame search."""
 
+import cmath
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewweyl import igusa
-from skewweyl.igusa import (NUMERIC_TOLERANCE, SymplecticParams,
-                            _evaluate_frame, _frame_leading, chain_degrees,
-                            cpoly_bracket, delta, identity_check,
-                            leading_pair, symplectic_search, transform,
-                            verify_certificate, weyl_to_cpoly)
-from skewweyl.lie_engine import bracket, lie_closure
-from skewweyl.weyl_core import (GR_I, GR_ONE, MINUS, PLUS, GaussianRational,
-                                SkewPoly, WeylPoly)
+from skewweyl.igusa import (NUMERIC_TOLERANCE, IgusaCertificate,
+                            SymplecticParams, _evaluate_frame, _frame_leading,
+                            _identity_leading, _normal_coeff, chain_degrees,
+                            cpoly_mul, identity_check, symplectic_search,
+                            transform, verify_certificate)
+from skewweyl.lie_engine import Budget, bracket, lie_closure
+from skewweyl.weyl_core import (GR_I, MINUS, PLUS, GaussianRational, SkewPoly,
+                                WeylPoly, skew_from_json)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def gp(a, b, c=1):
@@ -27,41 +32,141 @@ def gm(a, b, c=1):
     return SkewPoly.monomial(MINUS, (a, b), Fraction(c))
 
 
+# ---------------------------------------------------------------------------
+# Reference: the leading data of the normal-ordered `WeylPoly`, which the
+# search read before it read the skew keys
+# ---------------------------------------------------------------------------
+
+def leading_pair(x: WeylPoly):
+    """(a0, a1): the coefficients of a^d and a† a^{d-1}, d = deg x."""
+    d = x.degree
+    return x.coeff(0, d), x.coeff(1, d - 1)
+
+
+def delta(x: WeylPoly, y: WeylPoly) -> GaussianRational:
+    """d_y·a1·b0 - d_x·a0·b1: up to lower-order terms, [x, y] has
+    a^{d_x+d_y-2} coefficient -delta(x, y)."""
+    a0, a1 = leading_pair(x)
+    b0, b1 = leading_pair(y)
+    dx, dy = x.degree, y.degree
+    return a1 * b0 * GaussianRational.real(dy) - a0 * b1 * GaussianRational.real(dx)
+
+
+def frame_leading(x: WeylPoly, frame):
+    """`_frame_leading` over the degree-d terms of a `WeylPoly`."""
+    s11, s12, s21, s22 = frame
+    r1, r2 = abs(s11) + abs(s12), abs(s21) + abs(s22)
+    d = x.degree
+    a0 = a1 = 0j
+    scale = 0.0
+    for (alpha, beta), c in x.terms.items():
+        if alpha + beta != d:
+            continue
+        c = complex(c)
+        scale += abs(c) * r1 ** alpha * r2 ** beta
+        a0 += c * s12 ** alpha * s22 ** beta
+        if alpha:
+            a1 += c * alpha * s11 * s12 ** (alpha - 1) * s22 ** beta
+        if beta:
+            a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
+    return d, a0 / scale, a1 / scale
+
+
+def evaluate_frame(x: WeylPoly, y: WeylPoly, params):
+    """`_evaluate_frame` on `WeylPoly` leading data, the identity frame in
+    `GaussianRational` arithmetic."""
+    if params is None:
+        a0, _ = leading_pair(x)
+        b0, _ = leading_pair(y)
+        prod, dlt = a0 * b0, delta(x, y)
+        if prod and dlt:
+            return IgusaCertificate("infinite", None, complex(prod), complex(dlt))
+        return None
+    frame = params.matrix()
+    d1, a0, a1 = frame_leading(x, frame)
+    d2, b0, b1 = frame_leading(y, frame)
+    prod = a0 * b0
+    dlt = d2 * a1 * b0 - d1 * a0 * b1
+    if abs(prod) > NUMERIC_TOLERANCE and abs(dlt) > NUMERIC_TOLERANCE:
+        return IgusaCertificate("infinite", params, prod, dlt)
+    return None
+
+
+def cpoly_bracket(p, q):
+    out = cpoly_mul(p, q)
+    for k, v in cpoly_mul(q, p).items():
+        out[k] = out.get(k, 0j) - v
+    return {k: v for k, v in out.items() if v}
+
+
+def weyl_to_cpoly(x: WeylPoly):
+    return {k: complex(v) for k, v in x.terms.items()}
+
+
+def identity_pair(e):
+    """(a0, a1) of `_identity_leading` as `GaussianRational`s."""
+    _, n, (a0r, a0i, a1r, a1i) = _identity_leading(e)
+    return (GaussianRational(Fraction(a0r, n), Fraction(a0i, n)),
+            GaussianRational(Fraction(a1r, n), Fraction(a1i, n)))
+
+
 class TestLeadingData:
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
             identity_check(gp(2, 0), gp(3, 0))
 
     def test_leading_pair(self):
-        x = WeylPoly.term(0, 3) + WeylPoly.term(1, 2, GaussianRational.real(7))
-        a0, a1 = leading_pair(x)
-        assert a0 == GR_ONE
-        assert a1 == GaussianRational.real(7)
+        # a0 = 1 + i/2 and a1 = 7 + 0i, from g-(3,0), g+(3,0) and g-(2,1),
+        # and g+(1,1) lies below the top; with g-(3,1) the degree is 4,
+        # a0 = 0 and a1 = 1
+        e = gm(3, 0) + gp(3, 0, Fraction(1, 2)) + gm(2, 1, 7) + gp(1, 1, 5)
+        assert _identity_leading(e) == (3, 2, (2, 1, 14, 0))
+        assert _identity_leading(e + gm(3, 1)) == (4, 1, (0, 0, 1, 0))
+        assert identity_pair(e) == leading_pair(e.to_weyl())
+
+    def test_normal_coeff_follows_the_basis_conventions(self):
+        # g+(a,b) = i((a†)^b a^a + (a†)^a a^b), g-(a,b) = (a†)^b a^a - (a†)^a a^b
+        e = gp(3, 1, 2) + gm(3, 1, 5) + gp(2, 2, Fraction(1, 3))
+        assert _normal_coeff(e.terms, 1, 3) == (5, 2)
+        assert _normal_coeff(e.terms, 3, 1) == (-5, 2)
+        assert _normal_coeff(e.terms, 2, 2) == (0, Fraction(2, 3))
+        assert _normal_coeff(e.terms, 0, 4) == (0, 0)
 
     def test_delta_example(self):
-        # (a0,a1)=(1,0) deg 3 against (b0,b1)=(0,1) deg 4: delta = -3
-        x = WeylPoly.term(0, 3)
-        y = WeylPoly.term(1, 3)
-        assert delta(x, y) == GaussianRational.real(-3)
+        # (a0,a1)=(1,0) deg 3 against (b0,b1)=(1,1) deg 4: delta = -3
+        cert = _evaluate_frame(gm(3, 0), gm(4, 0) + gm(3, 1), None)
+        assert (cert.a0b0, cert.delta) == (1, -3)
+        assert delta(gm(3, 0).to_weyl(), gm(3, 1).to_weyl()) \
+            == GaussianRational.real(-3)
 
     def test_delta_antidiagonal_zero(self):
-        x = WeylPoly.term(0, 4) + WeylPoly.term(1, 3, GR_I)
-        assert delta(x, x) == GaussianRational.real(0)
+        # a0 = 1 and a1 = i: delta(x, x) = 0 with a0·a0 = 1
+        e = gm(4, 0) + gp(3, 1)
+        assert identity_pair(e) == (GaussianRational.real(1), GR_I)
+        assert _evaluate_frame(e, e, None) is None
+        assert delta(e.to_weyl(), e.to_weyl()) == GaussianRational.real(0)
 
     def test_delta_predicts_commutator_leading_coeff(self):
+        # the a^(d1+d2-2) coefficient of [e1, e2] is -delta exactly; the
+        # identity certificate carries its floats whenever a0·b0 != 0
         rng = random.Random(11)
-        for _ in range(20):
-            dx, dy = rng.randint(3, 5), rng.randint(3, 5)
-            x = (WeylPoly.term(0, dx, GaussianRational.real(rng.randint(-3, 3)))
-                 + WeylPoly.term(1, dx - 1, GaussianRational.real(rng.randint(-3, 3))))
-            y = (WeylPoly.term(0, dy, GaussianRational.real(rng.randint(-3, 3)))
-                 + WeylPoly.term(1, dy - 1, GaussianRational.real(rng.randint(-3, 3))))
-            if x.degree != dx or y.degree != dy:
+        for _ in range(40):
+            d1, d2 = rng.randint(3, 5), rng.randint(3, 5)
+            e1, e2 = (SkewPoly({(s, g): Fraction(rng.randint(-3, 3),
+                                                 rng.randint(1, 3))
+                                for g in ((d, 0), (d - 1, 1))
+                                for s in (PLUS, MINUS)}) for d in (d1, d2))
+            if e1.degree != d1 or e2.degree != d2:
                 continue
-            comm = x * y + y * x.scale(GaussianRational.real(-1))
-            got = comm.coeff(0, dx + dy - 2)
-            want = delta(x, y).scale(Fraction(-1))
-            assert got == want
+            re, im = _normal_coeff(bracket(e1, e2).terms, 0, d1 + d2 - 2)
+            want = delta(e1.to_weyl(), e2.to_weyl()).scale(Fraction(-1))
+            assert GaussianRational(Fraction(re), Fraction(im)) == want
+            cert = _evaluate_frame(e1, e2, None)
+            if cert is None:
+                assert not want or not identity_pair(e1)[0] \
+                    or not identity_pair(e2)[0]
+            else:
+                assert repr(cert.delta) == repr(complex(want.scale(Fraction(-1))))
 
 
 class TestIdentityCheck:
@@ -148,7 +253,7 @@ class TestFrameLeading:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_transform(self, e, params):
         x = e.to_weyl()
-        d, a0, a1 = _frame_leading(x, params.matrix())
+        d, a0, a1 = _frame_leading(e, params.matrix())
         p = transform(x, params)
         s11, s12, s21, s22 = params.matrix()
         scale = sum(abs(complex(c)) * (abs(s11) + abs(s12)) ** a
@@ -165,10 +270,10 @@ class TestFrameLeading:
         assert abs(p.get((1, d - 1), 0) / scale - a1) < 1e-12 * size
 
     def test_identity_frame_divides_by_top_coefficient_sum(self):
-        # divided by the sum 2 + 1 + 1 of the top-degree |coefficients|
-        x = (WeylPoly.term(0, 3, GaussianRational.real(2))
-             + WeylPoly.term(1, 2, GR_I) + WeylPoly.term(3, 0))
-        assert _frame_leading(x, (1, 0, 0, 1)) == (3, 0.5 + 0j, 0.25j)
+        # a^3 has 2 and a† a^2 has 2i, divided by the sum 2 + 2 + 2 + 2 of
+        # the top-degree |coefficients|; g+(1,1) lies below the top
+        e = gm(3, 0, 2) + gp(2, 1, 2) + gp(1, 1, 3)
+        assert _frame_leading(e, (1, 0, 0, 1)) == (3, 0.25 + 0j, 0.25j)
 
     @given(elements_of_degree_3_to_7(), frames,
            st.fractions(min_value=-4, max_value=4,
@@ -177,8 +282,7 @@ class TestFrameLeading:
     def test_proportional_pair_never_certified(self, e, params, c):
         # delta vanishes exactly; its rounding error must stay below the
         # tolerance in every frame
-        x = e.to_weyl()
-        assert _evaluate_frame(x, e.scale(c).to_weyl(), params) is None
+        assert _evaluate_frame(e, e.scale(c), params) is None
 
     def test_proportional_pair_at_a_wide_frame(self):
         # divided by the largest top-degree |c| alone, a0·b0 reads ~7e4
@@ -186,8 +290,7 @@ class TestFrameLeading:
         e = gm(6, 0, -2) + gm(5, 1, 3) + gp(4, 2, Fraction(1, 2))
         params = SymplecticParams(-1.499463936541873, 2.4599995960146024,
                                   5.823427508578949)
-        x, y = e.to_weyl(), e.scale(Fraction(3, 2)).to_weyl()
-        assert _evaluate_frame(x, y, params) is None
+        assert _evaluate_frame(e, e.scale(Fraction(3, 2)), params) is None
         assert symplectic_search(e, e.scale(Fraction(3, 2))) is None
 
 
@@ -314,6 +417,92 @@ class TestDecision:
     def test_deleted_schedule_finds_nothing_below_the_top_degree(self, pair):
         e1, e2 = pair
         assert not _top_bracket_is_full(e1, e2)
-        x, y = e1.to_weyl(), e2.to_weyl()
-        assert all(_evaluate_frame(x, y, params) is None
+        assert all(_evaluate_frame(e1, e2, params) is None
                    for params in _deleted_schedule())
+
+
+# ---------------------------------------------------------------------------
+# The skew-key reader against the `WeylPoly` reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def skew_elements(draw):
+    """Degree 3..7 elements whose keys come in a drawn order: one to three
+    top-degree γ, each as g+, g- or both (g+ alone on the diagonal), below
+    them up to two lower γ of degree >= 3 and up to three of degree <= 2."""
+    d = draw(st.integers(3, 7))
+    top = [(a, d - a) for a in range((d + 1) // 2, d + 1)]
+    below = [(a, b) for a in range(d) for b in range(a + 1) if 3 <= a + b < d]
+    gammas = draw(st.lists(st.sampled_from(top), min_size=1, max_size=3,
+                           unique=True))
+    if below:
+        gammas += draw(st.lists(st.sampled_from(below), max_size=2,
+                                unique=True))
+    keys = [(s, g) for g in gammas
+            for s in ((PLUS,) if g[0] == g[1] else draw(st.sampled_from(
+                [(PLUS,), (MINUS,), (PLUS, MINUS), (MINUS, PLUS)])))]
+    keys += draw(st.lists(st.sampled_from(_LOW_KEYS), max_size=3, unique=True))
+    keys = draw(st.permutations(keys))
+    return SkewPoly({k: draw(_small_fractions) for k in keys})
+
+
+@st.composite
+def det_one_frames(draw):
+    """(s11, s12, s21, s22) with s22 = (1 + s12·s21)/s11."""
+    part = st.floats(-2.0, 2.0)
+    s12, s21 = (complex(draw(part), draw(part)) for _ in range(2))
+    s11 = cmath.rect(draw(st.floats(0.25, 4.0)),
+                     draw(st.floats(0.0, 2 * math.pi)))
+    return s11, s12, s21, (1 + s12 * s21) / s11
+
+
+class TestSkewKeyReader:
+    # repr tells every float apart, -0.0 from 0.0 included, so equal reprs
+    # are bit-identical values
+    @given(skew_elements(), skew_elements(), det_one_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_leading_data_equal_the_weyl_reference(self, e1, e2, frame):
+        x, y = e1.to_weyl(), e2.to_weyl()
+        for e, w in ((e1, x), (e2, y)):
+            assert _identity_leading(e)[0] == w.degree
+            assert identity_pair(e) == leading_pair(w)
+        assert repr(_evaluate_frame(e1, e2, None)) \
+            == repr(evaluate_frame(x, y, None))
+        n = 2 * (e1.degree + e2.degree) - 1
+        family = [SymplecticParams(0.5, 0.0, 2 * math.pi * k / n)
+                  for k in range(n)]
+        for params in family:
+            assert repr(_evaluate_frame(e1, e2, params)) \
+                == repr(evaluate_frame(x, y, params))
+        frames = [(1, 0, 0, 1), frame] + [p.matrix() for p in family]
+        for e, w in ((e1, x), (e2, y)):
+            for f in frames:
+                assert repr(_frame_leading(e, f)) == repr(frame_leading(w, f))
+
+
+def test_verdicts_and_igusa_pairs_need_no_weyl_conversion(monkeypatch):
+    # the closures of two benchmark verdicts passes and the search on the
+    # golden pairs give the same outputs when SkewPoly.to_weyl raises
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    closures = [([skew_from_json(g) for g in t.expect["gens"]],
+                 Budget(t.expect.get("budget_dim", 64)))
+                for seed in (3, 11) for t in workloads.build("verdicts", seed)
+                if t.kind == "closure"]
+    pairs = [(skew_from_json(p["e1"]), skew_from_json(p["e2"])) for p in
+             json.loads((ROOT / "tests" / "data" / "igusa_pairs.json")
+                        .read_text())]
+
+    def outputs():
+        return ([lie_closure(gens, budget).to_json()
+                 for gens, budget in closures],
+                [repr(symplectic_search(e1, e2)) for e1, e2 in pairs])
+
+    want = outputs()
+
+    def to_weyl(self):
+        raise AssertionError("SkewPoly.to_weyl called")
+
+    monkeypatch.setattr(SkewPoly, "to_weyl", to_weyl)
+    assert outputs() == want

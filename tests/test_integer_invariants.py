@@ -4,8 +4,9 @@
 `StructureConstants` computes its series, centre, Killing rank and
 signature and the r(j1..jn) weights on its table times the lcm of the
 table's denominators.  The reference below is the same algorithm on the
-`Fraction` table itself: RREF rows from `Rref.rows` and a congruence
-reduction that divides by the pivot."""
+`Fraction` table itself: RREF rows in `Fraction`s
+(`test_linalg.fraction_rows`) and a congruence reduction that divides by
+the pivot."""
 
 import itertools
 from fractions import Fraction
@@ -28,6 +29,7 @@ from skewweyl.lie_engine import Budget, LieSpan, Rref, _raw_closure
 from skewweyl.weyl_core import SkewPoly
 from test_classify import _table_cases, gm, gp, skew_power, span_of
 from test_commuting import _LOW_KEYS, _json, _with_scalars, skew_polys
+from test_linalg import fraction_rows
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ def ref_subspace_product(sc, A, B):
     pairs = itertools.combinations(A, 2) if A == B else itertools.product(A, B)
     for u, v in pairs:
         out.insert(ref_bracket_vec(sc, u, v))
-    rows = out.rows
+    rows = fraction_rows(out)
     return [rows[p] for p in out.pivots]
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .lie_engine import LieSpan, Rref, _Commuting, bracket
 from .weyl_core import SkewPoly
@@ -258,8 +257,7 @@ def _killing_from_sc(sc: StructureConstants):
 # Fingerprints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     dim: int
     derived_dims: Tuple[int, ...]
     lcs_dims: Tuple[int, ...]
@@ -364,8 +362,7 @@ _CONCRETE_SC: Dict[str, StructureConstants] = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     parameters: Tuple = ()
     fingerprint: Optional[Fingerprint] = None

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import CatalogEntry, identify
 from .lie_engine import Budget, LieSpan, _raw_closure, lie_closure
 from .weyl_core import SkewPoly, skew_to_json
 
 
-@dataclass
-class RealizationRecord:
+class RealizationRecord(NamedTuple):
     generating_subset: Tuple[int, ...]
     span: LieSpan
     catalog: CatalogEntry

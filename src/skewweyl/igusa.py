@@ -41,9 +41,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .lie_engine import bracket
 from .weyl_core import MINUS, PLUS, MultiIndex, SkewPoly, WeylPoly, _reorder
@@ -135,8 +134,7 @@ def identity_check(e1: SkewPoly, e2: SkewPoly) -> str:
 # Symplectic frames
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymplecticParams:
+class SymplecticParams(NamedTuple):
     """Skew-hermiticity-preserving symplectic frame
 
         [[e^{i·phi} cosh s,  e^{i·theta} sinh s],
@@ -211,8 +209,7 @@ def transform(x: WeylPoly, sigma) -> CPoly:
 # Certificates and the search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IgusaCertificate:
+class IgusaCertificate(NamedTuple):
     verdict: str  # always "infinite"
     params: Optional[SymplecticParams]  # None means the identity frame
     a0b0: complex

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .weyl_core import (
     NEG_INF,
@@ -290,25 +289,22 @@ class _Commuting:
 # Closure outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Budget:
-    max_dim: int = 64
-    max_degree: int = 24
+class Budget(NamedTuple("_Budget", [("max_dim", int), ("max_degree", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_dim <= 0 or self.max_degree <= 0:
+    def __new__(cls, max_dim: int = 64, max_degree: int = 24):
+        if max_dim <= 0 or max_degree <= 0:
             raise ValueError("budget must be positive")
+        return super().__new__(cls, max_dim, max_degree)
 
 
-@dataclass
-class InfinitenessWitness:
+class InfinitenessWitness(NamedTuple):
     rule: str  # PerpWithFreeHam | MixedEqAndQuad | MonomialGlossaryViolation
     #          | IgusaCertificate | ChainDegreeGrowth
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
 
-@dataclass
-class ClosureOutcome:
+class ClosureOutcome(NamedTuple):
     outcome: str  # "finite" | "infinite" | "inconclusive"
     span: Optional[LieSpan] = None
     witness: Optional[InfinitenessWitness] = None
@@ -423,14 +419,15 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
 CHAIN_GROWTH = 3
 
 
-def chain_witness(seed: SkewPoly, aux,
-                  steps: int = 8) -> Optional[InfinitenessWitness]:
+def chain_witness(seed: SkewPoly, aux, steps: int = 8,
+                  max_degree: float = math.inf) -> Optional[InfinitenessWitness]:
     """Run the commutator chain u <- [u, s] and look for sustained strict
     degree growth.
 
     `aux` is either a fixed SkewPoly or a sequence cycled over the steps.
     Returns a witness carrying the chain prefix once CHAIN_GROWTH
-    consecutive strict degree increases are seen, else None.
+    consecutive strict degree increases are seen, else None; also None at
+    the first chain element of degree above `max_degree`.
     """
     if steps < 2:
         raise ValueError("need at least two chain steps")
@@ -439,13 +436,15 @@ def chain_witness(seed: SkewPoly, aux,
         # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
         return None
     u = seed
+    if u.degree > max_degree:
+        return None
     degrees = [u.degree]
     chain = [u]
     growth = 0
     for step in range(steps):
         s = aux_seq[step % len(aux_seq)]
         u = bracket(u, s)
-        if not u:
+        if not u or u.degree > max_degree:
             return None
         chain.append(u)
         degrees.append(u.degree)
@@ -633,11 +632,13 @@ def _identity_frame_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWi
     return None
 
 
-def _chain_growth_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
+def _chain_growth_witness(gens: Sequence[SkewPoly],
+                          budget: Budget) -> Optional[InfinitenessWitness]:
     """Commutator-chain search over ordered pairs of distinct generators
-    (a chain seeded at its own auxiliary vanishes at the first step)."""
+    (a chain seeded at its own auxiliary vanishes at the first step); a
+    chain ends at its first element above the degree budget."""
     for seed, aux in itertools.permutations(gens, 2):
-        w = chain_witness(seed, aux, steps=8)
+        w = chain_witness(seed, aux, 8, budget.max_degree)
         if w is not None:
             return w
     return None
@@ -651,9 +652,10 @@ def lie_closure(gens: Sequence[SkewPoly],
     drift-term decision (i(w a†a + c) of either sign); then the sufficient
     criteria low-degree mixed Kerr/quadratic, mixed Kerr/quadratic by
     leading degree, identity-frame leading coefficients (pairs of degree
-    > 2) and commutator-chain growth; then the budgeted closure.  Every
-    finite answer comes from a closure run under `budget`, so a closure
-    larger than the budget is reported `inconclusive`.
+    > 2) and commutator-chain growth (a chain ends above the degree
+    budget); then the budgeted closure.  Every finite answer comes from a
+    closure run under `budget`, so a closure larger than the budget is
+    reported `inconclusive`.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -663,7 +665,8 @@ def lie_closure(gens: Sequence[SkewPoly],
     if any(_drift_term(g) is not None for g in gens):
         return decide_with_free_hamiltonian(gens, budget)
     for rule in (_low_degree_mixed_witness, _mixed_eq_quad_witness,
-                 _identity_frame_witness, _chain_growth_witness):
+                 _identity_frame_witness,
+                 lambda g: _chain_growth_witness(g, budget)):
         w = rule(gens)
         if w is not None:
             return ClosureOutcome("infinite", witness=w)

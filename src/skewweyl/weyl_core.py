@@ -23,7 +23,6 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
@@ -72,23 +71,54 @@ def monomial_key_order(key: Tuple[int, MultiIndex]) -> Tuple[int, MultiIndex, in
     return (mdeg(gamma), gamma, 0 if sigma == PLUS else 1)
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number with rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Immutable and hashable, and a number rather than a tuple: operands
+    other than a GaussianRational, and ordering, raise TypeError.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GaussianRational is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussianRational":
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,

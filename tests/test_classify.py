@@ -11,6 +11,7 @@ import sympy
 from skewweyl.classify import (
     _CONCRETE_SC,
     CatalogEntry,
+    Fingerprint,
     StructureConstants,
     _chain_ext_sc,
     _chain_sc,
@@ -38,6 +39,8 @@ from skewweyl.weyl_core import (
     skew_from_json,
     unit_i,
 )
+
+from test_weyl_core import assert_record_contract
 
 
 def gp(a, b, c=1):
@@ -204,7 +207,23 @@ class TestSparseTable:
         assert len(full) == 1
 
 
+_FP_FIELDS = (3, (3, 1, 0), (3, 1, 1), 1, True, False, 0, (0, 0, 3))
+_FP = Fingerprint(*_FP_FIELDS)
+
+
 class TestFingerprintAndIdentify:
+    @pytest.mark.parametrize("cls, values", [
+        (Fingerprint, _FP_FIELDS),
+        (CatalogEntry, ("L_n", (2,), _FP, "structural")),
+        (CatalogEntry, ("Unrecognized", (), None, "none")),
+    ], ids=["Fingerprint", "CatalogEntry", "CatalogEntry_unrecognized"])
+    def test_record_contract(self, cls, values):
+        assert_record_contract(cls, values, hashable=True)
+
+    def test_catalog_entry_defaults(self):
+        assert CatalogEntry("R^n") == CatalogEntry("R^n", (), None,
+                                                   "fingerprint")
+
     def test_catalog_distinct(self):
         fps = catalog_fingerprints()
         assert len(set(fps.values())) == len(fps)

@@ -495,7 +495,8 @@ class TestErrors:
 
 
 class TestArithmeticOverflow:
-    """An overflow is a domain error: exit 1 with one `error:` line."""
+    """An overflow, of the float range or of memory, is a domain error:
+    exit 1 with one `error:` line."""
 
     @staticmethod
     def assert_domain_error(argv, capsys):
@@ -544,3 +545,13 @@ class TestArithmeticOverflow:
         self.assert_domain_error(["simulate", "--algebra", algebra,
                                   "--controls", str(controls),
                                   "--fock-dim", "16"], capsys)
+
+    def test_simulate_grid_beyond_memory(self, tmp_path, capsys):
+        # 10^15 steps: numpy refuses the 7 PiB sample grid, which is past
+        # the 48-bit virtual address space, so no memory is ever committed
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1, 0.1, 0.1],
+            "t_final": 1e15, "h": 1.0}))
+        self.assert_domain_error(["simulate", "--algebra", "wh2",
+                                  "--controls", str(controls)], capsys)

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewweyl import classify, lie_engine
-from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS,
+from skewweyl.classify import CatalogEntry
+from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS, RealizationRecord,
                                 brute_force_subalgebras,
                                 enumerate_subalgebras, glossary_markdown,
                                 glossary_report)
@@ -15,6 +16,7 @@ from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
                                 unit_i)
 from test_commuting import _KEYS, _LOW_KEYS, _json, _with_scalars, skew_polys
+from test_weyl_core import assert_record_contract
 
 
 def gp(a, b):
@@ -26,6 +28,12 @@ def gm(a, b):
 
 
 class TestSmallBases:
+    def test_record_contract(self):
+        assert_record_contract(
+            RealizationRecord,
+            ((0, 2), LieSpan([gm(1, 0), unit_i()]), CatalogEntry("R^n", (2,))),
+            hashable=False)
+
     def test_single_central_element(self):
         records = enumerate_subalgebras([unit_i()])
         assert len(records) == 1

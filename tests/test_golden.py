@@ -206,7 +206,8 @@ def test_numerical_modules_import_no_scipy_integrate():
 
 def test_structural_commands_import_no_numpy(tmp_path):
     # the exact half runs on the stdlib alone: only `simulate` loads numpy
-    # and scipy
+    # and scipy, and no structural module loads `dataclasses`, whose
+    # `inspect` import was about a third of the start-up
     element = {"skew": [{"sigma": "+", "alpha": 3, "beta": 0, "coeff": "1"}]}
     (tmp_path / "e1.json").write_text(json.dumps(element))
     element["skew"][0].update(sigma="-", alpha=2, beta=1)
@@ -225,6 +226,6 @@ def test_structural_commands_import_no_numpy(tmp_path):
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.run(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('numpy', 'scipy'))))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('numpy', 'scipy', 'dataclasses', 'inspect')))\n")
     assert _run(["-c", code]) == "[]\n"

@@ -20,6 +20,7 @@ from skewweyl.igusa import (NUMERIC_TOLERANCE, IgusaCertificate,
 from skewweyl.lie_engine import Budget, bracket, lie_closure
 from skewweyl.weyl_core import (GR_I, MINUS, PLUS, GaussianRational, SkewPoly,
                                 WeylPoly, skew_from_json)
+from test_weyl_core import assert_record_contract
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -295,6 +296,16 @@ class TestFrameLeading:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("cls, values, hashable", [
+        (SymplecticParams, (0.5, 0.0, math.pi / 3), True),
+        (IgusaCertificate, ("infinite", None, 2 + 1j, -0.5j), False),
+        (IgusaCertificate, ("infinite", SymplecticParams(0.5, 0.0, 1.0),
+                            1j, 3.0 + 0j), False),
+    ], ids=["SymplecticParams", "IgusaCertificate_identity",
+            "IgusaCertificate_frame"])
+    def test_record_contract(self, cls, values, hashable):
+        assert_record_contract(cls, values, hashable)
+
     def test_negative_example_needs_frame_change(self):
         # pure-minus / pure-plus cubics: inconclusive at the identity,
         # certified after a hyperbolic frame change

@@ -10,6 +10,8 @@ from skewweyl import lie_engine, weyl_core
 from skewweyl.classify import identify
 from skewweyl.lie_engine import (
     Budget,
+    ClosureOutcome,
+    InfinitenessWitness,
     LieSpan,
     _raw_closure,
     bracket,
@@ -35,6 +37,7 @@ from skewweyl.weyl_core import (
 )
 
 from test_linalg import solve
+from test_weyl_core import assert_record_contract
 
 
 def gp(a, b, c=1):
@@ -258,8 +261,29 @@ class TestClosures:
         assert out.budget_report["dim_reached"] == 0
 
     def test_budget_validation(self):
+        for max_dim, max_degree in ((0, 1), (1, 0), (-1, 24)):
+            with pytest.raises(ValueError):
+                Budget(max_dim, max_degree)
+            with pytest.raises(ValueError):
+                Budget(max_dim=max_dim, max_degree=max_degree)
         with pytest.raises(ValueError):
             Budget(max_dim=0)
+
+    def test_budget_defaults(self):
+        assert Budget() == Budget(64, 24) == Budget(max_degree=24)
+        assert (Budget().max_dim, Budget().max_degree) == (64, 24)
+
+    @pytest.mark.parametrize("cls, values, hashable", [
+        (Budget, (8, 3), True),
+        (InfinitenessWitness, ("ChainDegreeGrowth", {"degrees": [3, 4]}),
+         False),
+        (ClosureOutcome, ("finite", LieSpan([gm(1, 0)]), None, None), False),
+        (ClosureOutcome, ("inconclusive", None, None, {"dim_reached": 2}),
+         False),
+    ], ids=["Budget", "InfinitenessWitness", "ClosureOutcome",
+            "ClosureOutcome_report"])
+    def test_record_contract(self, cls, values, hashable):
+        assert_record_contract(cls, values, hashable)
 
 
 class TestMonomialDecision:
@@ -335,9 +359,9 @@ class TestDecisionRules:
     def test_chain_search_skips_self_pairs(self, monkeypatch):
         calls = []
 
-        def recording(seed, aux, steps=8):
+        def recording(seed, aux, *args):
             calls.append((seed, aux))
-            return chain_witness(seed, aux, steps)
+            return chain_witness(seed, aux, *args)
 
         monkeypatch.setattr(lie_engine, "chain_witness", recording)
         out = lie_closure([gp(1, 0) + gm(1, 0), gm(1, 0), unit_i()])
@@ -370,6 +394,32 @@ class TestChainWitness:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             chain_witness(gp(3, 0), gm(3, 0), steps=1)
+
+    @pytest.mark.parametrize("max_degree, outcome", [(6, "inconclusive"),
+                                                     (7, "infinite")])
+    def test_chain_ends_above_the_degree_budget(self, max_degree, outcome):
+        # the chain's degrees are 4, 5, 6, 7: under a budget of 6 the
+        # search ends at 7 and the budgeted closure decides
+        gens = [gp(3, 1) + gp(1, 0), gm(3, 0) + gp(2, 0)]
+        out = lie_closure(gens, Budget(64, max_degree))
+        assert out.outcome == outcome
+        if outcome == "inconclusive":
+            assert out.budget_report["degree_reached"] == 7
+        else:
+            assert out.witness.evidence["degrees"] == [4, 5, 6, 7]
+
+    def test_generators_above_the_degree_budget_run_no_chain(self,
+                                                             monkeypatch):
+        # two degree-119 generators, far above the default degree budget:
+        # the chain search brackets nothing and the closure stops at them
+        gens = [gp(60, 59) + gm(60, 0), gm(60, 58) + gp(59, 59)]
+        calls = []
+        monkeypatch.setattr(lie_engine, "bracket",
+                            lambda x, y: calls.append((x, y)) or bracket(x, y))
+        out = lie_closure(gens)
+        assert out.outcome == "inconclusive"
+        assert out.budget_report["degree_reached"] == 119
+        assert calls == []
 
 
 class TestCentralizer:

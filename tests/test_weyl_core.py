@@ -1,5 +1,8 @@
 """Exact arithmetic in the Weyl algebra and the skew-hermitian basis."""
 
+import copy
+import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,51 @@ def gp(alpha, beta, c=1):
 
 def gm(alpha, beta, c=1):
     return SkewPoly.monomial(MINUS, (alpha, beta), Fraction(c))
+
+
+def assert_record_contract(cls, values, hashable):
+    """`cls(*values)` sets its fields in order, compares equal to a second
+    copy, is read-only and has the repr `Name(field=value, ...)`; it hashes
+    when `hashable` (the frozen record types)."""
+    x, y = cls(*values), cls(*values)
+    names = list(inspect.signature(cls).parameters)
+    assert tuple(getattr(x, n) for n in names) == tuple(values)
+    assert x == y and not x != y
+    if hashable:
+        assert hash(x) == hash(y) and len({x, y}) == 1
+    assert repr(x) == "{}({})".format(cls.__name__, ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, values)))
+    for n in names:
+        with pytest.raises(AttributeError):
+            setattr(x, n, values[0])
+
+
+class TestGaussianRational:
+    @pytest.mark.parametrize("values", [(Fraction(1, 2), Fraction(-3)),
+                                        (Fraction(0), Fraction(0))])
+    def test_record_contract(self, values):
+        assert_record_contract(GaussianRational, values, hashable=True)
+
+    def test_defaults_and_value_semantics(self):
+        g = GaussianRational(Fraction(1, 2), Fraction(-3))
+        assert GaussianRational() == GaussianRational(Fraction(0), Fraction(0))
+        assert GaussianRational(im=Fraction(1)) == GR_I
+        assert g != GaussianRational(Fraction(1, 2), Fraction(3))
+        assert g != (Fraction(1, 2), Fraction(-3))
+        assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
+        with pytest.raises(AttributeError):
+            del g.re
+
+    @pytest.mark.parametrize("op", [lambda g: 2 * g, lambda g: g * 2,
+                                    lambda g: g + (1,), lambda g: (1,) + g,
+                                    lambda g: g - 1, lambda g: g < g,
+                                    lambda g: g >= g],
+                             ids=["int_times", "times_int", "plus_tuple",
+                                  "tuple_plus", "minus_int", "lt", "ge"])
+    def test_not_a_tuple(self, op):
+        # a number type: no repetition, concatenation or ordering
+        with pytest.raises(TypeError):
+            op(GaussianRational(Fraction(1), Fraction(2)))
 
 
 class TestWeylProduct:

@@ -2,7 +2,8 @@
 
 Every subcommand reads JSON (files or flags) and writes a JSON document to
 stdout.  Exit codes: 0 success, 1 domain error (a precondition of the
-underlying operation failed), 2 usage error (bad flags or malformed input).
+underlying operation failed, or the reader closed stdout), 2 usage error
+(bad flags or malformed input).
 
 The structural commands run on the standard library alone; numpy and scipy
 are imported by `simulate`, when it runs.
@@ -14,6 +15,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import List
@@ -310,7 +312,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 without a traceback, and point
+        # stdout at devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

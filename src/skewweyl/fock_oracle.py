@@ -29,8 +29,8 @@ BAND = max(alpha - beta for gens in CONTROL_GENERATORS.values()
            for X in gens for _, (alpha, beta) in X.terms)
 
 #: RK4 steps of `direct_propagator` whose stage bands one matrix product
-#: computes: enough to amortise the call, few enough to stay in cache
-_STAGED_STEPS = 256
+#: computes: enough to amortise it, few enough to stay in L2 (1 MB at N = 96)
+_STAGED_STEPS = 64
 
 
 def annihilator(N: int) -> np.ndarray:
@@ -177,8 +177,8 @@ def direct_propagator(spec, N: int, *, psi0=None,
     - controls that differ anywhere on the stage grid: every generator lies
       within `BAND` diagonals of the main one in the number basis, so
       -i H(t) is a band matrix, the columns of Y are independent, and each
-      is stepped on its own by BLAS, `zgbmv` for a stage derivative and
-      `zaxpy` for the stage arguments and the update, O(N) per stage;
+      is stepped on its own by 4 `zgbmv` and 4 `zaxpy` calls a step,
+      O(N) per stage (`_rk4_steps`);
     - controls equal at every stage time: each step then applies the same
       matrix, the degree-4 Taylor polynomial T4(z) of z = -i h H, so one
       `eigh` of the dense H = V diag(λ) V† gives Y = V diag(T4(-i h λ)^n)
@@ -209,35 +209,41 @@ def direct_propagator(spec, N: int, *, psi0=None,
 def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
                h: float, n_steps: int) -> np.ndarray:
     """n RK4 steps of each column of Y0 by BLAS on the banded -i H(t),
-    the controls `u` sampled on the stage grid.  The steps walk the stage
-    bands by one iterator and call BLAS with positional arguments: at these
-    sizes the calls, not the arithmetic, take most of a step's time."""
+    the controls `u` sampled on the stage grid.  At these sizes the calls,
+    not the arithmetic, take most of a step's time, so a step is 4 `zgbmv`
+    and 4 `zaxpy` calls with positional arguments and no copy: with A_s,
+    A_m, A_e the bands at its start, midpoint and end, each stage argument
+    a2 = y + h/2 A_s y, a3 = y + h/2 A_m a2, a4 = y + h A_m a3 is one
+    `zgbmv` with y as its beta term, and y += h/6 A_e a4 + D/3 with
+    D = a2 + 2 a3 + a4 - 4 y = h/2 (k1 + 2 k2 + 2 k3), so that only the
+    increment, not the state, is scaled by the inexact 1/3."""
     b, w = BAND, 2 * BAND + 1  # sub- and superdiagonals, band rows
-    table = _band_table(algebra, N).reshape(-1, N * w)
-    h2, h6 = h / 2, h / 6
-    # one contiguous row y per column of Y, stepped in place: zaxpy writes
-    # the sum into its y argument when that is a contiguous complex array
+    table = _band_table(algebra, N).reshape(-1, N * w).view(float)
+    h2, h6, third = h / 2, h / 6, 1 / 3
+    # one contiguous row y per column of Y, stepped in place: zaxpy, and
+    # zgbmv given overwrite_y (after incy, offy, trans), write into y
     rows = Y0.T.copy()
     for s0 in range(0, n_steps, _STAGED_STEPS):
         s1 = min(s0 + _STAGED_STEPS, n_steps)
-        # -i H at the stage times j h/2 of these steps, each a Fortran-
-        # ordered (w, N) band; a step's end is the next step's start
-        bands = (u[2 * s0:2 * s1 + 1] @ table).reshape(-1, N, w) \
-            .transpose(0, 2, 1)
+        # -i H at the stage times j h/2 of these steps, by a real product
+        # (the controls are real) on the (re, im) view of the table, each
+        # a Fortran-ordered (w, N) band; a step's end is the next's start
+        bands = (u[2 * s0:2 * s1 + 1] @ table).view(complex) \
+            .reshape(-1, N, w).transpose(0, 2, 1)
         for y in rows:
             stages = iter(bands)
             end = next(stages)
             for mid, nxt in zip(stages, stages):
                 start, end = end, nxt
-                k1 = zgbmv(N, N, b, b, 1.0, start, y)
-                k2 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k1, y.copy(), N, h2))
-                k3 = zgbmv(N, N, b, b, 1.0, mid, zaxpy(k2, y.copy(), N, h2))
-                k4 = zgbmv(N, N, b, b, 1.0, end, zaxpy(k3, y.copy(), N, h))
-                # y += h / 6 * ((k1 + k4) + 2 k2 + 2 k3)
-                zaxpy(k4, k1)
-                zaxpy(k2, k1, N, 2.0)
-                zaxpy(k3, k1, N, 2.0)
-                zaxpy(k1, y, N, h6)
+                a2 = zgbmv(N, N, b, b, h2, start, y, 1, 0, 1.0, y)
+                a3 = zgbmv(N, N, b, b, h2, mid, a2, 1, 0, 1.0, y)
+                a4 = zgbmv(N, N, b, b, h, mid, a3, 1, 0, 1.0, y)
+                # a2 becomes D
+                zaxpy(a3, a2, N, 2.0)
+                zaxpy(a4, a2, N)
+                zaxpy(y, a2, N, -4.0)
+                zgbmv(N, N, b, b, h6, end, a4, 1, 0, 1.0, y, 1, 0, 0, 1)
+                zaxpy(a2, y, N, third)
     return rows.T
 
 

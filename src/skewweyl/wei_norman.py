@@ -187,7 +187,7 @@ class ControlSpec:
     def constant(algebra: str, values: Sequence[float], t_final: float,
                  h: float) -> "ControlSpec":
         return ControlSpec.from_funcs(
-            algebra, [_Constant(float(v)) for v in values], t_final, h)
+            algebra, [_Constant(_real(v)) for v in values], t_final, h)
 
     @staticmethod
     def from_json(obj: dict) -> "ControlSpec":

@@ -248,6 +248,8 @@ class TestSimulate:
          "frequencies": [1.0, [2.0], 3.0]},
         {"preset": "sinusoid", "amplitudes": [1.0, 0.5, 0.0],
          "frequencies": [1.0, 2.0, 3.0], "phases": [0.0, None, 0.0]},
+        # nor is a constant value parsed
+        {"preset": "constant", "values": ["1", 0.1, 0.1]},
     ])
     def test_non_numeric_preset_entry_is_usage_error(self, tmp_path, capsys,
                                                      entries):
@@ -282,6 +284,35 @@ class TestSimulate:
         assert grids == [
             (n, [k * 1e-3 for k in range(n_steps + 1)]),
             (n, [j * (1e-3 / 8) for j in range(8 * n_steps + 1)])]
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_1_without_traceback(self,
+                                                                tmp_path):
+        # about 200 KB of output, past the pipe's buffer: the writer is
+        # still writing when the reader closes its end
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1.0, 0.1, 0.1],
+            "t_final": 2.0, "h": 1e-3}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skewweyl.cli", "simulate", "--algebra",
+             "wh2", "--fock-dim", "16", "--controls", str(controls)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=300) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 class TestRepeatedRuns:

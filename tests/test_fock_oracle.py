@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zaxpy, zgbmv
 
-from skewweyl.fock_oracle import (BAND, UnitarityDriftError, _band_table,
-                                  annihilator, commutator_crosscheck,
-                                  direct_propagator, fock_matrix,
-                                  hermitian_generators, interior_error,
-                                  product_crosscheck, state_fidelity)
+from skewweyl import fock_oracle
+from skewweyl.fock_oracle import (BAND, _STAGED_STEPS, UnitarityDriftError,
+                                  _band_table, annihilator,
+                                  commutator_crosscheck, direct_propagator,
+                                  fock_matrix, hermitian_generators,
+                                  interior_error, product_crosscheck,
+                                  state_fidelity)
 from skewweyl.weyl_core import GR_I, GR_ONE, GaussianRational, WeylPoly
 from skewweyl.wei_norman import ControlSpec
 
@@ -216,23 +218,60 @@ def _sinusoid(algebra, t_final):
     })
 
 
-def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
-    """Reference: the banded RK4 of `direct_propagator` as one loop over
-    the columns and the steps that forms each stage's band on its own and
-    allocates every intermediate, without the drift check."""
+def _per_step_setup(spec, N, psi0, substeps):
+    """The columns of psi0 (None: the identity), the result shape, the
+    RK4 step and step count of `direct_propagator`, and the band of
+    -i H(t_j) at the stage time j h/2, formed for that stage alone by a
+    complex product with the table."""
     Y0 = np.eye(N, dtype=complex) if psi0 is None else \
         np.array(psi0, dtype=complex)
     shape = Y0.shape
-    Y0 = Y0.reshape(N, -1)
     h = spec.h / substeps
     n_steps = int(round(spec.h * spec.n_steps / h))
     table = _band_table(spec.algebra, N).reshape(-1, N * 5)
     u = spec.stage_samples(substeps)
 
+    def band(j):
+        return (u[j] @ table).reshape(N, 5).T
+
+    return Y0.reshape(N, -1), shape, h, n_steps, band
+
+
+def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
+    """Reference: the banded RK4 of `direct_propagator`, the same BLAS
+    operations in the same order, as one loop over the columns and the
+    steps that forms each stage's band on its own and allocates every
+    intermediate, without the drift check.  The stage arguments a2, a3,
+    a4 are y plus a band product, and the update is y + h/6 A_e a4 + D/3
+    with D = a2 + 2 a3 + a4 - 4 y."""
+    Y0, shape, h, n_steps, band = _per_step_setup(spec, N, psi0, substeps)
+
+    def stage(alpha, j, x, y):
+        # y + alpha (-i H(t_j)) x
+        return zgbmv(N, N, 2, 2, alpha, band(j), x, beta=1.0, y=y)
+
+    Y = np.empty_like(Y0)
+    for col in range(Y0.shape[1]):
+        y = Y0[:, col].copy()
+        for step in range(n_steps):
+            a2 = stage(h / 2, 2 * step, y, y)
+            a3 = stage(h / 2, 2 * step + 1, a2, y)
+            a4 = stage(h, 2 * step + 1, a3, y)
+            D = zaxpy(a3, a2.copy(), a=2.0)
+            D = zaxpy(a4, D)
+            D = zaxpy(y, D, a=-4.0)
+            y = zaxpy(D, stage(h / 6, 2 * step + 2, a4, y), a=1 / 3)
+        Y[:, col] = y
+    return Y.reshape(shape)
+
+
+def _textbook_rk4(spec, N, psi0=None, substeps=4):
+    """Reference: the same steps in the textbook form, the derivatives
+    k1..k4 and then y += h/6 ((k1 + k4) + 2 k2 + 2 k3)."""
+    Y0, shape, h, n_steps, band = _per_step_setup(spec, N, psi0, substeps)
+
     def derivative(j, y):
-        # -i H y at the stage time j h/2
-        band = (u[j] @ table).reshape(N, 5).T
-        return zgbmv(N, N, 2, 2, 1.0, band, y)
+        return zgbmv(N, N, 2, 2, 1.0, band(j), y)
 
     Y = np.empty_like(Y0)
     for col in range(Y0.shape[1]):
@@ -250,12 +289,19 @@ def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
     return Y.reshape(shape)
 
 
+def _vacuum(N):
+    vac = np.zeros(N)
+    vac[0] = 1.0
+    return vac
+
+
 class TestStagedPropagation:
-    """The staged loop (stage bands of many steps in one product, each
-    column stepped in place) against the per-step loop: the same
-    operations in the same order, so the same bits.  Each entry of a band
-    is one product of a control with a table entry, whichever matmul forms
-    it, so this holds for any BLAS."""
+    """The staged loop (stage bands of many steps in one real product on
+    the table's (re, im) view, each column stepped in place) against the
+    per-step loop (each stage's band by a complex product): the same
+    operations in the same order, so the same bits.  Each real entry of a
+    band is one product of a control with a table entry, whichever matmul
+    forms it, so this holds for any BLAS."""
 
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     @pytest.mark.parametrize("substeps", [4, 3])
@@ -263,11 +309,12 @@ class TestStagedPropagation:
         # 1200 or 900 RK4 steps: several full stages and a partial one
         N = 48
         spec = _sinusoid(algebra, 0.3)
-        vac = np.zeros(N)
-        vac[0] = 1.0
+        vac = _vacuum(N)
         got = direct_propagator(spec, N, psi0=vac, substeps=substeps)
         want = _banded_rk4_per_step(spec, N, psi0=vac, substeps=substeps)
         assert np.array_equal(got, want)
+        textbook = _textbook_rk4(spec, N, psi0=vac, substeps=substeps)
+        assert np.max(np.abs(got - textbook)) <= 1e-13
 
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     def test_full_propagator_matches_per_step_loop(self, algebra):
@@ -276,6 +323,48 @@ class TestStagedPropagation:
         spec = _sinusoid(algebra, 0.1)
         got = direct_propagator(spec, N)
         assert np.array_equal(got, _banded_rk4_per_step(spec, N))
+        assert np.max(np.abs(got - _textbook_rk4(spec, N))) <= 1e-13
+
+    def test_block_over_several_chunks_matches_per_step_loop(self):
+        # 148 RK4 steps: two full chunks of stage bands and a partial one,
+        # for each of three columns
+        N = 32
+        spec = _sinusoid("schrodinger", 0.037)
+        n_steps = 4 * spec.n_steps
+        assert n_steps > 2 * _STAGED_STEPS and n_steps % _STAGED_STEPS
+        block = np.zeros((N, 3), dtype=complex)
+        block[0, 0] = 1.0
+        block[1, 1] = block[2, 1] = 1.0 / np.sqrt(2)
+        block[:4, 2] = 0.5j
+        got = direct_propagator(spec, N, psi0=block)
+        assert np.array_equal(got, _banded_rk4_per_step(spec, N, psi0=block))
+
+    def test_no_drift_from_the_textbook_form(self):
+        # 20,000 steps: the update scales only the increment D by the
+        # inexact 1/3, so the rounding does not build up with the steps.
+        # (a2 + 2 a3 + a4 - y)/3 + h/6 k4, which scales the whole state,
+        # drifts to 7.6e-13 here
+        N = 24
+        spec = _sinusoid("schrodinger", 5.0)
+        vac = _vacuum(N)
+        got = direct_propagator(spec, N, psi0=vac)
+        assert np.max(np.abs(got - _textbook_rk4(spec, N, psi0=vac))) <= 5e-14
+
+    def test_four_zgbmv_and_four_zaxpy_calls_a_step(self, monkeypatch):
+        # at these sizes a step's time is the BLAS calls it makes
+        calls = {"zgbmv": 0, "zaxpy": 0}
+        for name in calls:
+            blas = getattr(fock_oracle, name)
+
+            def counted(*args, _name=name, _blas=blas, **kwargs):
+                calls[_name] += 1
+                return _blas(*args, **kwargs)
+
+            monkeypatch.setattr(fock_oracle, name, counted)
+        spec = _sinusoid("schrodinger", 0.025)
+        assert 4 * spec.n_steps == 100
+        direct_propagator(spec, 48, psi0=_vacuum(48))
+        assert calls == {"zgbmv": 400, "zaxpy": 400}
 
 
 def _constant(algebra):

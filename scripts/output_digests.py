@@ -9,8 +9,8 @@ them, on the skewweyl sources of this checkout.  The digest covers each
 call's exit code, stdout and stderr, in task order.  Run on two checkouts,
 equal digests mean byte-identical outputs.  The path of the directory the
 inputs are written to is replaced by a fixed name before hashing, so a
-digest does not depend on it.  The defaults are the exact workloads and
-seeds 3, 11, 29 and 404.
+digest does not depend on it.  The defaults are every workload,
+`dynamics` included, and seeds 3, 11, 29 and 404.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
                    choices=sorted(workloads.PASS_BLOCKS))
     p.add_argument("--seed", action="append", type=int)
     args = p.parse_args(argv)
-    for workload in args.workload or ["glossary", "chains", "verdicts"]:
+    for workload in args.workload or workloads.PASS_BLOCKS:
         for seed in args.seed or [3, 11, 29, 404]:
             hexdigest, n = digest(workload, seed)
             print(f"{workload:<9} seed {seed:<4} {n:>4} tasks  {hexdigest}")

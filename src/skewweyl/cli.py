@@ -167,8 +167,7 @@ def _cmd_igusa(args) -> int:
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from .fock_oracle import (MIN_DIM, RK4_SUBSTEPS, direct_propagator,
-                              state_fidelity)
+    from .fock_oracle import MIN_DIM, direct_propagator, state_fidelity
     from .wei_norman import (ControlSpec, factored_propagator, residual_check,
                              schrodinger_factors, wh2_factors)
 
@@ -184,9 +183,6 @@ def _cmd_simulate(args) -> int:
         spec = ControlSpec.from_json(obj)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise InputError(f"{args.controls}: {exc}")
-    # sample the controls once, on the oracle's stage grid: the factor
-    # solver's grid is every other row of it
-    spec.stage_samples(RK4_SUBSTEPS)
     sol = wh2_factors(spec) if spec.algebra == "wh2" else schrodinger_factors(spec)
     N = args.fock_dim
     psi0 = np.zeros(N)

@@ -167,10 +167,11 @@ def direct_propagator(spec, N: int, *, psi0=None,
     propagator U.
 
     `spec` is a wei_norman.ControlSpec; the controls are sampled once on the
-    RK4 stage grid (exact callables, or its interpolant) so that half-step
-    samples keep fourth order.  `substeps` subdivides each grid interval:
-    the stability-limited error scales with (h·N/substeps)^5 because the
-    number operator's top eigenvalue grows with the truncation.
+    RK4 stage grid, by the spec's sampler or its spline through the raw
+    samples, so that half-step samples keep fourth order.  `substeps`
+    subdivides each grid interval: the stability-limited error scales with
+    (h·N/substeps)^5 because the number operator's top eigenvalue grows
+    with the truncation.
 
     The stage samples select one of two ways to take the same n RK4 steps:
 

@@ -38,81 +38,30 @@ N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
 
 
 def _real(x) -> float:
-    """A preset parameter as the float that arithmetic with it converts it
-    to; anything else, a numeric string included, is a TypeError, as it is
-    in `A * math.sin(w * t + p)`."""
-    if not isinstance(x, numbers.Real):
-        raise TypeError(f"preset entry {x!r} is not a number")
+    """A number of a controls file as a float: a JSON number, which
+    arithmetic with it converts to the same float.  Anything else, a
+    numeric string or a bool included, is a TypeError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
     return float(x)
-
-
-class _Constant:
-    """The control u(t) = v of the `constant` preset."""
-    __slots__ = ("v",)
-
-    def __init__(self, v: float):
-        self.v = v
-
-    def __call__(self, t: float) -> float:
-        return self.v
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        return np.full(len(ts), self.v)
-
-
-class _Sinusoid:
-    """The control u(t) = A sin(w t + p) of the `sinusoid` preset.  Over an
-    array of times it is one numpy expression of the same IEEE operations
-    in the same order; where float64 `np.sin` is the libm `sin` that
-    `math.sin` calls, as the tests check, a sample has the bits of the call
-    at its time."""
-    __slots__ = ("A", "w", "p")
-
-    def __init__(self, A: float, w: float, p: float):
-        self.A, self.w, self.p = A, w, p
-
-    def __call__(self, t: float) -> float:
-        return self.A * math.sin(self.w * t + self.p)
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        # past the float range the samples turn NaN, which ControlSpec
-        # rejects; the call at one time raises instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.A * np.sin(self.w * ts + self.p)
-
-
-def _sample(funcs: Sequence[Callable], ts: np.ndarray) -> np.ndarray:
-    """The controls `funcs` at the times `ts`, shape (len(ts), n_controls):
-    a preset by one array expression, any other callable once per time, on
-    Python floats."""
-    out = np.empty((len(ts), len(funcs)))
-    times = None
-    for j, f in enumerate(funcs):
-        if isinstance(f, (_Constant, _Sinusoid)):
-            out[:, j] = f.sample(ts)
-        else:
-            if times is None:
-                times = ts.tolist()
-            out[:, j] = [f(t) for t in times]
-    return out
 
 
 @dataclass
 class ControlSpec:
     """Sampled control functions on a uniform grid t_k = k h, k = 0..n_steps.
 
-    `funcs`, when given, are the exact control callables used for dense
-    evaluation (RK4 midpoints); otherwise a cubic spline through the samples
-    is used.  The presets are callables too, which `_sample` evaluates over
-    a whole time array at once; every sample a spec takes, at the nodes, on
-    a stage grid or at one time, comes from `_sample` or the spline.  The
+    `sampler`, when given, maps an array of times to the controls at them,
+    shape (len(times), n_controls), and serves dense evaluation (RK4
+    midpoints); otherwise a cubic spline through the samples does.
+    `constant` and `sinusoid` build it as one numpy expression over all
+    controls, `from_funcs` as a loop over the times on Python floats.  The
     grid needs at least one step.
     """
     algebra: str
     h: float
     n_steps: int
     u: np.ndarray  # shape (n_controls, n_steps + 1)
-    funcs: Optional[List[Callable[[float], float]]] = None
+    sampler: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.algebra not in N_CONTROLS:
@@ -130,26 +79,22 @@ class ControlSpec:
         if not np.all(np.isfinite(self.u)):
             raise ValueError("controls must be finite-valued")
         self._spline = None
-        self._stages = {}
 
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h
 
-    def _interpolant(self):
+    def _sample_at(self, ts: np.ndarray) -> np.ndarray:
+        """The controls at the times `ts`, shape (len(ts), n_controls)."""
+        if self.sampler is not None:
+            return self.sampler(ts)
         if self._spline is None:
             # only raw-sample controls need the spline, so only they pay
             # for importing scipy.interpolate
             from scipy.interpolate import CubicSpline
 
             self._spline = CubicSpline(self.grid, self.u, axis=1)
-        return self._spline
-
-    def _sample_at(self, ts: np.ndarray) -> np.ndarray:
-        """The controls at the times `ts`, shape (len(ts), n_controls)."""
-        if self.funcs is None:
-            return self._interpolant()(ts).T
-        return _sample(self.funcs, ts)
+        return self._spline(ts).T
 
     def evaluate(self, t: float) -> np.ndarray:
         return self._sample_at(np.array([t]))[0]
@@ -157,44 +102,47 @@ class ControlSpec:
     def stage_samples(self, substeps: int) -> np.ndarray:
         """Controls at the RK4 stage times t_j = j h / (2 substeps),
         j = 0..2 substeps n_steps: the start, midpoint and end of every
-        substep.  Shape (2 substeps n_steps + 1, n_controls), read-only.
-
-        The samples are kept, so each grid is sampled once, by one call of
-        the spec's sampler: a grid whose times are every k-th time of a
-        kept grid, k a power of two, is read from it, because
-        (j k)·(h / (2 k s)) == j·(h / (2 s)) in floating point."""
+        substep.  Shape (2 substeps n_steps + 1, n_controls), a fresh
+        read-only array of one call of the sampler."""
         if substeps < 1:
             raise ValueError(f"substeps must be at least 1, not {substeps}")
-        for kept, u in self._stages.items():
-            k, rem = divmod(kept, substeps)
-            if not rem and not k & (k - 1):
-                return u[::k]
         m = 2 * substeps * self.n_steps + 1
-        out = self._sample_at(np.arange(m) * (self.h / (2 * substeps)))
-        out.flags.writeable = False
-        self._stages[substeps] = out
-        return out
+        return read_only(self._sample_at(np.arange(m)
+                                         * (self.h / (2 * substeps))))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
+    def from_sampler(algebra: str, sampler: Callable, t_final: float,
+                     h: float) -> "ControlSpec":
+        """The spec of `sampler`, sampled on the grid of step h that ends
+        nearest t_final."""
+        n_steps = int(round(t_final / h))
+        u = sampler(np.arange(n_steps + 1) * h).T
+        return ControlSpec(algebra, h, n_steps, u, sampler)
+
+    @staticmethod
     def from_funcs(algebra: str, funcs: Sequence[Callable], t_final: float,
                    h: float) -> "ControlSpec":
-        n_steps = int(round(t_final / h))
-        u = _sample(funcs, np.arange(n_steps + 1) * h).T
-        return ControlSpec(algebra, h, n_steps, u, funcs=list(funcs))
+        funcs = list(funcs)
+        return ControlSpec.from_sampler(
+            algebra,
+            lambda ts: np.array([[f(t) for f in funcs] for t in ts.tolist()],
+                                dtype=float),
+            t_final, h)
 
     @staticmethod
     def constant(algebra: str, values: Sequence[float], t_final: float,
                  h: float) -> "ControlSpec":
-        return ControlSpec.from_funcs(
-            algebra, [_Constant(_real(v)) for v in values], t_final, h)
+        v = np.array([_real(x) for x in values])
+        return ControlSpec.from_sampler(
+            algebra, lambda ts: np.tile(v, (len(ts), 1)), t_final, h)
 
     @staticmethod
     def from_json(obj: dict) -> "ControlSpec":
         algebra = obj["algebra"]
-        h = float(obj["h"])
+        h = _real(obj["h"])
         if "preset" in obj:
-            t_final = float(obj["t_final"])
+            t_final = _real(obj["t_final"])
             if obj["preset"] == "constant":
                 return ControlSpec.constant(algebra, obj["values"], t_final, h)
             if obj["preset"] == "sinusoid":
@@ -206,14 +154,25 @@ class ControlSpec:
                     raise ValueError(f"the sinusoid preset of {algebra} "
                                      f"needs {n} amplitudes, frequencies and "
                                      "phases: one per control")
-                funcs = [_Sinusoid(_real(A), _real(w), _real(p))
-                         for A, w, p in zip(amps, freqs, phases)]
-                return ControlSpec.from_funcs(algebra, funcs, t_final, h)
+                A, w, p = (np.array([_real(x) for x in xs])
+                           for xs in (amps, freqs, phases))
+
+                def sinusoid(ts):
+                    # u_j(t) = A_j sin(w_j t + p_j), by the operations of
+                    # the expression at one time, in the same order; past
+                    # the float range it turns NaN, which ControlSpec
+                    # rejects
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return A * np.sin(ts[:, None] * w + p)
+
+                return ControlSpec.from_sampler(algebra, sinusoid, t_final, h)
             raise ValueError(f"unknown preset {obj['preset']!r}")
-        u = np.asarray(obj["controls"], dtype=float)
-        if u.ndim != 2:
+        rows = obj["controls"]
+        if not (isinstance(rows, list) and rows
+                and all(isinstance(row, list) for row in rows)):
             raise ValueError("controls must be a list of sample rows, one "
                              "per control")
+        u = np.array([[_real(x) for x in row] for row in rows])
         return ControlSpec(algebra, h, u.shape[1] - 1, u)
 
 
@@ -411,12 +370,6 @@ def _rk4(spec: ControlSpec, substeps: int, u: np.ndarray,
     return f, np.array(starts).reshape(-1, 5).T
 
 
-def _integrate(spec: ControlSpec, substeps: int,
-               u: np.ndarray) -> np.ndarray:
-    """f on the grid nodes by `_rk4`."""
-    return _rk4(spec, substeps, u)[0]
-
-
 def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     """RK4 integration of the inverted factor ODEs, with a step-halving
     error estimate."""
@@ -425,7 +378,7 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
     # the substep-1 stage grid is every other point of the substep-2 grid
     u = spec.stage_samples(2)
     f, fdot = _rk4(spec, 1, u[::2], node_rhs=True)
-    f_half = _integrate(spec, 2, u)
+    f_half = _rk4(spec, 2, u)[0]
     err = float(np.max(np.abs(f - f_half)))
     return FactorSolution(spec.algebra, spec.h, f, fdot, "RK4",
                           error_estimate=err)

@@ -250,6 +250,10 @@ class TestSimulate:
          "frequencies": [1.0, 2.0, 3.0], "phases": [0.0, None, 0.0]},
         # nor is a constant value parsed
         {"preset": "constant", "values": ["1", 0.1, 0.1]},
+        # a JSON boolean is no number either
+        {"preset": "constant", "values": [True, 0, 0]},
+        {"preset": "sinusoid", "amplitudes": [1.0, 0.5, 0.0],
+         "frequencies": [True, 1, 1]},
     ])
     def test_non_numeric_preset_entry_is_usage_error(self, tmp_path, capsys,
                                                      entries):
@@ -262,17 +266,22 @@ class TestSimulate:
     @pytest.mark.parametrize("algebra, n", [("wh2", 3), ("schrodinger", 5)])
     def test_each_control_sampled_once_per_grid(self, tmp_path, monkeypatch,
                                                  algebra, n):
-        # one sampler evaluation over all controls on the grid nodes when
-        # the spec is built, then one on the oracle's stage grid (4
-        # substeps), which also serves the factor solver
+        # one sampler call over all controls per grid, made when a consumer
+        # asks for the grid: the grid nodes when the spec is built, then for
+        # schrodinger the factor solver's stage grid (2 substeps), then the
+        # oracle's (4 substeps)
         grids = []
-        sample = wei_norman._sample
+        from_sampler = wei_norman.ControlSpec.from_sampler
 
-        def counted(funcs, ts):
-            grids.append((len(funcs), ts.tolist()))
-            return sample(funcs, ts)
+        def counted(algebra, sampler, t_final, h):
+            def sample(ts):
+                out = sampler(ts)
+                grids.append((out.shape[1], ts.tolist()))
+                return out
+            return from_sampler(algebra, sample, t_final, h)
 
-        monkeypatch.setattr(wei_norman, "_sample", counted)
+        monkeypatch.setattr(wei_norman.ControlSpec, "from_sampler",
+                            staticmethod(counted))
         controls = tmp_path / "c.json"
         controls.write_text(json.dumps({
             "preset": "sinusoid", "amplitudes": [1.0, 0.3, 0.2, 0.1, 0.15][:n],
@@ -281,9 +290,15 @@ class TestSimulate:
         assert run(["simulate", "--algebra", algebra, "--controls",
                     str(controls), "--fock-dim", "16"]) == 0
         n_steps = 50
+
+        def stages(substeps):
+            return (n, [j * (1e-3 / (2 * substeps))
+                        for j in range(2 * substeps * n_steps + 1)])
+
         assert grids == [
             (n, [k * 1e-3 for k in range(n_steps + 1)]),
-            (n, [j * (1e-3 / 8) for j in range(8 * n_steps + 1)])]
+            *([stages(2)] if algebra == "schrodinger" else []),
+            stages(4)]
 
 
 class TestClosedStdout:
@@ -509,8 +524,16 @@ class TestErrors:
         {"h": 1e-2, "controls": [[1.0], [0.0], [0.0]]},
         {"h": 1e-2, "controls": [1.0, 0.0, 0.0]},
         {"h": float("inf"), "controls": [[1.0, 1.0], [0.0] * 2, [0.0] * 2]},
+        # the grid's numbers are JSON numbers: never parsed from a string,
+        # nor read from a boolean
+        {"preset": "constant", "values": [1.0, 0.0, 0.0], "t_final": 0.05,
+         "h": "1e-3"},
+        {"preset": "constant", "values": [1.0, 0.0, 0.0], "t_final": True,
+         "h": 1e-2},
+        {"h": 1e-2, "controls": [["1", "2"], [0, 0], [True, False]]},
     ], ids=["t_final_below_half_step", "one_sample", "flat_samples",
-            "infinite_step"])
+            "infinite_step", "string_step", "boolean_t_final",
+            "string_and_boolean_samples"])
     def test_unusable_control_grid(self, tmp_path, capsys, controls):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(controls))

@@ -62,7 +62,8 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = frozenset((dict, list, tuple))
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -83,26 +84,27 @@ def _flat(indent: str):
 def _dumps(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), the same text.  Given an
     indent, `json` runs its pure-Python encoder; this one writes the
-    nesting itself and hands scalars, and containers of them, to the C
-    encoder."""
-    if isinstance(obj, dict):
-        values = obj.values()
-    elif isinstance(obj, (list, tuple)):
-        values = obj
-    else:
-        return _flat(indent)(obj)
+    nesting itself and hands scalars, and containers whose items all have
+    an exact scalar type, to the C encoder in one call.  A container is
+    told by its exact type first and by `isinstance` after, so subclasses
+    are written as `json` writes them."""
+    kind = type(obj)
+    if kind not in _CONTAINERS:  # a subclass, or no container
+        if not isinstance(obj, (dict, list, tuple)):
+            return _flat(indent)(obj)
+        kind = dict if isinstance(obj, dict) else list
     inner = indent + "  "
-    if not any(isinstance(v, _CONTAINERS) for v in values):
+    if _SCALARS.issuperset(map(type, obj.values() if kind is dict else obj)):
         text = _flat(inner)(obj)
         if len(text) == 2:  # empty
             return text
-    elif isinstance(obj, dict):
-        text = "{" + (",\n" + inner).join(
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+    if kind is dict:
+        return "{\n" + inner + (",\n" + inner).join(
             _key(k) + ": " + _dumps(v, inner)
-            for k, v in sorted(obj.items())) + "}"
-    else:
-        text = "[" + (",\n" + inner).join(_dumps(v, inner) for v in obj) + "]"
-    return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+            for k, v in sorted(obj.items())) + "\n" + indent + "}"
+    return "[\n" + inner + (",\n" + inner).join(
+        _dumps(v, inner) for v in obj) + "\n" + indent + "]"
 
 
 def _key(k) -> str:
@@ -248,9 +250,10 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it costs about as much as a small command."""
+def _build_parser():
+    """(the argument parser, its subcommand parsers by name), built once per
+    process: parsing leaves them unchanged, and building them costs about as
+    much as a small command."""
     p = argparse.ArgumentParser(
         prog="skewweyl",
         description="Exact Lie-algebraic tools for the single-mode "
@@ -258,43 +261,55 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Exit codes: 0 success, 1 domain error, 2 usage/input error.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    c = sub.add_parser("closure", help="Lie closure of a generator set")
+    def command(name, fn, help):
+        commands[name] = c = sub.add_parser(name, help=help)
+        c.set_defaults(fn=fn)
+        return c
+
+    c = command("closure", _cmd_closure, "Lie closure of a generator set")
     c.add_argument("--gens", required=True)
     c.add_argument("--budget-dim", type=int, default=64)
     c.add_argument("--budget-deg", type=int, default=24)
-    c.set_defaults(fn=_cmd_closure)
 
-    c = sub.add_parser("classify", help="fingerprint and catalog match")
+    c = command("classify", _cmd_classify, "fingerprint and catalog match")
     c.add_argument("--basis", required=True)
-    c.set_defaults(fn=_cmd_classify)
 
-    c = sub.add_parser("enumerate", help="all subset-generated subalgebras")
+    c = command("enumerate", _cmd_enumerate,
+                "all subset-generated subalgebras")
     c.add_argument("--basis", required=True)
-    c.set_defaults(fn=_cmd_enumerate)
 
-    c = sub.add_parser("igusa", help="two-element infiniteness certificate")
+    c = command("igusa", _cmd_igusa, "two-element infiniteness certificate")
     c.add_argument("--e1", required=True)
     c.add_argument("--e2", required=True)
-    c.set_defaults(fn=_cmd_igusa)
 
-    c = sub.add_parser("simulate", help="factorized dynamics vs oracle")
+    c = command("simulate", _cmd_simulate, "factorized dynamics vs oracle")
     c.add_argument("--algebra", required=True, choices=["wh2", "schrodinger"])
     c.add_argument("--controls", required=True)
     c.add_argument("--fock-dim", type=int, default=64,
                    help="Fock truncation N, at least 16 (default 64)")
     c.add_argument("--csv", default=None)
-    c.set_defaults(fn=_cmd_simulate)
 
-    c = sub.add_parser("selftest", help="bracket table and glossary checks")
-    c.set_defaults(fn=_cmd_selftest)
-    return p
+    command("selftest", _cmd_selftest, "bracket table and glossary checks")
+    return p, commands
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line (default: sys.argv[1:]) and return its exit
+    code.  The parser of the subcommand that argv[0] names reads the rest;
+    only when argv[0] names no subcommand, or arguments are left over, does
+    the full parser read argv again, so usage, help and error texts are
+    those of `skewweyl` parsing the whole line."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        sub = commands.get(argv[0]) if argv else None
+        if sub is not None:
+            args, rest = sub.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if sub is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,6 +31,7 @@ MultiIndex = Tuple[int, int]
 
 PLUS = 1
 MINUS = -1
+_SIGNS = {"+": PLUS, "-": MINUS}
 
 #: degree of the zero polynomial
 NEG_INF = float("-inf")
@@ -509,14 +510,22 @@ def skew_to_json(s: SkewPoly) -> dict:
 
 
 def _exact(value) -> Fraction:
-    """A coefficient from a string such as "1/3" or a JSON integer: 0.1 or
-    true is a bad term, not 3602879701896397/2^55 or 1."""
-    if type(value) is not int and not isinstance(value, str):
+    """A coefficient from a JSON integer or a string of the grammar that
+    `skew_to_json` writes, ``[+-]?digits[/digits]`` in ASCII: 0.1, true,
+    "0.5", "1e9", " 1" and "1_0" are bad terms, not Fractions."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
         raise TypeError(f"coefficients must be strings or integers, got {value!r}")
-    return Fraction(value)
+    num, slash, den = value.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if (digits.isdigit() and digits.isascii()
+            and (not slash or den.isdigit() and den.isascii())):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    raise ValueError(f"coefficient {value!r} is not of the form n or n/d")
 
 
-def _terms_from_json(obj, name: str, read, zero) -> dict:
+def _terms_from_json(obj, name: str, read) -> dict:
     """The terms of the array obj[name], summed by key; `read(e, gamma)`
     gives one term's (key, coefficient).  alpha and beta must be JSON
     integers: 1.7 or true is a bad term, not 1."""
@@ -528,19 +537,22 @@ def _terms_from_json(obj, name: str, read, zero) -> dict:
     for i, e in enumerate(entries):
         try:
             gamma = (e["alpha"], e["beta"])
-            if any(type(x) is not int for x in gamma):
+            if type(gamma[0]) is not int or type(gamma[1]) is not int:
                 raise TypeError(f"alpha and beta must be integers, got {gamma}")
             key, c = read(e, gamma)
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"bad {name} term at index {i}: {exc}") from exc
-        terms[key] = terms.get(key, zero) + c
+        terms[key] = terms[key] + c if key in terms else c
     return terms
 
 
 def skew_from_json(obj: dict) -> SkewPoly:
-    return SkewPoly(_terms_from_json(obj, "skew", lambda e, gamma: (
-        ({"+": PLUS, "-": MINUS}[e["sigma"]], gamma), _exact(e["coeff"])),
-        Fraction(0)))
+    terms = _terms_from_json(obj, "skew", lambda e, gamma: (
+        (_SIGNS[e["sigma"]], gamma), _exact(e["coeff"])))
+    if all(c and 0 <= beta <= alpha and (sigma == PLUS or alpha > beta)
+           for (sigma, (alpha, beta)), c in terms.items()):
+        return SkewPoly._from_terms(terms)
+    return SkewPoly(terms)  # drops zero sums, then checks the keys
 
 
 def weyl_to_json(p: WeylPoly) -> dict:
@@ -554,5 +566,4 @@ def weyl_to_json(p: WeylPoly) -> dict:
 
 def weyl_from_json(obj: dict) -> WeylPoly:
     return WeylPoly(_terms_from_json(obj, "weyl", lambda e, gamma: (
-        gamma, GaussianRational(_exact(e["re"]), _exact(e["im"]))),
-        GR_ZERO))
+        gamma, GaussianRational(_exact(e["re"]), _exact(e["im"])))))

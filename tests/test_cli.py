@@ -1,18 +1,21 @@
 """CLI wire formats and exit codes (run in-process through cli.run)."""
 
+import collections
 import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewweyl import wei_norman
+from skewweyl import cli, wei_norman
 from skewweyl.cli import _dumps, run
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
                                 schrodinger_monomials, skew_to_json, unit_i)
@@ -34,6 +37,7 @@ def assert_input_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1, err
     assert "Traceback" not in err
+    return err
 
 
 @pytest.fixture
@@ -57,6 +61,15 @@ _DOCS = st.recursive(
     max_leaves=40)
 
 
+class _Pair(NamedTuple):
+    name: str
+    items: list
+
+
+class _List(list):
+    pass
+
+
 class TestOutputText:
     """The writer behind every subcommand's output is json.dumps(...,
     indent=2, sort_keys=True), character for character."""
@@ -66,6 +79,11 @@ class TestOutputText:
     @example({"b": [], "a": {}, "é\u2028\ud800": [[float("nan")], ()]})
     @example([1.0, -0.0, float("inf"), -float("inf"), 10 ** 30, True, None])
     @example({2.5: 1, 1: [{}], -3: "x"})
+    # subclasses of the containers are containers, at the top and nested
+    @example(collections.OrderedDict([("b", [1]), ("a", {"c": None})]))
+    @example([collections.Counter({"x": 2, "y": 1}), {"z": 0}])
+    @example({"pair": _Pair("p", [1, [2, {"q": []}]])})
+    @example(_List([_List([1, "x"]), _List(), {"k": _List([2.5])}]))
     def test_same_text_as_json(self, doc):
         assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
@@ -80,6 +98,88 @@ class TestOutputText:
         with pytest.raises(TypeError) as got:
             _dumps(doc)
         assert str(got.value) == str(want.value)
+
+
+#: command lines whose exit code, stdout and stderr must not depend on
+#: whether the subcommand's own parser or the full parser reads them;
+#: {gens}, {e1}, {e2} and {controls} name input files
+DISPATCH_ARGVS = {
+    "closure": ["closure", "--gens", "{gens}"],
+    "closure_budgets": ["closure", "--gens", "{gens}", "--budget-dim", "5",
+                        "--budget-deg", "3"],
+    "classify": ["classify", "--basis", "{gens}"],
+    "enumerate": ["enumerate", "--basis", "{gens}"],
+    "igusa": ["igusa", "--e1", "{e1}", "--e2", "{e2}"],
+    "simulate": ["simulate", "--algebra", "wh2", "--controls", "{controls}",
+                 "--fock-dim", "16"],
+    "selftest": ["selftest"],
+    "missing_flag": ["closure"],
+    "missing_second_flag": ["igusa", "--e1", "{e1}"],
+    "bad_int": ["closure", "--gens", "{gens}", "--budget-dim", "x"],
+    "bad_choice": ["simulate", "--algebra", "wh3", "--controls",
+                   "{controls}"],
+    "unknown_option": ["closure", "--gens", "{gens}", "--bogus"],
+    "extra_positional": ["closure", "--gens", "{gens}", "extra"],
+    "extra_after_dashes": ["closure", "--gens", "{gens}", "--", "extra"],
+    "dashes": ["closure", "--gens", "{gens}", "--"],
+    "help": ["-h"],
+    "command_help": ["closure", "-h"],
+    "empty": [],
+    "unknown_command": ["frobnicate", "--gens", "{gens}"],
+    "option_first": ["--gens", "{gens}", "closure"],
+    "abbreviation": ["closure", "--gen", "{gens}"],
+    "file_error": ["closure", "--gens", "{missing}"],
+}
+
+
+class TestDispatch:
+    """`run` hands argv[1:] to the parser of the subcommand argv[0] names;
+    it must answer every command line as the full parser does."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, request):
+        names = {
+            "gens": write_elements(tmp_path, "g.json",
+                                   [mono(PLUS, 1, 0), mono(MINUS, 1, 0)]),
+            "e1": write_elements(tmp_path, "e1.json", [mono(PLUS, 3, 0)]),
+            "e2": write_elements(tmp_path, "e2.json", [mono(MINUS, 2, 1)]),
+            "controls": str(Path(__file__).resolve().parent / "data"
+                            / "controls_wh2_constant.json"),
+            "missing": str(tmp_path / "missing.json"),
+        }
+        return [a.format(**names) for a in DISPATCH_ARGVS[request.param]]
+
+    @staticmethod
+    def full_parser_only(monkeypatch):
+        """`run` with no subcommand parser to dispatch to: the full parser
+        reads every command line, as it did before direct dispatch."""
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+
+    @pytest.mark.parametrize("argv", sorted(DISPATCH_ARGVS), indirect=True)
+    def test_same_result_as_full_parser(self, argv, capsys, monkeypatch):
+        got = run(argv), *capsys.readouterr()
+        self.full_parser_only(monkeypatch)
+        want = run(argv), *capsys.readouterr()
+        assert got == want
+
+    @pytest.mark.parametrize("argv", ["closure", "closure_budgets", "igusa",
+                                      "abbreviation"], indirect=True)
+    def test_same_namespace_as_full_parser(self, argv, monkeypatch):
+        # the parsers are rebuilt around commands that keep their arguments
+        seen = []
+        for name in ("closure", "igusa"):
+            monkeypatch.setattr(cli, f"_cmd_{name}", seen.append)
+        build = cli._build_parser
+        build.cache_clear()
+        try:
+            run(argv)
+            self.full_parser_only(monkeypatch)
+            run(argv)
+        finally:
+            build.cache_clear()
+        assert len(seen) == 2 and vars(seen[0]) == vars(seen[1])
+        assert seen[0].command == argv[0]
 
 
 class TestClosure:
@@ -430,12 +530,26 @@ class TestErrors:
             {"sigma": "+", "alpha": 1, "beta": 0, "coeff": "1/0"}]}]))
         assert_input_error(["closure", "--gens", str(path)], capsys)
 
-    @pytest.mark.parametrize("coeff", [0.1, True])
+    def test_exponent_coefficient_is_usage_error_at_once(self, tmp_path,
+                                                         capsys):
+        # Fraction("1e10000000") is 10^(10^7): it took seconds to build and
+        # failed only when written out, as a domain error
+        path = tmp_path / "g.json"
+        path.write_text('[{"skew":[{"sigma":"+","alpha":1,"beta":0,'
+                        '"coeff":"1e10000000"}]}]')
+        start = time.perf_counter()
+        assert_input_error(["closure", "--gens", str(path)], capsys)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("coeff", [
+        0.1, True, "1e3", "0.5", " 1", "1_0", "\u0663", "1/", "1/-2"])
     def test_inexact_coefficient_rejected(self, tmp_path, capsys, coeff):
+        # floats, booleans and strings outside [+-]?digits[/digits]
         path = tmp_path / "g.json"
         path.write_text(json.dumps([{"skew": [
             {"sigma": "+", "alpha": 1, "beta": 0, "coeff": coeff}]}]))
-        assert_input_error(["closure", "--gens", str(path)], capsys)
+        err = assert_input_error(["closure", "--gens", str(path)], capsys)
+        assert "element 0: bad skew term at index 0" in err
 
     def test_fractional_power_rejected(self, tmp_path, capsys):
         path = tmp_path / "g.json"

@@ -2,7 +2,8 @@
 files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
 `skewweyl classify` on seven closed spans, `skewweyl closure` on five
-filiform chain generator pairs, `skewweyl igusa` on the pairs of
+filiform chain generator pairs and on six pairs that one infiniteness rule
+each decides or that stop inconclusive, `skewweyl igusa` on the pairs of
 tests/data/igusa_pairs.json and `skewweyl simulate` on four short control
 files; `scripts/factorization_demo.py`, whose output is float-formatted,
 only has to run and agree with the direct propagator.
@@ -76,6 +77,27 @@ COMMANDS.update({
                                 str(ROOT / "tests" / "data"
                                     / f"closure_chain_{n}.json")]
     for n in range(3, 8)})
+
+#: closure goldens of the other outcomes: tests/data/closure_<name>.json
+#: holds two generators that one infiniteness rule decides (or, at
+#: --budget-dim 3, that stop inconclusive), with g±(a, b) the skew monomial
+#: of sign ± and multi-index (a, b):
+#: monomial_glossary_violation {g+(3,0), g-(3,0)};
+#: igusa_certificate {g-(3,0) + g-(2,1), g-(4,0)};
+#: mixed_eq_and_quad {g+(1,1), g+(2,2) + g-(1,0)};
+#: perp_with_free_ham {g+(1,1), g+(3,0) + g+(1,0)};
+#: chain_degree_growth {-g-(1,0) - 3/2 g+(3,0) - 2 g-(3,0),
+#: -2 g+(2,0) - 1/2 g+(4,0) - 2 g-(4,0)};
+#: inconclusive {g+(1,1) + g+(0,0), g+(1,0) + g-(2,0)}
+RULES = ["monomial_glossary_violation", "igusa_certificate",
+         "mixed_eq_and_quad", "perp_with_free_ham", "chain_degree_growth",
+         "inconclusive"]
+COMMANDS.update({
+    f"closure_{name}.json": ["-m", "skewweyl.cli", "closure", "--gens",
+                             str(ROOT / "tests" / "data"
+                                 / f"closure_{name}.json")]
+    + (["--budget-dim", "3"] if name == "inconclusive" else [])
+    for name in RULES})
 
 
 #: simulate goldens: (algebra, Fock dimension) per control file

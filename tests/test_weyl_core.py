@@ -3,9 +3,12 @@
 import copy
 import inspect
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from skewweyl.weyl_core import (
     GR_I,
@@ -21,6 +24,7 @@ from skewweyl.weyl_core import (
     skew_from_json,
     skew_to_json,
     subspace_of,
+    _exact,
     unit_i,
     weyl_from_json,
     weyl_to_json,
@@ -169,7 +173,51 @@ class TestSkewBasis:
         assert total == x
 
 
+#: the coefficient strings `skew_to_json` writes, and the only ones read
+COEFF_GRAMMAR = r"\A[+-]?[0-9]+(/[0-9]+)?\Z"
+
+
 class TestJson:
+    @given(st.from_regex(COEFF_GRAMMAR))
+    @example("-007/010")
+    @example("+0/0")
+    def test_grammar_read_as_fraction_reads_it(self, s):
+        try:
+            want = Fraction(s)
+        except Exception as exc:  # a zero denominator
+            with pytest.raises(type(exc)):
+                _exact(s)
+        else:
+            got = _exact(s)
+            assert got == want and type(got) is Fraction
+
+    @given(st.text())
+    @example("1e10000000")
+    @example("0.5")
+    @example(" 1")
+    @example("1_0")
+    @example("\u0663")
+    @example("1/-2")
+    def test_strings_outside_the_grammar_rejected(self, s):
+        assume(not re.match(COEFF_GRAMMAR, s))
+        with pytest.raises(ValueError):
+            _exact(s)
+
+    def test_repeated_keys_summed_and_zero_sums_dropped_first(self):
+        def term(sigma, alpha, beta, coeff):
+            return {"sigma": sigma, "alpha": alpha, "beta": beta,
+                    "coeff": coeff}
+        x = skew_from_json({"skew": [term("+", 1, 0, "1/2"),
+                                     term("-", 2, 2, "3"),
+                                     term("+", 1, 0, 1)]})
+        assert x == gp(1, 0, Fraction(3, 2))
+        assert all(type(c) is Fraction for c in x.terms.values())
+        # a key that is not well-ordered is an error only with a nonzero sum
+        bad = [term("+", 0, 2, "1"), term("+", 0, 2, "-1")]
+        assert skew_from_json({"skew": bad}) == SkewPoly()
+        with pytest.raises(ValueError, match="not well-ordered"):
+            skew_from_json({"skew": bad[:1]})
+
     def test_skew_roundtrip(self):
         x = gp(2, 0, Fraction(3, 2)) + gm(3, 1, -1)
         assert skew_from_json(skew_to_json(x)) == x
@@ -199,9 +247,11 @@ class TestJson:
             weyl_from_json({"weyl": [{"alpha": 1, "beta": index, "re": "1",
                                       "im": "0"}]})
 
-    @pytest.mark.parametrize("coeff", [0.1, True, 1.0])
+    @pytest.mark.parametrize("coeff", [0.1, True, 1.0, "1e3", "0.5", "1_0",
+                                       " 1"])
     def test_inexact_coefficients_rejected(self, coeff):
-        # 0.1 used to be read as 3602879701896397/36028797018963968, true as 1
+        # 0.1 used to be read as 3602879701896397/36028797018963968, true as
+        # 1, "1e3" as 1000
         with pytest.raises(ValueError, match="bad skew term at index 0"):
             skew_from_json({"skew": [{"sigma": "+", "alpha": 1, "beta": 0,
                                       "coeff": coeff}]})

@@ -19,7 +19,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import LieSpan, Rref, _Commuting, bracket
+from .lie_engine import (LieSpan, Rref, _bracket_ints, _Commuting,
+                         _integer_terms, bracket)
 from .weyl_core import SkewPoly
 
 Matrix = List[List[Fraction]]
@@ -64,9 +65,12 @@ class StructureConstants:
         (by Amitsur's theorem its centralizer is commutative).  The pairs
         are visited cheapest first, by |x.terms|·|y.terms|, so cheap zero
         brackets find those common elements before the dear pairs come up;
-        the table does not depend on the order.
+        the table does not depend on the order.  Each basis element is
+        scaled to integers once, and brackets and coordinates are formed in
+        integers (`_bracket_ints`, `LieSpan._coordinates_ints`).
         """
         basis = b.basis
+        forms = [_integer_terms(x.terms) for x in basis]
         commuting = _Commuting(basis)
         entries = {}
         for i, j in sorted(itertools.combinations(range(b.dim), 2),
@@ -74,14 +78,15 @@ class StructureConstants:
                            * len(basis[ij[1]].terms)):
             if commuting.zero(i, j):
                 continue
-            z = bracket(basis[i], basis[j])
+            (li, xi), (lj, xj) = forms[i], forms[j]
+            z = _bracket_ints(xi, xj)
             if not z:
                 commuting.record(i, j)
                 continue
-            coords = b.coordinates(z)
+            coords = b._coordinates_ints(z, li * lj)
             if coords is None:
                 raise ValueError("span is not closed under the bracket")
-            entries[i, j] = dict(enumerate(coords))
+            entries[i, j] = coords
         # the table in (i, j) order, whatever order the pairs were visited in
         return StructureConstants(b.dim, dict(sorted(entries.items())))
 
@@ -117,7 +122,9 @@ def _subspace_product(sc: StructureConstants, A: List[Sparse],
     else:
         pairs = itertools.product(A, B)
     for u, v in pairs:
-        out.insert(sc.bracket_vec(u, v))
+        residual = out._reduce_ints(sc.bracket_vec(u, v))
+        if residual:
+            out._add(residual)
     rows = out.integer_rows
     return [rows[p][1] for p in out.pivots]
 

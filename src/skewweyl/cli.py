@@ -35,7 +35,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
-    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, bytes that are not UTF-8, or nesting too deep
         raise InputError(f"{path}: invalid JSON: {exc}")
 
 

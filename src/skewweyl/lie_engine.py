@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,26 +39,70 @@ def _integer_terms(v: Dict) -> Tuple[int, Dict]:
     return l, {k: c.numerator * (l // c.denominator) for k, c in v.items()}
 
 
+class _Index(dict):
+    """Monomial key -> small int index, a new key getting the next index
+    and an empty row of `_PAIRS` on first lookup.  A new index is taken
+    under a lock and published after its row exists, so callers in several
+    threads never share one index between two keys."""
+
+    def __missing__(self, key: MonKey) -> int:
+        with _INTERNING:
+            if key not in self:
+                _PAIRS.append({})
+                _KEYS.append(key)
+                self[key] = len(_KEYS) - 1
+            return self[key]
+
+
+_INTERNING = threading.Lock()
+_KEYS: List[MonKey] = []
+_INDEX = _Index()
+#: the memo of monomial-pair brackets: _PAIRS[i][j] holds the
+#: (index, integer coefficient) pairs of [_KEYS[i], _KEYS[j]]
+_PAIRS: List[Dict[int, Tuple[Tuple[int, int], ...]]] = []
+
+
+def _bracket_ints(xs: Dict[MonKey, int], ys: Dict[MonKey, int]
+                  ) -> Dict[MonKey, int]:
+    """[x, y] for integer term maps x and y, as an integer term map
+    without zeros.
+
+    The bracket is bilinear and two skew monomials have integer bracket
+    coefficients, so the sum stays in Python ints.  Keys are looked up once
+    per term as small int indices, and the pair table and the accumulator
+    hash only those; only valid skew keys come out.
+    """
+    js = [(_INDEX[k], b) for k, b in ys.items()]
+    acc: Dict[int, int] = {}
+    for k1, a in xs.items():
+        i = _INDEX[k1]
+        row = _PAIRS[i]
+        for j, b in js:
+            entry = row.get(j)
+            if entry is None:
+                # fill the pair and its mirror [k_j, k_i] = -[k_i, k_j],
+                # which lists the same keys in the same (sorted) order
+                entry = row[j] = tuple(
+                    (_INDEX[k], n)
+                    for k, n in _monomial_bracket(_KEYS[i], _KEYS[j]))
+                _PAIRS[j][i] = tuple((k, -n) for k, n in entry)
+            ab = a * b
+            for k, n in entry:
+                acc[k] = acc.get(k, 0) + ab * n
+    return {_KEYS[k]: v for k, v in acc.items() if v}
+
+
 def bracket(x: SkewPoly, y: SkewPoly) -> SkewPoly:
     """Exact commutator [x, y]; skew-hermitian inputs give a skew result.
 
-    The bracket is bilinear, and two skew monomials have integer bracket
-    coefficients, memoised in `weyl_core._monomial_bracket`.  x and y are
-    scaled to integer vectors lx·x and ly·y, the table entries are summed
-    as Python ints, and the sum is divided once by lx·ly.  The table holds
-    only valid skew keys, so the result skips `SkewPoly`'s key checks.
+    x and y are scaled to integer vectors lx·x and ly·y, bracketed by
+    `_bracket_ints`, and the sum is divided once by lx·ly.
     """
     lx, xs = _integer_terms(x.terms)
     ly, ys = _integer_terms(y.terms)
-    acc: Dict[MonKey, int] = {}
-    for k1, a in xs.items():
-        for k2, b in ys.items():
-            ab = a * b
-            for key, n in _monomial_bracket(k1, k2):
-                acc[key] = acc.get(key, 0) + ab * n
     d = lx * ly
     return SkewPoly._from_terms({k: Fraction(v, d)
-                                 for k, v in acc.items() if v})
+                                 for k, v in _bracket_ints(xs, ys).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +140,29 @@ class Rref:
 
     def reduce(self, v: Dict) -> Dict:
         """A positive integer multiple of v minus its part in the row
-        space: {} exactly when v lies in it.
+        space: {} exactly when v lies in it.  v is scaled to integers by
+        the lcm of its denominators and reduced by `_reduce_ints`."""
+        return self._reduce_ints(_integer_terms(v)[1])
 
-        v is scaled to integers by the lcm of its denominators, then by the
-        lcm m of the pivot entries d of the rows it meets, so subtracting
-        (entry at the pivot)·(m/d) times each such row stays in the
-        integers.  The rows are fully reduced: each vanishes at every other
-        pivot, so one pass over the pivots present in v clears them all.
+    def _reduce_ints(self, row: Dict) -> Dict:
+        """`reduce` of an integer row, which is left as it is.
+
+        The row is scaled by the lcm m of the pivot entries d of the rows
+        it meets, so subtracting (entry at the pivot)·(m/d) times each such
+        row stays in the integers.  The rows are fully reduced: each
+        vanishes at every other pivot, so one pass over the pivots present
+        in the row clears them all.
         """
-        _, row = _integer_terms(v)
         rows = self.integer_rows
         hits = [(c, rows[k]) for k, c in row.items() if k in rows]
-        if hits:
-            m = math.lcm(*(d for _, (d, _) in hits))
-            if m != 1:
-                row = {k: c * m for k, c in row.items()}
-            for c, (d, nums) in hits:
-                f = c * (m // d)
-                for k2, c2 in nums.items():
-                    row[k2] = row.get(k2, 0) - f * c2
+        if not hits:
+            return {k: c for k, c in row.items() if c}
+        m = math.lcm(*(d for _, (d, _) in hits))
+        row = {k: c * m for k, c in row.items()} if m != 1 else dict(row)
+        for c, (d, nums) in hits:
+            f = c * (m // d)
+            for k2, c2 in nums.items():
+                row[k2] = row.get(k2, 0) - f * c2
         return {k: c for k, c in row.items() if c}
 
     def insert(self, v: Dict) -> bool:
@@ -121,6 +170,12 @@ class Rref:
         residual = self.reduce(v)
         if not residual:
             return False
+        self._add(residual)
+        return True
+
+    def _add(self, residual: Dict) -> None:
+        """Add a nonzero row that `reduce` returned and that no row has
+        been added since."""
         pivot = min(residual, key=self.order)
         new_row = _primitive(residual, residual[pivot] < 0)
         d = new_row[pivot]
@@ -135,7 +190,6 @@ class Rref:
                 row = _primitive({k: c for k, c in row.items() if c})
                 self.integer_rows[p] = (row[p], row)
         self.integer_rows[pivot] = (d, new_row)
-        return True
 
     def nullspace(self) -> List[Dict[int, Fraction]]:
         """Kernel basis: a sparse vector per free column, 1 at that column."""
@@ -169,15 +223,16 @@ class LieSpan:
     """Ordered basis of a subspace of the skew-hermitian algebra with exact
     row-reduced coordinates over the monomial basis.
 
-    Mutable only through `insert`; used as an immutable value once built.
+    Mutable only through `insert` and `_insert_ints`; used as an immutable
+    value once built.
     """
 
     def __init__(self, vectors: Iterable[SkewPoly] = ()):
         self.basis: List[SkewPoly] = []
         self._echelon = Rref(order=monomial_key_order)
         # (pivot keys, per basis index j the pair (d_j, N_j) with row j of
-        # the inverse pivot-entry matrix N_j/d_j); built by `coordinates`,
-        # dropped by `insert`
+        # the inverse pivot-entry matrix N_j/d_j); built by
+        # `_coordinates_ints`, dropped by `_append`
         self._inverse: Optional[Tuple[List[MonKey],
                                       List[Tuple[int, List[int]]]]] = None
         for v in vectors:
@@ -192,24 +247,55 @@ class LieSpan:
 
     def insert(self, v: SkewPoly) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        if not self._echelon.insert(v.terms):
+        residual = self._echelon.reduce(v.terms)
+        if not residual:
             return False
-        self.basis.append(v)
-        self._inverse = None
+        self._append(v, residual)
         return True
 
+    def _insert_ints(self, v: Dict, d: int) -> Optional[Tuple[int, Dict]]:
+        """`insert` of v/d, for an integer row v and d > 0, that builds the
+        element's `Fraction`s only if the span grows.  Returns the new
+        basis element's integer form (l, l·v/d), l the lcm of its
+        denominators, or None if v/d is already in the span."""
+        residual = self._echelon._reduce_ints(v)
+        if not residual:
+            return None
+        e = math.gcd(d, *v.values())
+        if e != 1:
+            d, v = d // e, {k: c // e for k, c in v.items()}
+        self._append(SkewPoly._from_terms(
+            {k: Fraction(c, d) for k, c in v.items()}), residual)
+        return d, v
+
+    def _append(self, v: SkewPoly, residual: Dict) -> None:
+        """Add v, whose residual the echelon has just returned."""
+        self._echelon._add(residual)
+        self.basis.append(v)
+        self._inverse = None
+
     def coordinates(self, v: SkewPoly) -> Optional[List[Fraction]]:
-        """Exact coordinates of v in `self.basis`, or None if v is outside.
+        """Exact coordinates of v in `self.basis`, or None if v is outside."""
+        l, ints = _integer_terms(v.terms)
+        coords = self._coordinates_ints(ints, l)
+        if coords is None:
+            return None
+        return [coords.get(j, Fraction(0)) for j in range(self.dim)]
+
+    def _coordinates_ints(self, v: Dict, l: int
+                          ) -> Optional[Dict[int, Fraction]]:
+        """The nonzero coordinates {j: c_j} of v/l, for an integer row v
+        and l > 0, or None if v/l is outside the span.
 
         The rows are fully reduced, so an element of the span is fixed by
         its coefficients at the pivots, and its coordinates are the inverse
         of the basis vectors' pivot-entry matrix applied to those.  The
         inverse is built by one `Rref` on first use, kept as integer rows
-        over a positive denominator each and dropped by `insert`, so each
+        over a positive denominator each and dropped by `_append`, so each
         further call is one integer matrix-vector product and one division
-        per coordinate.
+        per nonzero coordinate.
         """
-        if self._echelon.reduce(v.terms):
+        if self._echelon._reduce_ints(v):
             return None
         n = self.dim
         if self._inverse is None:
@@ -222,10 +308,13 @@ class LieSpan:
                 (d, [nums.get(n + r, 0) for r in range(n)])
                 for _, (d, nums) in sorted(inv.items())])
         pivots, inverse = self._inverse
-        l, at = _integer_terms({r: v.terms[p] for r, p in enumerate(pivots)
-                                if p in v.terms})
-        return [Fraction(sum(c * row[r] for r, c in at.items()), l * d)
-                for d, row in inverse]
+        at = [(r, v[p]) for r, p in enumerate(pivots) if p in v]
+        out = {}
+        for j, (d, row) in enumerate(inverse):
+            c = sum(x * row[r] for r, x in at)
+            if c:
+                out[j] = Fraction(c, l * d)
+        return out
 
     def canonical_key(self) -> Tuple:
         """Hashable canonical form (the primitive integer RREF rows)
@@ -362,14 +451,19 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
     A closed `within` from a closure under the same budget is extended as
     the closure of `within.basis + gens` would be, in the same order and
     with the same report, but without its pairs inside `within`.
+
+    Brackets and reductions run on each basis element's integer form
+    (l, l·b), l the lcm of its denominators: a bracket becomes a
+    `SkewPoly` only if it enlarges the span.
     """
     span, lo = LieSpan(), 0
     if within is not None:
-        # `Rref.insert` never mutates a stored row, so the rows are shared
+        # `Rref._add` never mutates a stored row, so the rows are shared
         span.basis = list(within.basis)
         span._echelon.integer_rows = dict(within._echelon.integer_rows)
         lo = within.dim
     basis = span.basis
+    forms = [_integer_terms(b.terms) for b in basis]
     commuting = _Commuting(basis)
     max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
 
@@ -386,6 +480,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
         if span.insert(g):
+            forms.append(_integer_terms(g.terms))
             commuting.add(g)
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
@@ -395,20 +490,25 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         # basis[start:end] is the frontier, the elements of the last level
         end = span.dim
         for i in range(start, end):
+            li, xi = forms[i]
             # [b_i, b_i] = 0, [b_i, b_j] = -[b_j, b_i] for an earlier
             # frontier j, and [b_i, b_j] lies in `within` for i, j < lo
             for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
                 if commuting.zero(i, j):
                     continue
-                z = bracket(basis[i], basis[j])
+                lj, xj = forms[j]
+                z = _bracket_ints(xi, xj)
                 if not z:
                     commuting.record(i, j)
                     continue
-                if z.degree > budget.max_degree:
-                    return over_budget(z.degree)
-                if span.insert(z):
-                    commuting.add(z)
-                    max_deg_seen = max(max_deg_seen, z.degree)
+                degree = max(a + b for _, (a, b) in z)
+                if degree > budget.max_degree:
+                    return over_budget(degree)
+                form = span._insert_ints(z, li * lj)
+                if form is not None:
+                    forms.append(form)
+                    commuting.add(basis[-1])
+                    max_deg_seen = max(max_deg_seen, degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
         start = end

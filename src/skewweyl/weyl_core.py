@@ -23,6 +23,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import functools
+import sys
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
@@ -173,7 +174,6 @@ def _weyl_terms(key: Tuple[int, MultiIndex]
     return ((beta, alpha), 1, 0), ((alpha, beta), -1, 0)
 
 
-@functools.cache
 def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
                       ) -> Tuple[Tuple[Tuple[int, MultiIndex], int], ...]:
     """[k1, k2] of two skew monomials as (key, integer coefficient) pairs.
@@ -184,7 +184,8 @@ def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
     diagonal D = 2i·Im p and g+ = 2i (a†)^a a^a, so the coefficient is
     Im p.  Every coefficient is therefore an integer.  Only valid skew
     keys come out: a >= b, no g- on the diagonal and no zero coefficient,
-    so `lie_engine.bracket` wraps its sums unchecked.  Memoised per pair.
+    so `lie_engine.bracket` wraps its sums unchecked.  Not memoised:
+    `lie_engine` keeps the one table of these, by monomial index.
     """
     p: Dict[MultiIndex, List[int]] = {}
     for (a1, b1), re1, im1 in _weyl_terms(k1):
@@ -198,18 +199,12 @@ def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
     for a, b in sorted({(max(k), min(k)) for k in p}):
         re, im = p.get((a, b), (0, 0))
         if a == b:
-            out.append((_key(PLUS, a, b), im))
+            out.append(((PLUS, (a, b)), im))
             continue
         mirror_re, mirror_im = p.get((b, a), (0, 0))
-        out.append((_key(PLUS, a, b), im + mirror_im))
-        out.append((_key(MINUS, a, b), mirror_re - re))
+        out.append(((PLUS, (a, b)), im + mirror_im))
+        out.append(((MINUS, (a, b)), mirror_re - re))
     return tuple(kv for kv in out if kv[1])
-
-
-@functools.cache
-def _key(sigma: int, alpha: int, beta: int) -> Tuple[int, MultiIndex]:
-    """One shared key object per monomial, so the table stores each once."""
-    return sigma, (alpha, beta)
 
 
 class WeylPoly:
@@ -496,17 +491,23 @@ CONTROL_GENERATORS["wh2"] = CONTROL_GENERATORS["schrodinger"][:3]
 # ---------------------------------------------------------------------------
 
 def skew_to_json(s: SkewPoly) -> dict:
-    return {
-        "skew": [
-            {
-                "sigma": "+" if sigma == PLUS else "-",
-                "alpha": gamma[0],
-                "beta": gamma[1],
-                "coeff": str(c),
-            }
-            for (sigma, gamma), c in s.sorted_terms()
-        ]
-    }
+    try:
+        return {
+            "skew": [
+                {
+                    "sigma": "+" if sigma == PLUS else "-",
+                    "alpha": gamma[0],
+                    "beta": gamma[1],
+                    "coeff": str(c),
+                }
+                for (sigma, gamma), c in s.sorted_terms()
+            ]
+        }
+    except ValueError as exc:  # str() of an int past the process's limit
+        raise ValueError(
+            f"a coefficient of the result has more than "
+            f"{sys.get_int_max_str_digits()} digits, the limit of the JSON "
+            f"writer") from exc
 
 
 def _exact(value) -> Fraction:

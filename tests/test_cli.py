@@ -503,10 +503,14 @@ class TestErrors:
     def test_missing_file(self):
         assert run(["closure", "--gens", "/nonexistent/g.json"]) == 2
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run(["closure", "--gens", str(path)]) == 2
+        # unclosed, and nested too deep for the decoder (a RecursionError,
+        # not a ValueError)
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            path.write_text(text)
+            err = assert_input_error(["closure", "--gens", str(path)], capsys)
+            assert "invalid JSON" in err
 
     def test_bad_element(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -663,7 +667,8 @@ class TestErrors:
 
 
 class TestArithmeticOverflow:
-    """An overflow, of the float range or of memory, is a domain error:
+    """An overflow, of the float range, of memory or of the JSON writer's
+    digit limit, is a domain error:
     exit 1 with one `error:` line."""
 
     @staticmethod
@@ -676,6 +681,7 @@ class TestArithmeticOverflow:
         assert "Traceback" not in err
         # outside a test run every warning is one more stderr line
         assert not caught, [str(w.message) for w in caught]
+        return err
 
     def test_igusa_coefficient_beyond_float_range(self, tmp_path, capsys):
         # the leading coefficients 1e400 have no float value
@@ -685,6 +691,19 @@ class TestArithmeticOverflow:
         e2 = write_elements(tmp_path, "e2.json", [
             mono(MINUS, 4, 1).scale(big) + mono(PLUS, 2, 0)])
         self.assert_domain_error(["igusa", "--e1", e1, "--e2", e2], capsys)
+
+    def test_result_coefficient_beyond_the_writer_limit(self, tmp_path,
+                                                        capsys):
+        # [c g+(2,0), c g-(2,0)] has a coefficient of about c², 5001 digits,
+        # past the process-wide limit on writing an int as text
+        c = Fraction(10) ** 2500
+        gens = write_elements(tmp_path, "g.json", [
+            mono(PLUS, 2, 0).scale(c), mono(MINUS, 2, 0).scale(c)])
+        limit = sys.get_int_max_str_digits()
+        err = self.assert_domain_error(["closure", "--gens", gens], capsys)
+        assert f"more than {limit} digits" in err
+        assert "set_int_max_str_digits" not in err
+        assert sys.get_int_max_str_digits() == limit
 
     def test_squeeze_overflows_inside_a_step(self, tmp_path, capsys):
         # an RK4 stage drives f4 past the float range before the check at

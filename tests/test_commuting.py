@@ -248,14 +248,17 @@ class TestTableMatchesAllPairs:
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
+    """The integer term maps of every bracket, counted where the closure,
+    the table and `bracket` all form them: at `_bracket_ints`."""
     calls = []
+    bracket_ints = lie_engine._bracket_ints
 
-    def counted(x, y):
-        calls.append((x, y))
-        return bracket(x, y)
+    def counted(xs, ys):
+        calls.append((xs, ys))
+        return bracket_ints(xs, ys)
 
-    monkeypatch.setattr(lie_engine, "bracket", counted)
-    monkeypatch.setattr(classify, "bracket", counted)
+    monkeypatch.setattr(lie_engine, "_bracket_ints", counted)
+    monkeypatch.setattr(classify, "_bracket_ints", counted)
     return calls
 
 
@@ -273,7 +276,7 @@ def test_chain_bracket_calls(n, bracket_calls):
     StructureConstants.from_span(LieSpan(_json(f"classify_chain_{n}.json")))
     assert len(bracket_calls) == 2 * dim - 5
     # cheapest pairs first
-    costs = [len(x.terms) * len(y.terms) for x, y in bracket_calls]
+    costs = [len(xs) * len(ys) for xs, ys in bracket_calls]
     assert costs == sorted(costs)
 
 
@@ -283,4 +286,8 @@ def test_scalars_are_never_bracketed(bracket_calls):
             SkewPoly.monomial(MINUS, (1, 0))]
     out = _raw_closure(gens, Budget())
     assert out.dim == 3
-    assert all(x.degree > 0 and y.degree > 0 for x, y in bracket_calls)
+    assert bracket_calls
+    # a scalar's only key is (PLUS, (0, 0)), of degree 0
+    assert all(max(sum(gamma) for _, gamma in xs) > 0
+               and max(sum(gamma) for _, gamma in ys) > 0
+               for xs, ys in bracket_calls)

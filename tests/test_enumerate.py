@@ -192,18 +192,24 @@ class TestExtensionClosure:
 ])
 def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
                                           brackets, inserts):
+    # brackets are counted where every one is formed, at `_bracket_ints`;
+    # inserts at `LieSpan.insert` and at the closure's `_insert_ints`
     calls = {"bracket": 0, "insert": 0}
+    bracket_ints = lie_engine._bracket_ints
 
-    def counted_bracket(x, y):
+    def counted_bracket(xs, ys):
         calls["bracket"] += 1
-        return bracket(x, y)
+        return bracket_ints(xs, ys)
 
-    def counted_insert(self, v, insert=LieSpan.insert):
-        calls["insert"] += 1
-        return insert(self, v)
+    def counted(insert):
+        def wrapper(self, *args):
+            calls["insert"] += 1
+            return insert(self, *args)
+        return wrapper
 
-    monkeypatch.setattr(lie_engine, "bracket", counted_bracket)
-    monkeypatch.setattr(classify, "bracket", counted_bracket)
-    monkeypatch.setattr(LieSpan, "insert", counted_insert)
+    monkeypatch.setattr(lie_engine, "_bracket_ints", counted_bracket)
+    monkeypatch.setattr(classify, "_bracket_ints", counted_bracket)
+    monkeypatch.setattr(LieSpan, "insert", counted(LieSpan.insert))
+    monkeypatch.setattr(LieSpan, "_insert_ints", counted(LieSpan._insert_ints))
     assert len(enumerate_subalgebras(basis())) == spans
     assert calls == {"bracket": brackets, "insert": inserts}

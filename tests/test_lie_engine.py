@@ -1,5 +1,8 @@
 """Brackets, exact spans, closure decisions, and infiniteness witnesses."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -128,6 +131,50 @@ class TestBracketKernel:
                 assert SkewPoly(dict(entry)) == weyl_bracket(
                     SkewPoly.monomial(*k1), SkewPoly.monomial(*k2))
 
+    def test_one_memo_by_monomial_index(self):
+        # `_monomial_bracket` only computes: the pair memo is the one of
+        # `_bracket_ints`, filled per pair and its mirror [k2, k1]
+        assert not hasattr(weyl_core._monomial_bracket, "cache_info")
+        assert not hasattr(weyl_core, "_key")
+        keys = skew_keys(4)
+        for k1 in keys:
+            for k2 in keys:
+                got = lie_engine._bracket_ints({k1: 1}, {k2: 1})
+                assert list(got.items()) == list(
+                    weyl_core._monomial_bracket(k1, k2))
+
+    def test_memo_is_filled_safely_from_threads(self):
+        # keys of degree 60..64, which no other test brackets, so every
+        # thread interns new keys and fills new pairs at the same time
+        keys = [(sigma, (a, b)) for a in range(60, 62) for b in range(4)
+                for sigma in (PLUS, MINUS)]
+        pairs = [(k1, k2) for k1 in keys for k2 in keys]
+        results = [{} for _ in range(4)]
+
+        def work(out, order):
+            for k1, k2 in order:
+                out[k1, k2] = lie_engine._bracket_ints({k1: 1}, {k2: 1})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(
+                out, random.Random(t).sample(pairs, len(pairs))))
+                for t, out in enumerate(results)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        index = lie_engine._INDEX
+        assert len(index) == len(lie_engine._KEYS) == len(lie_engine._PAIRS)
+        assert all(lie_engine._KEYS[i] == k for k, i in index.items())
+        for k1, k2 in pairs:
+            want = list(weyl_core._monomial_bracket(k1, k2))
+            assert all(list(out[k1, k2].items()) == want for out in results)
+
     def test_exact_path_needs_no_weyl_products(self, monkeypatch):
         # i P(q) with q = a + a† and deg P = 5: with x = a - a†,
         # [x, i q^k] = 2ik q^(k-1), so the closure is the chain L_n of dim 7
@@ -210,6 +257,32 @@ class TestLieSpan:
         assert span_is_bracket_closed(LieSpan([unit_i(), gp(1, 0), gm(1, 0)]))
         assert not span_is_bracket_closed(LieSpan([gp(1, 0), gm(1, 0)]))
 
+
+class TestIntegerRows:
+    """The integer cores read the rows they are given and never write
+    them: the closure and the table keep each basis element's integer
+    form and bracket it again after every reduction."""
+
+    def test_reductions_leave_their_row_unchanged(self):
+        # pivots i (entry 1) and g+(1,0) (entry 2, row 2 g+(1,0) + g-(3,0))
+        s = LieSpan([gp(1, 0) + gm(3, 0, Fraction(1, 2)), unit_i()])
+        assert sorted(d for d, _ in s._echelon.integer_rows.values()) == [1, 2]
+        rows = [
+            {(PLUS, (0, 0)): 3, (PLUS, (2, 0)): 1},  # meets entry 1: m = 1
+            {(PLUS, (1, 0)): 1, (MINUS, (3, 0)): 4},  # meets entry 2: m = 2
+            {(PLUS, (0, 0)): 2, (PLUS, (1, 0)): 2, (MINUS, (3, 0)): 1},
+            {(MINUS, (4, 1)): 7},  # meets no row
+        ]
+        for row in rows:
+            before = list(row.items())
+            residual = s._echelon._reduce_ints(row)
+            assert residual is not row
+            s._coordinates_ints(row, 3)
+            t = LieSpan(s.basis)
+            t._insert_ints(row, 3)
+            assert list(row.items()) == before
+        assert s._echelon._reduce_ints(rows[2]) == {}
+        assert s._coordinates_ints(rows[2], 2) == {0: 1, 1: 2}
 
 class TestClosures:
     def test_heisenberg(self):

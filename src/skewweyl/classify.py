@@ -61,17 +61,18 @@ class StructureConstants:
         """The table of b's basis, which must be closed under the bracket.
 
         Pairs `_Commuting` proves commute are not bracketed: a scalar with
-        anything, or two elements that commute with the same non-scalar one
-        (by Amitsur's theorem its centralizer is commutative).  The pairs
-        are visited cheapest first, by |x.terms|·|y.terms|, so cheap zero
-        brackets find those common elements before the dear pairs come up;
-        the table does not depend on the order.  Each basis element is
+        anything, or two elements that commute with the same non-scalar
+        one, in the basis or a shared linear root (by Amitsur's theorem its
+        centralizer is commutative).  The pairs are visited cheapest first,
+        by |x.terms|·|y.terms|, so cheap zero brackets find those common
+        elements before the dear pairs come up; the table does not depend
+        on the order.  Each basis element is
         scaled to integers once, and brackets and coordinates are formed in
         integers (`_bracket_ints`, `LieSpan._coordinates_ints`).
         """
         basis = b.basis
         forms = [_integer_terms(x.terms) for x in basis]
-        commuting = _Commuting(basis)
+        commuting = _Commuting(forms)
         entries = {}
         for i, j in sorted(itertools.combinations(range(b.dim), 2),
                            key=lambda ij: len(basis[ij[0]].terms)

@@ -48,7 +48,9 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     """All distinct subalgebra spans generated by non-empty subsets of
     `basis`, each identified against the catalog.
 
-    Errors out before enumerating if the full basis has no finite closure.
+    Errors out before enumerating if the full basis has no finite closure
+    under `budget`, naming the rule that proved it infinite, or the
+    dimension and degree at which an inconclusive closure stopped.
     """
     basis = list(basis)
     n = len(basis)
@@ -57,8 +59,15 @@ def enumerate_subalgebras(basis: Sequence[SkewPoly],
     if LieSpan(basis).dim != n:
         raise ValueError("basis elements must be linearly independent")
     full = lie_closure(basis, budget)
+    if full.outcome == "infinite":
+        raise ValueError("the full basis generates an infinite algebra "
+                         f"(rule {full.witness.rule})")
     if full.outcome != "finite":
-        raise ValueError("the full basis does not generate a finite algebra")
+        report = full.budget_report
+        raise ValueError(
+            "the closure of the full basis is inconclusive: it exceeded the "
+            f"budget at dim_reached {report['dim_reached']}, "
+            f"degree_reached {report['degree_reached']}")
     ambient = full.span
 
     found: Dict[Tuple, Tuple[Tuple[int, ...], LieSpan]] = {}

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .weyl_core import (
+    MINUS,
     NEG_INF,
     PLUS,
     MultiIndex,
@@ -343,6 +344,50 @@ def span_is_bracket_closed(span: LieSpan) -> bool:
     return True
 
 
+def _linear_root(terms: Dict, d: int) -> Optional[Tuple[int, int]]:
+    """The one linear w = r·g+^(1,0) + s·g−^(1,0), up to a real factor,
+    whose centralizer can hold an element of degree d >= 3 with these
+    terms (ints or Fractions), as a primitive (r, s) with r > 0, or r = 0
+    and s > 0; None if its top part is not a power of a linear form.
+
+    The skew elements commuting with w ∝ i(cos θ (a + a†) − i sin θ
+    (a − a†)) = i q_θ are i P(q_θ) for real P, whose top part λ i q_θ^d has
+    a^d coefficient A = m0 + i p0 = iλ ζ̄^d and a†a^(d−1) coefficient
+    B = m1 + i p1 = iλ d ζ ζ̄^(d−1), ζ = e^(iθ), with m0, p0, m1, p1 the
+    coefficients of g−^(d,0), g+^(d,0), g−^(d−1,1) and g+^(d−1,1).  So
+    B·Ā = D ζ², D = d·|A|², and D(1 + ζ²) = 2D cos θ·ζ points along ±ζ
+    (ζ = ±i if it is 0).  The candidate is only that: `_Commuting` keeps it
+    once the exact bracket [w, x] comes out 0."""
+    cs = [terms.get((MINUS, (d, 0)), 0), terms.get((PLUS, (d, 0)), 0),
+          terms.get((MINUS, (d - 1, 1)), 0), terms.get((PLUS, (d - 1, 1)), 0)]
+    if not (cs[0] or cs[1]):
+        return None
+    # (r, s) is a quadratic form in the four, so scaling them to integers
+    # by one positive factor keeps its direction
+    l = math.lcm(*(c.denominator for c in cs))
+    m0, p0, m1, p1 = (c.numerator * (l // c.denominator) for c in cs)
+    r = d * (m0 * m0 + p0 * p0) + m0 * m1 + p0 * p1
+    s = p1 * m0 - m1 * p0
+    if not (r or s):
+        return 0, 1
+    g = math.gcd(r, s)
+    if r < 0 or (not r and s < 0):
+        g = -g
+    return r // g, s // g
+
+
+def _commutes_with_root(root: Tuple[int, int], xs: Dict[MonKey, int]) -> bool:
+    """[w, x] = 0 exactly, for w = r·g+^(1,0) + s·g−^(1,0) and x an
+    integer term map: 2·|x| monomial-pair lookups."""
+    r, s = root
+    w = {k: c for k, c in (((PLUS, (1, 0)), r), ((MINUS, (1, 0)), s)) if c}
+    return not _bracket_ints(w, xs)
+
+
+#: a root not yet computed
+_UNSET = object()
+
+
 class _Commuting:
     """Pairs of basis elements whose bracket is known to be 0.
 
@@ -354,24 +399,71 @@ class _Commuting:
     included.  A scalar (a multiple of i, or 0) commutes with everything,
     so it links nothing and keeps None; non-scalar skew elements are those
     of degree >= 1.
+
+    An element of degree >= 3 may also have a linear root w (see
+    `_linear_root`), not in the basis, with [w, x] = 0: two elements with
+    the same root lie in the commutative C(w).  Candidates are formed from
+    the elements' integer term maps only for a pair of two such elements
+    that the known sets leave open, and a candidate is checked by one
+    bracket with w, of at most two terms, only once two elements'
+    candidates agree.
+    A pair proven zero this way is recorded like a zero bracket.
     """
 
-    def __init__(self, elements: Iterable[SkewPoly] = ()):
+    def __init__(self, forms: Iterable[Tuple[int, Dict[MonKey, int]]] = ()):
         self._known: List[Optional[set]] = []
-        for x in elements:
-            self.add(x)
+        #: per index: the candidate root, None, or _UNSET
+        self._roots: List = []
+        #: per index: (degree, integer term map) while its root is
+        #: uncomputed or unchecked, else None
+        self._pending: List[Optional[Tuple[int, Dict[MonKey, int]]]] = []
+        for _, xs in forms:
+            self.add(xs, max((a + b for _, (a, b) in xs), default=NEG_INF))
 
-    def add(self, x: SkewPoly) -> None:
-        self._known.append({len(self._known)} if x.degree > 0 else None)
+    def add(self, xs: Dict[MonKey, int], degree) -> None:
+        """Append the element with integer term map xs and its degree."""
+        self._known.append({len(self._known)} if degree > 0 else None)
+        if degree >= 3:
+            self._roots.append(_UNSET)
+            self._pending.append((degree, xs))
+        else:
+            self._roots.append(None)
+            self._pending.append(None)
 
     def zero(self, i: int, j: int) -> bool:
         a, b = self._known[i], self._known[j]
-        return a is None or b is None or not a.isdisjoint(b)
+        if a is None or b is None or not a.isdisjoint(b):
+            return True
+        if self._roots[i] is None or self._roots[j] is None:
+            return False
+        root = self._candidate(i)
+        if (root is None or root != self._candidate(j)
+                or not self._checked(i) or not self._checked(j)):
+            return False
+        self.record(i, j)
+        return True
 
     def record(self, i: int, j: int) -> None:
-        """Note that [b_i, b_j] came out 0."""
+        """Note that [b_i, b_j] is 0."""
         self._known[i].add(j)
         self._known[j].add(i)
+
+    def _candidate(self, i: int) -> Optional[Tuple[int, int]]:
+        root = self._roots[i]
+        if root is _UNSET:
+            root = self._roots[i] = _linear_root(self._pending[i][1],
+                                                 self._pending[i][0])
+        return root
+
+    def _checked(self, i: int) -> bool:
+        """Whether element i commutes with its candidate root, which is
+        then kept as its root, or dropped if it does not."""
+        pending = self._pending[i]
+        if pending is not None:
+            self._pending[i] = None
+            if not _commutes_with_root(self._roots[i], pending[1]):
+                self._roots[i] = None
+        return self._roots[i] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +534,12 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
 
     Each unordered pair is bracketed once, except pairs `_Commuting` proves
     commute: a scalar with anything, or two elements that commute with the
-    same non-scalar one (by Amitsur's theorem its centralizer is
-    commutative).  Zero brackets are never inserted, so skipping them leaves
-    the basis and its order as they are.  The dimension budget is checked
-    after every insert, so an `inconclusive` report stops at max_dim + 1;
-    the degree budget is checked before every insert, generators included.
+    same non-scalar one, in the basis or a shared linear root (by Amitsur's
+    theorem its centralizer is commutative).  Zero brackets are never
+    inserted, so skipping them leaves the basis and its order as they are.
+    The dimension budget is checked after every insert, so an
+    `inconclusive` report stops at max_dim + 1; the degree budget is
+    checked before every insert, generators included.
 
     A closed `within` from a closure under the same budget is extended as
     the closure of `within.basis + gens` would be, in the same order and
@@ -464,7 +557,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         lo = within.dim
     basis = span.basis
     forms = [_integer_terms(b.terms) for b in basis]
-    commuting = _Commuting(basis)
+    commuting = _Commuting(forms)
     max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
 
     def over_budget(degree) -> ClosureOutcome:
@@ -481,7 +574,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
             return over_budget(g.degree)
         if span.insert(g):
             forms.append(_integer_terms(g.terms))
-            commuting.add(g)
+            commuting.add(forms[-1][1], g.degree)
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
@@ -507,7 +600,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
                 form = span._insert_ints(z, li * lj)
                 if form is not None:
                     forms.append(form)
-                    commuting.add(basis[-1])
+                    commuting.add(form[1], degree)
                     max_deg_seen = max(max_deg_seen, degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
@@ -535,6 +628,8 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
     if all(s.degree <= 2 for s in aux_seq):
         # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
         return None
+    # [u, s] = 0 when u shares the linear root of s (see `_Commuting`)
+    roots = [_root_of(s) for s in aux_seq]
     u = seed
     if u.degree > max_degree:
         return None
@@ -543,6 +638,9 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
     growth = 0
     for step in range(steps):
         s = aux_seq[step % len(aux_seq)]
+        root = roots[step % len(aux_seq)]
+        if root is not None and _root_of(u, root):
+            return None
         u = bracket(u, s)
         if not u or u.degree > max_degree:
             return None
@@ -562,6 +660,22 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
         else:
             growth = 0
     return None
+
+
+def _root_of(x: SkewPoly, candidate: Optional[Tuple[int, int]] = None
+             ) -> Optional[Tuple[int, int]]:
+    """The linear root of x (see `_linear_root`), or None; with a
+    `candidate`, only whether x has that root, without a bracket unless x's
+    candidate is the same."""
+    d = x.degree
+    if d < 3:
+        return None
+    root = _linear_root(x.terms, d)
+    if root is None or (candidate is not None and root != candidate):
+        return None
+    if not _commutes_with_root(root, _integer_terms(x.terms)[1]):
+        return None
+    return root
 
 
 def verify_chain_witness(w: InfinitenessWitness) -> bool:

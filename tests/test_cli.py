@@ -253,10 +253,25 @@ class TestEnumerate:
         records = out()
         assert len(records) == 22
 
-    def test_infinite_ambient_is_domain_error(self, tmp_path):
+    def test_infinite_ambient_is_domain_error(self, tmp_path, capsys):
         basis = write_elements(tmp_path, "b.json",
                                [mono(PLUS, 3, 0), mono(MINUS, 3, 0)])
         assert run(["enumerate", "--basis", basis]) == 1
+        assert capsys.readouterr().err == (
+            "error: the full basis generates an infinite algebra "
+            "(rule MonomialGlossaryViolation)\n")
+
+    def test_inconclusive_ambient_is_not_called_infinite(self, tmp_path,
+                                                         capsys):
+        # one element spans a 1-dim algebra, but its degree 25 is above
+        # the default degree budget 24, so the closure proves nothing
+        basis = write_elements(tmp_path, "b.json", [mono(PLUS, 25, 0)])
+        assert run(["closure", "--gens", basis]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "inconclusive"
+        assert run(["enumerate", "--basis", basis]) == 1
+        assert capsys.readouterr().err == (
+            "error: the closure of the full basis is inconclusive: it "
+            "exceeded the budget at dim_reached 0, degree_reached 25\n")
 
 
 class TestIgusa:

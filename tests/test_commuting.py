@@ -1,9 +1,12 @@
 """Brackets skipped because they are proven zero: for a non-scalar w of the
 Weyl algebra the centralizer C(w) is commutative (Amitsur 1958), so two
 elements that commute with the same non-scalar w commute, and a scalar
-commutes with everything.  `_raw_closure` and `StructureConstants.from_span`
-skip such pairs; here they are checked against the all-pairs loops they
-replace, and the brackets they save on the nilpotent chains are counted."""
+commutes with everything.  w is a basis element or the linear root that two
+elements of degree >= 3 share.  `_raw_closure` and
+`StructureConstants.from_span` skip such pairs; here they are checked
+against the all-pairs loops they replace and against the same loops without
+roots, the rule is checked to answer zero only for exactly zero brackets,
+and the brackets it saves on the nilpotent chains are counted."""
 
 import itertools
 import json
@@ -18,7 +21,7 @@ from skewweyl import classify, lie_engine
 from skewweyl.classify import StructureConstants
 from skewweyl.enumerate import enumerate_subalgebras
 from skewweyl.lie_engine import (Budget, ClosureOutcome, LieSpan,
-                                 _raw_closure, bracket)
+                                 _integer_terms, _raw_closure, bracket)
 from skewweyl.weyl_core import (MINUS, NEG_INF, PLUS, GaussianRational,
                                 SkewPoly, WeylPoly, schrodinger_monomials,
                                 skew_from_json, unit_i)
@@ -248,35 +251,70 @@ class TestTableMatchesAllPairs:
 
 @pytest.fixture
 def bracket_calls(monkeypatch):
-    """The integer term maps of every bracket, counted where the closure,
-    the table and `bracket` all form them: at `_bracket_ints`."""
+    """The integer term maps and the result of every bracket, counted where
+    the closure, the table, the roots and `bracket` all form them: at
+    `_bracket_ints`."""
     calls = []
     bracket_ints = lie_engine._bracket_ints
 
     def counted(xs, ys):
-        calls.append((xs, ys))
-        return bracket_ints(xs, ys)
+        z = bracket_ints(xs, ys)
+        calls.append((xs, ys, z))
+        return z
 
     monkeypatch.setattr(lie_engine, "_bracket_ints", counted)
     monkeypatch.setattr(classify, "_bracket_ints", counted)
     return calls
 
 
+def _degree(xs):
+    return max(sum(gamma) for _, gamma in xs)
+
+
+def _is_root(xs):
+    """A two-term linear w = r g+(1,0) + s g-(1,0), as `_Commuting` forms
+    it; each chain angle has cos and sin in {±3/5, ±4/5}, so both terms."""
+    return set(xs) == {(PLUS, (1, 0)), (MINUS, (1, 0))}
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_chain_bracket_calls(n, bracket_calls):
     # the closure is x and n + 1 commuting polynomials in q, one of them
-    # the scalar i: x is bracketed with each of the n non-scalars, and one
-    # zero bracket links each non-scalar but the first to a common one,
-    # 2n - 1 = 2 dim - 5 brackets in place of dim (dim - 1) / 2
+    # the scalar i: x is bracketed with each of the n non-scalars.  The
+    # n - 2 elements of degree >= 3 all have the root i q and never meet
+    # in a bracket; each costs one bracket with its two-term root, once a
+    # second one is there to compare it with (none for n = 3).  i q² and
+    # i q, of degree <= 2, have no root and are linked by one zero bracket
+    # each.
     out = _raw_closure(_json(f"closure_chain_{n}.json"), Budget())
     dim = out.dim
     assert dim == n + 2
-    assert len(bracket_calls) == 2 * dim - 5
+    dear = [_integer_terms(b.terms)[1] for b in out.span.basis
+            if b.degree >= 3]
+    assert len(dear) == n - 2
+    assert all(min(_degree(xs), _degree(ys)) <= 2
+               for xs, ys, _ in bracket_calls)
+    roots = [ys for xs, ys, z in bracket_calls if _is_root(xs) and not z]
+    assert sorted(map(len, roots)) == sorted(
+        map(len, dear if n > 3 else []))
+    assert all(ys in dear for ys in roots)
+    assert len(bracket_calls) == n + len(roots) + 2
+    zero_lookups = sum(len(xs) * len(ys) for xs, ys, z in bracket_calls
+                       if not z)
+    # when every zero link was a bracket of two chain elements these were
+    # 90, 285, 714, 1540 and 2988; at n = 7, 220 are now in the five root
+    # brackets and 324 link i q² and i q
+    assert zero_lookups == (90, 185, 281, 400, 544)[n - 3]
     del bracket_calls[:]
     StructureConstants.from_span(LieSpan(_json(f"classify_chain_{n}.json")))
+    # cheapest pairs first: zero brackets of the cheap elements link every
+    # element before a root would be needed, 2 dim - 5 brackets in place
+    # of dim (dim - 1) / 2, none of them of two elements of degree >= 3
     assert len(bracket_calls) == 2 * dim - 5
-    # cheapest pairs first
-    costs = [len(xs) * len(ys) for xs, ys in bracket_calls]
+    assert all(min(_degree(xs), _degree(ys)) <= 2
+               for xs, ys, _ in bracket_calls)
+    assert not any(_is_root(xs) and not z for xs, ys, z in bracket_calls)
+    costs = [len(xs) * len(ys) for xs, ys, _ in bracket_calls]
     assert costs == sorted(costs)
 
 
@@ -290,4 +328,157 @@ def test_scalars_are_never_bracketed(bracket_calls):
     # a scalar's only key is (PLUS, (0, 0)), of degree 0
     assert all(max(sum(gamma) for _, gamma in xs) > 0
                and max(sum(gamma) for _, gamma in ys) > 0
-               for xs, ys in bracket_calls)
+               for xs, ys, _ in bracket_calls)
+
+
+# ---------------------------------------------------------------------------
+# Linear roots
+# ---------------------------------------------------------------------------
+
+#: q = a + a† and p = i(a† - a) as normal-ordered polynomials
+_Q = WeylPoly({(0, 1): GaussianRational.real(1),
+               (1, 0): GaussianRational.real(1)})
+_P = WeylPoly({(0, 1): GaussianRational.imag(-1),
+               (1, 0): GaussianRational.imag(1)})
+
+
+def _poly_in(ell, coeffs):
+    """Σ_k coeffs[k] ell^k for a normal-ordered ell."""
+    out, power = WeylPoly(), WeylPoly({(0, 0): GaussianRational.real(1)})
+    for c in coeffs:
+        out = out + power.scale(GaussianRational.real(c))
+        power = power * ell
+    return out
+
+
+def _linear(r, s):
+    return _Q.scale(GaussianRational.real(r)) + _P.scale(
+        GaussianRational.real(s))
+
+
+def test_roots_of_polynomials_in_a_quadrature():
+    # i P(r q + s p) has the root (r, s) made primitive with r > 0; adding
+    # i(qp + pq) keeps the top part but breaks commutation
+    qp = _Q * _P + _P * _Q
+    for (r, s), root in (((1, 0), (1, 0)), ((0, 1), (0, 1)),
+                         ((1, 2), (1, 2)), ((3, -5), (3, -5)),
+                         ((-2, -4), (1, 2)), ((0, -3), (0, 1))):
+        for d in (3, 4, 5):
+            poly = _poly_in(_linear(r, s), [2, -1, 0, 3, 1, -2][:d] + [1])
+            assert lie_engine._root_of(_times_i(poly)) == root
+            assert lie_engine._root_of(_times_i(poly + qp)) is None
+    # degree <= 2, and a top part that is not a power: no root
+    assert lie_engine._root_of(_times_i(_Q * _Q)) is None
+    assert lie_engine._root_of(SkewPoly.monomial(PLUS, (2, 1))) is None
+
+
+@st.composite
+def rotated_polynomials(draw):
+    """i P(q_θ) for a rational-angle quadrature q_θ and real P of degree
+    3..6 (leading coefficient nonzero), with 0, 1 or 2 extra elements that
+    are such a polynomial plus a perturbation of lower degree."""
+    t = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    ell = WeylPoly({(0, 1): GaussianRational(c, -s),
+                    (1, 0): GaussianRational(c, s)})
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(3, 6))
+        cs = draw(st.lists(coeffs, min_size=d, max_size=d))
+        out.append(_times_i(_poly_in(ell, cs + [draw(coeffs.filter(bool))])))
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(st.sampled_from(out))
+        keys = [k for k in _KEYS if sum(k[1]) < x.degree]
+        out.append(x + draw(skew_polys(keys, max_terms=2)))
+    return out
+
+
+#: skew keys of degree 3..6, the minus-diagonal excluded
+_HIGH_KEYS = [(sigma, (a, b)) for a in range(7) for b in range(a + 1)
+              if 3 <= a + b <= 6 for sigma in (PLUS, MINUS)
+              if not (sigma == MINUS and a == b)]
+
+
+@given(st.tuples(rotated_polynomials(), rotated_polynomials(),
+                 st.lists(skew_polys(_HIGH_KEYS + _LOW_KEYS, 4), max_size=3))
+       .map(lambda abc: abc[0] + abc[1] + abc[2]), st.randoms())
+@settings(max_examples=50, deadline=None)
+def test_zero_only_for_exactly_zero_brackets(elements, rnd):
+    elements = [x for x in elements if x.degree >= 1]
+    rnd.shuffle(elements)
+    forms = [_integer_terms(x.terms) for x in elements]
+    commuting = lie_engine._Commuting(forms)
+    pairs = list(itertools.combinations(range(len(elements)), 2))
+    rnd.shuffle(pairs)
+    for i, j in pairs:
+        z = bracket(elements[i], elements[j])
+        if commuting.zero(i, j):
+            assert not z
+        elif not z:
+            commuting.record(i, j)
+
+
+def test_polynomials_in_one_quadrature_commute_without_brackets(
+        bracket_calls):
+    # five elements of degree 3..7: one root bracket each, none between
+    # two of them
+    ell = _linear(3, -5)
+    elements = [_times_i(_poly_in(ell, [1] * (d + 1))) for d in range(3, 8)]
+    commuting = lie_engine._Commuting(_integer_terms(x.terms)
+                                      for x in elements)
+    assert all(commuting.zero(i, j)
+               for i, j in itertools.combinations(range(5), 2))
+    assert len(bracket_calls) == 5
+    assert all(_is_root(xs) and not z for xs, _, z in bracket_calls)
+
+
+@pytest.mark.parametrize("name", [f"chain_{n}" for n in range(3, 8)]
+                         + ["affine_poly_5"])
+def test_roots_change_no_closure_or_table(name, monkeypatch):
+    gens = _json(f"closure_{name}.json")
+    spans = []
+    for disabled in (False, True):
+        if disabled:
+            monkeypatch.setattr(lie_engine, "_linear_root",
+                                lambda terms, d: None)
+        out = _raw_closure(gens, Budget())
+        table = StructureConstants.from_span(out.span)
+        spans.append(([list(b.terms.items()) for b in out.span.basis],
+                      out.span.canonical_key(), list(table.table.items()),
+                      table.integer_table))
+    assert spans[0] == spans[1]
+
+
+def test_affine_family_matches_all_pairs():
+    out = _assert_same_closure(_json("closure_affine_poly_5.json"), Budget())
+    assert out.dim == 8
+    assert [b.degree for b in out.span.basis] == [1, 2, 5, 4, 3, 2, 1, 0]
+    _assert_same_table(out.span)
+
+
+def test_chain_witness_stops_where_the_aux_shares_the_root(monkeypatch):
+    # [u, s] = 0 for u and s polynomials in one quadrature: the chain ends
+    # before the bracket, as the zero bracket would end it
+    ell = _linear(1, 2)
+    seed = _times_i(_poly_in(ell, [0, 1, 0, 0, 1]))
+    aux = _times_i(_poly_in(ell, [0, 0, 1, 1]))
+    calls = []
+    monkeypatch.setattr(lie_engine, "bracket",
+                        lambda x, y: calls.append(1) or bracket(x, y))
+    assert lie_engine.chain_witness(seed, aux) is None
+    assert not calls
+
+
+@given(st.tuples(rotated_polynomials(),
+                 st.lists(skew_polys(_HIGH_KEYS + _LOW_KEYS, 3), max_size=2))
+       .map(lambda ab: (ab[0] + ab[1])[-3:]).filter(lambda g: len(g) > 1))
+@settings(max_examples=60, deadline=None)
+def test_chain_witness_is_the_same_without_roots(gens):
+    def run():
+        return [lie_engine.chain_witness(seed, aux, 6, 12)
+                for seed, aux in itertools.permutations(gens, 2)]
+
+    with_roots = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie_engine, "_linear_root", lambda terms, d: None)
+        assert run() == with_roots

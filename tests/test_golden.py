@@ -1,12 +1,12 @@
 """Byte-for-byte comparison of user-facing output against committed golden
 files: the selftest report, the two structural scripts (the glossary both as
 markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
-`skewweyl classify` on seven closed spans, `skewweyl closure` on five
-filiform chain generator pairs and on six pairs that one infiniteness rule
-each decides or that stop inconclusive, `skewweyl igusa` on the pairs of
-tests/data/igusa_pairs.json and `skewweyl simulate` on four short control
-files; `scripts/factorization_demo.py`, whose output is float-formatted,
-only has to run and agree with the direct propagator.
+`skewweyl classify` on eight closed spans, `skewweyl closure` on five
+filiform chain generator pairs, on {∂, x∂, x⁵} and on six pairs that one
+infiniteness rule each decides or that stop inconclusive, `skewweyl igusa`
+on the pairs of tests/data/igusa_pairs.json and `skewweyl simulate` on four
+short control files; `scripts/factorization_demo.py`, whose output is
+float-formatted, only has to run and agree with the direct propagator.
 
 Regenerate a golden file only when an output change is intended, e.g.
 ``PYTHONPATH=src python3 scripts/closure_report.py > tests/golden/closure_report.txt``;
@@ -57,9 +57,12 @@ COMMANDS = {
 #: {a²-a†², x, x², x³} with x = i(a+a†); graded_chain closes
 #: {a²-a†², i(a+a†), (a-a†)³}, solvable with the dims of an Ltilde_n, so it
 #: runs the Ltilde_n comparison and the abelian test of the diagonal branch
-#: before it is reported Unrecognized
+#: before it is reported Unrecognized; affine_poly_5 closes
+#: {∂, x∂, x⁵} with ∂ = g-(1,0), x∂ = g-(2,0) and xᵏ = i(a+a†)ᵏ, the
+#: solvable aff(1) ⋉ ℝ[x]≤5 (dim 8, derived dims 8, 7, 5, 0), which the
+#: catalog does not name
 CLASSIFY = ["chain_3", "chain_4", "chain_5", "chain_6", "chain_7",
-            "diagonal", "graded_chain"]
+            "diagonal", "graded_chain", "affine_poly_5"]
 COMMANDS.update({
     f"classify_{name}.json": ["-m", "skewweyl.cli", "classify", "--basis",
                               str(ROOT / "tests" / "data"
@@ -77,6 +80,11 @@ COMMANDS.update({
                                 str(ROOT / "tests" / "data"
                                     / f"closure_chain_{n}.json")]
     for n in range(3, 8)})
+#: and on {∂, x∂, x⁵}, whose polynomials in x commute through their shared
+#: linear root i(a+a†)
+COMMANDS["closure_affine_poly_5.json"] = [
+    "-m", "skewweyl.cli", "closure", "--gens",
+    str(ROOT / "tests" / "data" / "closure_affine_poly_5.json")]
 
 #: closure goldens of the other outcomes: tests/data/closure_<name>.json
 #: holds two generators that one infiniteness rule decides (or, at

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from skewweyl.classify import StructureConstants, fingerprint
 from skewweyl.lie_engine import (Budget, ClosureOutcome, LieSpan,
-                                 _Commuting, _raw_closure, bracket,
-                                 lie_closure)
+                                 _Commuting, _integer_terms, _raw_closure,
+                                 bracket, lie_closure)
 from skewweyl.weyl_core import (MINUS, NEG_INF, PLUS, SkewPoly, WeylPoly,
                                 schrodinger_monomials, skew_from_json,
                                 skew_to_json)
@@ -183,7 +183,7 @@ def _fraction_closure(gens, budget, within=None):
     span = LieSpan(within.basis if within is not None else ())
     lo = span.dim
     basis = span.basis
-    commuting = _Commuting(basis)
+    commuting = _Commuting(_integer_terms(b.terms) for b in basis)
     max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
 
     def over_budget(degree):
@@ -198,7 +198,7 @@ def _fraction_closure(gens, budget, within=None):
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
         if span.insert(g):
-            commuting.add(g)
+            commuting.add(_integer_terms(g.terms)[1], g.degree)
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
@@ -216,7 +216,7 @@ def _fraction_closure(gens, budget, within=None):
                 if z.degree > budget.max_degree:
                     return over_budget(z.degree)
                 if span.insert(z):
-                    commuting.add(z)
+                    commuting.add(_integer_terms(z.terms)[1], z.degree)
                     max_deg_seen = max(max_deg_seen, z.degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
@@ -228,7 +228,7 @@ def _fraction_table(b):
     """`StructureConstants.from_span`'s loop with public `bracket` and
     `LieSpan.coordinates`."""
     basis = b.basis
-    commuting = _Commuting(basis)
+    commuting = _Commuting(_integer_terms(b.terms) for b in basis)
     entries = {}
     for i, j in sorted(itertools.combinations(range(b.dim), 2),
                        key=lambda ij: len(basis[ij[0]].terms)

@@ -2,13 +2,13 @@
 alternating pairs of runs.
 
     python3 scripts/ab_pairs.py --parent DIR --change DIR --workload W
-                                --seed N [--pairs 10] [--seconds S]
+                                --seed N [--pairs 10]
 
 Each pair runs `perfbench/run.py --workload W --seed N --seconds S
 --trace 0` once in each checkout, each in a fresh process, and the side
-that runs first alternates from pair to pair.  S defaults to `run_seconds`
-of the change's `BENCHMARK.json`, whose `end_to_end` list names the metrics
-and their better direction.  Per metric the script prints each side's
+that runs first alternates from pair to pair.  S is `run_seconds` of the
+change's `BENCHMARK.json`, whose `end_to_end` list names the metrics and
+their better direction.  Per metric the script prints each side's
 median and quartiles, the pairs in which the change is better, and whether
 the change passes the rule for a claimed gain: better in at least 9 of 10
 pairs, and a median that differs from the parent's, in the better
@@ -78,10 +78,9 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     sides = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

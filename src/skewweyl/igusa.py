@@ -44,8 +44,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import bracket
-from .weyl_core import MINUS, PLUS, MultiIndex, SkewPoly, WeylPoly, _reorder
+from .lie_engine import _leading_parts, _normal_coeff, bracket
+from .weyl_core import MultiIndex, SkewPoly, WeylPoly, _reorder
 
 #: |value| threshold for "nonzero" under floating-point frames, applied to
 #: leading data normalised as in `_frame_leading`
@@ -56,23 +56,11 @@ NUMERIC_TOLERANCE = 1e-9
 # Leading data, read from the skew keys
 # ---------------------------------------------------------------------------
 
-def _normal_coeff(terms, alpha: int, beta: int) -> Tuple[Fraction, Fraction]:
-    """(re, im) of the coefficient of (a†)^α a^β in the element with skew
-    terms `terms`, exact, as its `WeylPoly` conversion gives it: with c±
-    the coefficients of g±^γ, γ = (max(α, β), min(α, β)), it is c- + i·c+
-    for α < β, -c- + i·c+ for α > β and 2i·c+ for α = β."""
-    if alpha == beta:
-        return 0, 2 * terms.get((PLUS, (alpha, beta)), 0)
-    gamma = (alpha, beta) if alpha > beta else (beta, alpha)
-    minus = terms.get((MINUS, gamma), 0)
-    return -minus if alpha > beta else minus, terms.get((PLUS, gamma), 0)
-
-
 def _identity_leading(e: SkewPoly) -> Tuple[int, int, Tuple[int, ...]]:
     """(d, n, (Re a0, Im a0, Re a1, Im a1)·n): the coefficients a0 of a^d
     and a1 of a† a^(d-1) as integers over one denominator n."""
-    d, terms = e.degree, e.terms
-    parts = (*_normal_coeff(terms, 0, d), *_normal_coeff(terms, 1, d - 1))
+    d = e.degree
+    parts = _leading_parts(e.terms, d)
     n = math.lcm(*(c.denominator for c in parts))
     return d, n, tuple(c.numerator * (n // c.denominator) for c in parts)
 

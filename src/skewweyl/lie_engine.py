@@ -344,28 +344,43 @@ def span_is_bracket_closed(span: LieSpan) -> bool:
     return True
 
 
-def _linear_root(terms: Dict, d: int) -> Optional[Tuple[int, int]]:
+def _normal_coeff(terms, alpha: int, beta: int) -> Tuple[Fraction, Fraction]:
+    """(re, im) of the coefficient of (a†)^α a^β in the element with skew
+    terms `terms`, exact, as its `WeylPoly` conversion gives it: with c±
+    the coefficients of g±^γ, γ = (max(α, β), min(α, β)), it is c- + i·c+
+    for α < β, -c- + i·c+ for α > β and 2i·c+ for α = β."""
+    if alpha == beta:
+        return 0, 2 * terms.get((PLUS, (alpha, beta)), 0)
+    gamma = (alpha, beta) if alpha > beta else (beta, alpha)
+    minus = terms.get((MINUS, gamma), 0)
+    return -minus if alpha > beta else minus, terms.get((PLUS, gamma), 0)
+
+
+def _leading_parts(terms: Dict, d: int) -> Tuple:
+    """(Re a0, Im a0, Re a1, Im a1), exact, for a0 and a1 the coefficients
+    of a^d and a† a^(d-1) in the element of degree d with skew terms
+    `terms`; for d >= 3 these are the coefficients of g−^(d,0), g+^(d,0),
+    g−^(d−1,1) and g+^(d−1,1)."""
+    return (*_normal_coeff(terms, 0, d), *_normal_coeff(terms, 1, d - 1))
+
+
+def _linear_root(xs: Dict[MonKey, int], d: int) -> Optional[Tuple[int, int]]:
     """The one linear w = r·g+^(1,0) + s·g−^(1,0), up to a real factor,
-    whose centralizer can hold an element of degree d >= 3 with these
-    terms (ints or Fractions), as a primitive (r, s) with r > 0, or r = 0
-    and s > 0; None if its top part is not a power of a linear form.
+    whose centralizer can hold an element of degree d >= 3 with integer
+    term map xs, as a primitive (r, s) with r > 0, or r = 0 and s > 0;
+    None if its top part is not a power of a linear form.
 
     The skew elements commuting with w ∝ i(cos θ (a + a†) − i sin θ
     (a − a†)) = i q_θ are i P(q_θ) for real P, whose top part λ i q_θ^d has
     a^d coefficient A = m0 + i p0 = iλ ζ̄^d and a†a^(d−1) coefficient
-    B = m1 + i p1 = iλ d ζ ζ̄^(d−1), ζ = e^(iθ), with m0, p0, m1, p1 the
-    coefficients of g−^(d,0), g+^(d,0), g−^(d−1,1) and g+^(d−1,1).  So
-    B·Ā = D ζ², D = d·|A|², and D(1 + ζ²) = 2D cos θ·ζ points along ±ζ
-    (ζ = ±i if it is 0).  The candidate is only that: `_Commuting` keeps it
-    once the exact bracket [w, x] comes out 0."""
-    cs = [terms.get((MINUS, (d, 0)), 0), terms.get((PLUS, (d, 0)), 0),
-          terms.get((MINUS, (d - 1, 1)), 0), terms.get((PLUS, (d - 1, 1)), 0)]
-    if not (cs[0] or cs[1]):
+    B = m1 + i p1 = iλ d ζ ζ̄^(d−1), ζ = e^(iθ), with (m0, p0, m1, p1)
+    the `_leading_parts` of xs.  So B·Ā = D ζ², D = d·|A|², and
+    D(1 + ζ²) = 2D cos θ·ζ points along ±ζ (ζ = ±i if it is 0).  The
+    candidate is only that: callers keep it once the exact bracket [w, x]
+    comes out 0."""
+    m0, p0, m1, p1 = _leading_parts(xs, d)
+    if not (m0 or p0):
         return None
-    # (r, s) is a quadratic form in the four, so scaling them to integers
-    # by one positive factor keeps its direction
-    l = math.lcm(*(c.denominator for c in cs))
-    m0, p0, m1, p1 = (c.numerator * (l // c.denominator) for c in cs)
     r = d * (m0 * m0 + p0 * p0) + m0 * m1 + p0 * p1
     s = p1 * m0 - m1 * p0
     if not (r or s):
@@ -670,12 +685,11 @@ def _root_of(x: SkewPoly, candidate: Optional[Tuple[int, int]] = None
     d = x.degree
     if d < 3:
         return None
-    root = _linear_root(x.terms, d)
+    xs = _integer_terms(x.terms)[1]
+    root = _linear_root(xs, d)
     if root is None or (candidate is not None and root != candidate):
         return None
-    if not _commutes_with_root(root, _integer_terms(x.terms)[1]):
-        return None
-    return root
+    return root if _commutes_with_root(root, xs) else None
 
 
 def verify_chain_witness(w: InfinitenessWitness) -> bool:

@@ -132,28 +132,35 @@ def _times_i(p: WeylPoly) -> SkewPoly:
     return SkewPoly.from_weyl(p.scale(GaussianRational.imag(1)))
 
 
+def _poly_in(ell, coeffs):
+    """Σ_k coeffs[k] ell^k for a normal-ordered ell."""
+    out, power = WeylPoly(), WeylPoly({(0, 0): GaussianRational.real(1)})
+    for c in coeffs:
+        out = out + power.scale(GaussianRational.real(c))
+        power = power * ell
+    return out
+
+
 @st.composite
-def quadrature_families(draw, with_momentum=True):
+def quadrature_families(draw, with_momentum=True, degrees=(0, 4)):
     """i P_k(q) for one rational-angle quadrature q = cos θ (a + a†)
-    - i sin θ (a - a†) with tan(θ/2) = t, a few real polynomials P_k of
-    degree <= 4, and, if drawn, its conjugate x = i p, as
-    `perfbench.workloads.chain_generators` builds its pair."""
+    - i sin θ (a - a†) with tan(θ/2) = t, a few real polynomials P_k, and,
+    if drawn, its conjugate x = i p, as
+    `perfbench.workloads.chain_generators` builds its pair.  For degrees
+    (0, h) each P_k has degree <= h; for (l, h) with l > 0 it has a degree
+    in l..h, its leading coefficient nonzero."""
     t = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
     c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
     q = WeylPoly({(0, 1): GaussianRational(c, -s),
                   (1, 0): GaussianRational(c, s)})
     p = WeylPoly({(0, 1): GaussianRational(-s, -c),
                   (1, 0): GaussianRational(-s, c)})
-    powers = [WeylPoly({(0, 0): GaussianRational.real(1)})]
-    for _ in range(4):
-        powers.append(powers[-1] * q)
-    family = []
-    for cs in draw(st.lists(st.lists(coeffs, min_size=1, max_size=5),
-                            min_size=1, max_size=4)):
-        poly = WeylPoly()
-        for power, k in zip(powers, cs):
-            poly = poly + power.scale(GaussianRational.real(k))
-        family.append(_times_i(poly))
+    lo, hi = degrees
+    top = coeffs.filter(bool) if lo else coeffs
+    family = [
+        _times_i(_poly_in(q, draw(st.lists(coeffs, min_size=lo, max_size=hi))
+                          + [draw(top)]))
+        for _ in range(draw(st.integers(1, 4)))]
     if with_momentum and draw(st.booleans()):
         family.insert(draw(st.integers(0, len(family))), _times_i(p))
     return family
@@ -342,15 +349,6 @@ _P = WeylPoly({(0, 1): GaussianRational.imag(-1),
                (1, 0): GaussianRational.imag(1)})
 
 
-def _poly_in(ell, coeffs):
-    """Σ_k coeffs[k] ell^k for a normal-ordered ell."""
-    out, power = WeylPoly(), WeylPoly({(0, 0): GaussianRational.real(1)})
-    for c in coeffs:
-        out = out + power.scale(GaussianRational.real(c))
-        power = power * ell
-    return out
-
-
 def _linear(r, s):
     return _Q.scale(GaussianRational.real(r)) + _P.scale(
         GaussianRational.real(s))
@@ -374,18 +372,10 @@ def test_roots_of_polynomials_in_a_quadrature():
 
 @st.composite
 def rotated_polynomials(draw):
-    """i P(q_θ) for a rational-angle quadrature q_θ and real P of degree
-    3..6 (leading coefficient nonzero), with 0, 1 or 2 extra elements that
-    are such a polynomial plus a perturbation of lower degree."""
-    t = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-    ell = WeylPoly({(0, 1): GaussianRational(c, -s),
-                    (1, 0): GaussianRational(c, s)})
-    out = []
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(3, 6))
-        cs = draw(st.lists(coeffs, min_size=d, max_size=d))
-        out.append(_times_i(_poly_in(ell, cs + [draw(coeffs.filter(bool))])))
+    """A `quadrature_families` family of degree 3..6 without i p, with 0, 1
+    or 2 extra elements that are one of its polynomials plus a
+    perturbation of lower degree."""
+    out = draw(quadrature_families(False, (3, 6)))
     for _ in range(draw(st.integers(0, 2))):
         x = draw(st.sampled_from(out))
         keys = [k for k in _KEYS if sum(k[1]) < x.degree]

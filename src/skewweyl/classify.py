@@ -19,8 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import (LieSpan, Rref, _bracket_ints, _Commuting,
-                         _integer_terms, bracket)
+from .lie_engine import LieSpan, Rref, _Commuting, bracket
 from .weyl_core import SkewPoly
 
 Matrix = List[List[Fraction]]
@@ -66,25 +65,20 @@ class StructureConstants:
         centralizer is commutative).  The pairs are visited cheapest first,
         by |x.terms|·|y.terms|, so cheap zero brackets find those common
         elements before the dear pairs come up; the table does not depend
-        on the order.  Each basis element is
-        scaled to integers once, and brackets and coordinates are formed in
-        integers (`_bracket_ints`, `LieSpan._coordinates_ints`).
+        on the order.  Brackets and coordinates are formed in integers
+        (`_Commuting.bracket`, `LieSpan._coordinates_ints`).
         """
         basis = b.basis
-        forms = [_integer_terms(x.terms) for x in basis]
-        commuting = _Commuting(forms)
+        commuting = _Commuting(basis)
         entries = {}
         for i, j in sorted(itertools.combinations(range(b.dim), 2),
                            key=lambda ij: len(basis[ij[0]].terms)
                            * len(basis[ij[1]].terms)):
-            if commuting.zero(i, j):
+            pair = commuting.bracket(i, j)
+            if pair is None:
                 continue
-            (li, xi), (lj, xj) = forms[i], forms[j]
-            z = _bracket_ints(xi, xj)
-            if not z:
-                commuting.record(i, j)
-                continue
-            coords = b._coordinates_ints(z, li * lj)
+            l, z = pair
+            coords = b._coordinates_ints(z, l)
             if coords is None:
                 raise ValueError("span is not closed under the bracket")
             entries[i, j] = coords
@@ -123,9 +117,7 @@ def _subspace_product(sc: StructureConstants, A: List[Sparse],
     else:
         pairs = itertools.product(A, B)
     for u, v in pairs:
-        residual = out._reduce_ints(sc.bracket_vec(u, v))
-        if residual:
-            out._add(residual)
+        out.insert(sc.bracket_vec(u, v))
     rows = out.integer_rows
     return [rows[p][1] for p in out.pivots]
 
@@ -174,7 +166,7 @@ def _spans(b: LieSpan, subspaces: List[List[Sparse]]) -> List[LieSpan]:
     """Subspaces given by coordinate vectors in b's basis, as LieSpans; the
     whole algebra maps to b itself."""
     def element(v: Sparse) -> SkewPoly:
-        return sum((b.basis[i].scale(c) for i, c in v.items()), SkewPoly.zero())
+        return sum((b.basis[i].scale(c) for i, c in v.items()), SkewPoly())
 
     return [b if len(vecs) == b.dim else LieSpan(map(element, vecs))
             for vecs in subspaces]

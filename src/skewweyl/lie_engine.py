@@ -119,9 +119,9 @@ class Rref:
     so nums/d is the RREF row, 1 at the pivot and 0 at every other pivot.
     A row's pivot is its least column under `order` (the column index if
     None), so the rows are the unique RREF, and their primitive integer
-    forms unique, whatever order rows arrive in.  `Rref(rows, ncols)`
-    reduces a dense matrix with `ncols` columns.  Entries may be ints or
-    Fractions."""
+    forms unique, whatever order rows arrive in.  `reduce` and `insert`
+    take integer rows; `Rref(rows, ncols)` reduces a dense matrix with
+    `ncols` columns of ints or Fractions, each row scaled to integers once."""
 
     def __init__(self, rows: Iterable[Sequence] = (), ncols: int = 0,
                  order=None):
@@ -129,7 +129,8 @@ class Rref:
         self.order = order
         self.integer_rows: Dict = {}
         for row in rows:
-            self.insert({c: x for c, x in enumerate(row) if x})
+            self.insert(_integer_terms({c: x for c, x in enumerate(row)
+                                        if x})[1])
 
     @property
     def pivots(self) -> List:
@@ -139,14 +140,10 @@ class Rref:
     def rank(self) -> int:
         return len(self.integer_rows)
 
-    def reduce(self, v: Dict) -> Dict:
-        """A positive integer multiple of v minus its part in the row
-        space: {} exactly when v lies in it.  v is scaled to integers by
-        the lcm of its denominators and reduced by `_reduce_ints`."""
-        return self._reduce_ints(_integer_terms(v)[1])
-
-    def _reduce_ints(self, row: Dict) -> Dict:
-        """`reduce` of an integer row, which is left as it is.
+    def reduce(self, row: Dict) -> Dict:
+        """A positive integer multiple of the integer row `row` minus its
+        part in the row space, {} exactly when the row lies in it; `row`
+        is left as it is.
 
         The row is scaled by the lcm m of the pivot entries d of the rows
         it meets, so subtracting (entry at the pivot)·(m/d) times each such
@@ -166,9 +163,9 @@ class Rref:
                 row[k2] = row.get(k2, 0) - f * c2
         return {k: c for k, c in row.items() if c}
 
-    def insert(self, v: Dict) -> bool:
-        """Add the row v; returns True if the rank grew."""
-        residual = self.reduce(v)
+    def insert(self, row: Dict) -> bool:
+        """Add the integer row `row`; returns True if the rank grew."""
+        residual = self.reduce(row)
         if not residual:
             return False
         self._add(residual)
@@ -244,11 +241,11 @@ class LieSpan:
         return len(self.basis)
 
     def contains(self, v: SkewPoly) -> bool:
-        return not self._echelon.reduce(v.terms)
+        return not self._echelon.reduce(_integer_terms(v.terms)[1])
 
     def insert(self, v: SkewPoly) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        residual = self._echelon.reduce(v.terms)
+        residual = self._echelon.reduce(_integer_terms(v.terms)[1])
         if not residual:
             return False
         self._append(v, residual)
@@ -259,7 +256,7 @@ class LieSpan:
         element's `Fraction`s only if the span grows.  Returns the new
         basis element's integer form (l, l·v/d), l the lcm of its
         denominators, or None if v/d is already in the span."""
-        residual = self._echelon._reduce_ints(v)
+        residual = self._echelon.reduce(v)
         if not residual:
             return None
         e = math.gcd(d, *v.values())
@@ -296,7 +293,7 @@ class LieSpan:
         further call is one integer matrix-vector product and one division
         per nonzero coordinate.
         """
-        if self._echelon._reduce_ints(v):
+        if self._echelon.reduce(v):
             return None
         n = self.dim
         if self._inverse is None:
@@ -376,8 +373,8 @@ def _linear_root(xs: Dict[MonKey, int], d: int) -> Optional[Tuple[int, int]]:
     B = m1 + i p1 = iλ d ζ ζ̄^(d−1), ζ = e^(iθ), with (m0, p0, m1, p1)
     the `_leading_parts` of xs.  So B·Ā = D ζ², D = d·|A|², and
     D(1 + ζ²) = 2D cos θ·ζ points along ±ζ (ζ = ±i if it is 0).  The
-    candidate is only that: callers keep it once the exact bracket [w, x]
-    comes out 0."""
+    candidate is only that: `_root_of` keeps it once the exact bracket
+    [w, x] comes out 0."""
     m0, p0, m1, p1 = _leading_parts(xs, d)
     if not (m0 or p0):
         return None
@@ -399,12 +396,27 @@ def _commutes_with_root(root: Tuple[int, int], xs: Dict[MonKey, int]) -> bool:
     return not _bracket_ints(w, xs)
 
 
+def _root_of(xs: Dict[MonKey, int], d,
+             candidate: Optional[Tuple[int, int]] = None
+             ) -> Optional[Tuple[int, int]]:
+    """The linear root of the element of degree d with integer term map xs:
+    its `_linear_root`, kept only if [w, x] is exactly 0; None if it has
+    none.  With a `candidate`, only whether x has that root, without a
+    bracket unless x's own candidate is the same."""
+    if d < 3:
+        return None
+    root = _linear_root(xs, d)
+    if root is None or (candidate is not None and root != candidate):
+        return None
+    return root if _commutes_with_root(root, xs) else None
+
+
 #: a root not yet computed
 _UNSET = object()
 
 
 class _Commuting:
-    """Pairs of basis elements whose bracket is known to be 0.
+    """The brackets of a growing basis, without those known to be 0.
 
     For every element w of the Weyl algebra that is not a scalar, the
     centralizer C(w) is commutative (Amitsur, Pacific J. Math. 8, 1958;
@@ -416,69 +428,55 @@ class _Commuting:
     of degree >= 1.
 
     An element of degree >= 3 may also have a linear root w (see
-    `_linear_root`), not in the basis, with [w, x] = 0: two elements with
-    the same root lie in the commutative C(w).  Candidates are formed from
-    the elements' integer term maps only for a pair of two such elements
-    that the known sets leave open, and a candidate is checked by one
-    bracket with w, of at most two terms, only once two elements'
-    candidates agree.
-    A pair proven zero this way is recorded like a zero bracket.
+    `_root_of`), not in the basis: two elements with the same root lie in
+    the commutative C(w).  A root is formed and checked from the element's
+    integer form, once, and only when a pair of two such elements is left
+    open by the known sets.  A pair proven zero by a shared root, or whose
+    bracket comes out 0, is recorded in the known sets.
     """
 
-    def __init__(self, forms: Iterable[Tuple[int, Dict[MonKey, int]]] = ()):
+    def __init__(self, basis: Iterable[SkewPoly] = ()):
+        #: per index: (l, l·b as an integer term map, degree)
+        self._forms: List[Tuple[int, Dict[MonKey, int], object]] = []
         self._known: List[Optional[set]] = []
-        #: per index: the candidate root, None, or _UNSET
+        #: per index: the root, None, or _UNSET
         self._roots: List = []
-        #: per index: (degree, integer term map) while its root is
-        #: uncomputed or unchecked, else None
-        self._pending: List[Optional[Tuple[int, Dict[MonKey, int]]]] = []
-        for _, xs in forms:
-            self.add(xs, max((a + b for _, (a, b) in xs), default=NEG_INF))
+        for b in basis:
+            self.add(*_integer_terms(b.terms))
 
-    def add(self, xs: Dict[MonKey, int], degree) -> None:
-        """Append the element with integer term map xs and its degree."""
+    def add(self, l: int, xs: Dict[MonKey, int]) -> None:
+        """Append the element xs/l, for an integer term map xs and l > 0."""
+        degree = max((a + b for _, (a, b) in xs), default=NEG_INF)
+        self._forms.append((l, xs, degree))
         self._known.append({len(self._known)} if degree > 0 else None)
-        if degree >= 3:
-            self._roots.append(_UNSET)
-            self._pending.append((degree, xs))
-        else:
-            self._roots.append(None)
-            self._pending.append(None)
+        self._roots.append(_UNSET if degree >= 3 else None)
 
-    def zero(self, i: int, j: int) -> bool:
+    def bracket(self, i: int, j: int) -> Optional[Tuple[int, Dict]]:
+        """(l_i·l_j, l_i·l_j·[b_i, b_j] as an integer term map), or None
+        if [b_i, b_j] is 0."""
         a, b = self._known[i], self._known[j]
         if a is None or b is None or not a.isdisjoint(b):
-            return True
-        if self._roots[i] is None or self._roots[j] is None:
+            return None
+        if not self._share_root(i, j):
+            (li, xi, _), (lj, xj, _) = self._forms[i], self._forms[j]
+            z = _bracket_ints(xi, xj)
+            if z:
+                return li * lj, z
+        a.add(j)
+        b.add(i)
+        return None
+
+    def _share_root(self, i: int, j: int) -> bool:
+        roots = self._roots
+        if roots[i] is None or roots[j] is None:
             return False
-        root = self._candidate(i)
-        if (root is None or root != self._candidate(j)
-                or not self._checked(i) or not self._checked(j)):
-            return False
-        self.record(i, j)
-        return True
-
-    def record(self, i: int, j: int) -> None:
-        """Note that [b_i, b_j] is 0."""
-        self._known[i].add(j)
-        self._known[j].add(i)
-
-    def _candidate(self, i: int) -> Optional[Tuple[int, int]]:
-        root = self._roots[i]
-        if root is _UNSET:
-            root = self._roots[i] = _linear_root(self._pending[i][1],
-                                                 self._pending[i][0])
-        return root
-
-    def _checked(self, i: int) -> bool:
-        """Whether element i commutes with its candidate root, which is
-        then kept as its root, or dropped if it does not."""
-        pending = self._pending[i]
-        if pending is not None:
-            self._pending[i] = None
-            if not _commutes_with_root(self._roots[i], pending[1]):
-                self._roots[i] = None
-        return self._roots[i] is not None
+        for k in (i, j):
+            if roots[k] is _UNSET:
+                _, xs, degree = self._forms[k]
+                roots[k] = _root_of(xs, degree)
+            if roots[k] is None:
+                return False
+        return roots[i] == roots[j]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +559,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
     with the same report, but without its pairs inside `within`.
 
     Brackets and reductions run on each basis element's integer form
-    (l, l·b), l the lcm of its denominators: a bracket becomes a
-    `SkewPoly` only if it enlarges the span.
+    (l, l·b), l the lcm of its denominators, held by `_Commuting`: a
+    bracket becomes a `SkewPoly` only if it enlarges the span.
     """
     span, lo = LieSpan(), 0
     if within is not None:
@@ -570,10 +568,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         span.basis = list(within.basis)
         span._echelon.integer_rows = dict(within._echelon.integer_rows)
         lo = within.dim
-    basis = span.basis
-    forms = [_integer_terms(b.terms) for b in basis]
-    commuting = _Commuting(forms)
-    max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
+    commuting = _Commuting(span.basis)
+    max_deg_seen = max((b.degree for b in span.basis), default=NEG_INF)
 
     def over_budget(degree) -> ClosureOutcome:
         return ClosureOutcome(
@@ -588,8 +584,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
         if span.insert(g):
-            forms.append(_integer_terms(g.terms))
-            commuting.add(forms[-1][1], g.degree)
+            commuting.add(*_integer_terms(g.terms))
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
@@ -598,24 +593,19 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         # basis[start:end] is the frontier, the elements of the last level
         end = span.dim
         for i in range(start, end):
-            li, xi = forms[i]
             # [b_i, b_i] = 0, [b_i, b_j] = -[b_j, b_i] for an earlier
             # frontier j, and [b_i, b_j] lies in `within` for i, j < lo
             for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
-                if commuting.zero(i, j):
+                pair = commuting.bracket(i, j)
+                if pair is None:
                     continue
-                lj, xj = forms[j]
-                z = _bracket_ints(xi, xj)
-                if not z:
-                    commuting.record(i, j)
-                    continue
+                l, z = pair
                 degree = max(a + b for _, (a, b) in z)
                 if degree > budget.max_degree:
                     return over_budget(degree)
-                form = span._insert_ints(z, li * lj)
+                form = span._insert_ints(z, l)
                 if form is not None:
-                    forms.append(form)
-                    commuting.add(form[1], degree)
+                    commuting.add(*form)
                     max_deg_seen = max(max_deg_seen, degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
@@ -644,7 +634,7 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
         # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
         return None
     # [u, s] = 0 when u shares the linear root of s (see `_Commuting`)
-    roots = [_root_of(s) for s in aux_seq]
+    roots = [_root_of(_integer_terms(s.terms)[1], s.degree) for s in aux_seq]
     u = seed
     if u.degree > max_degree:
         return None
@@ -654,7 +644,8 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
     for step in range(steps):
         s = aux_seq[step % len(aux_seq)]
         root = roots[step % len(aux_seq)]
-        if root is not None and _root_of(u, root):
+        if root is not None and _root_of(_integer_terms(u.terms)[1],
+                                         u.degree, root):
             return None
         u = bracket(u, s)
         if not u or u.degree > max_degree:
@@ -675,21 +666,6 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
         else:
             growth = 0
     return None
-
-
-def _root_of(x: SkewPoly, candidate: Optional[Tuple[int, int]] = None
-             ) -> Optional[Tuple[int, int]]:
-    """The linear root of x (see `_linear_root`), or None; with a
-    `candidate`, only whether x has that root, without a bracket unless x's
-    candidate is the same."""
-    d = x.degree
-    if d < 3:
-        return None
-    xs = _integer_terms(x.terms)[1]
-    root = _linear_root(xs, d)
-    if root is None or (candidate is not None and root != candidate):
-        return None
-    return root if _commutes_with_root(root, xs) else None
 
 
 def verify_chain_witness(w: InfinitenessWitness) -> bool:
@@ -720,7 +696,9 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
     or Kerr-type (abelian case), or (b) all among the six degree-<=2
     monomials, or (c) a single higher-degree well-ordered monomial with
     alpha > beta, possibly alongside i.  Every other combination generates an
-    infinite-dimensional algebra.
+    infinite-dimensional algebra.  Two distinct skew monomials, neither of
+    them i, commute exactly when both are diagonal (alpha = beta), so (a)
+    is the set whose keys are all diagonal: the decision reads the keys.
     """
     keys: set = set()
     for g in gens:
@@ -733,9 +711,8 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
     if (keys <= _SCHRODINGER_KEYS
             # one nonlinearity plus (optionally) the central i
             or (len(perp) == 1 and keys <= {perp[0], (PLUS, (0, 0))})
-            # mutually commuting (covers all of A0 + Kerr-type)
-            or all(not bracket(SkewPoly.monomial(*x), SkewPoly.monomial(*y))
-                   for x, y in itertools.combinations(keys, 2))):
+            # all central or Kerr-type: mutually commuting
+            or all(a == b for _, (a, b) in keys)):
         # finite, but a user budget below the closure's size still truncates it
         return _raw_closure(gens, budget)
     return ClosureOutcome(

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewweyl import classify, lie_engine
+from skewweyl import lie_engine
 from skewweyl.classify import StructureConstants
 from skewweyl.enumerate import enumerate_subalgebras
 from skewweyl.lie_engine import (Budget, ClosureOutcome, LieSpan,
@@ -33,11 +33,15 @@ def _json(name):
     return [skew_from_json(e) for e in json.loads((DATA / name).read_text())]
 
 
-def _all_pairs_closure(gens, budget):
+def _all_pairs_closure(gens, budget, within=None):
     """The reference closure: `_raw_closure`'s levels and pair order, with
-    every unordered pair of each level bracketed."""
-    span = LieSpan()
-    max_deg_seen = NEG_INF
+    every pair bracketed by the public `bracket` and every candidate a
+    `LieSpan.insert`, on `Fraction`s.  Zero brackets are never inserted, so
+    skipping them changes no basis, order or report."""
+    span = LieSpan(within.basis if within is not None else ())
+    lo = span.dim
+    basis = span.basis
+    max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
 
     def over_budget(degree):
         return ClosureOutcome(
@@ -54,32 +58,32 @@ def _all_pairs_closure(gens, budget):
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
-    frontier = list(span.basis)
-    while frontier:
-        older = span.basis[:span.dim - len(frontier)]
-        new = []
-        for i, x in enumerate(frontier):
-            for y in older + frontier[i + 1:]:
-                z = bracket(x, y)
+    start = 0
+    while start < span.dim:
+        end = span.dim
+        for i in range(start, end):
+            for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
+                z = bracket(basis[i], basis[j])
                 if not z:
                     continue
                 if z.degree > budget.max_degree:
                     return over_budget(z.degree)
                 if span.insert(z):
-                    new.append(z)
                     max_deg_seen = max(max_deg_seen, z.degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
-        frontier = new
+        start = end
     return ClosureOutcome("finite", span=span)
 
 
 def _all_pairs_table(b):
-    """The reference table: every pair bracketed, in (i, j) order."""
+    """The reference table: every pair bracketed by the public `bracket`,
+    in (i, j) order, with coordinates from `LieSpan.coordinates`."""
     entries = {}
     for i, j in itertools.combinations(range(b.dim), 2):
         coords = b.coordinates(bracket(b.basis[i], b.basis[j]))
-        assert coords is not None
+        if coords is None:
+            raise ValueError("span is not closed under the bracket")
         entries[i, j] = dict(enumerate(coords))
     return StructureConstants(b.dim, entries)
 
@@ -260,7 +264,7 @@ class TestTableMatchesAllPairs:
 def bracket_calls(monkeypatch):
     """The integer term maps and the result of every bracket, counted where
     the closure, the table, the roots and `bracket` all form them: at
-    `_bracket_ints`."""
+    `lie_engine._bracket_ints`, which no other module binds."""
     calls = []
     bracket_ints = lie_engine._bracket_ints
 
@@ -270,7 +274,6 @@ def bracket_calls(monkeypatch):
         return z
 
     monkeypatch.setattr(lie_engine, "_bracket_ints", counted)
-    monkeypatch.setattr(classify, "_bracket_ints", counted)
     return calls
 
 
@@ -354,6 +357,10 @@ def _linear(r, s):
         GaussianRational.real(s))
 
 
+def _root(x):
+    return lie_engine._root_of(_integer_terms(x.terms)[1], x.degree)
+
+
 def test_roots_of_polynomials_in_a_quadrature():
     # i P(r q + s p) has the root (r, s) made primitive with r > 0; adding
     # i(qp + pq) keeps the top part but breaks commutation
@@ -363,11 +370,11 @@ def test_roots_of_polynomials_in_a_quadrature():
                          ((-2, -4), (1, 2)), ((0, -3), (0, 1))):
         for d in (3, 4, 5):
             poly = _poly_in(_linear(r, s), [2, -1, 0, 3, 1, -2][:d] + [1])
-            assert lie_engine._root_of(_times_i(poly)) == root
-            assert lie_engine._root_of(_times_i(poly + qp)) is None
+            assert _root(_times_i(poly)) == root
+            assert _root(_times_i(poly + qp)) is None
     # degree <= 2, and a top part that is not a power: no root
-    assert lie_engine._root_of(_times_i(_Q * _Q)) is None
-    assert lie_engine._root_of(SkewPoly.monomial(PLUS, (2, 1))) is None
+    assert _root(_times_i(_Q * _Q)) is None
+    assert _root(SkewPoly.monomial(PLUS, (2, 1))) is None
 
 
 @st.composite
@@ -394,18 +401,23 @@ _HIGH_KEYS = [(sigma, (a, b)) for a in range(7) for b in range(a + 1)
        .map(lambda abc: abc[0] + abc[1] + abc[2]), st.randoms())
 @settings(max_examples=50, deadline=None)
 def test_zero_only_for_exactly_zero_brackets(elements, rnd):
+    # in any pair order: None exactly when [b_i, b_j] = 0, else
+    # l_i l_j [b_i, b_j] in ints over l_i l_j, l the lcm of b's denominators
     elements = [x for x in elements if x.degree >= 1]
     rnd.shuffle(elements)
-    forms = [_integer_terms(x.terms) for x in elements]
-    commuting = lie_engine._Commuting(forms)
+    commuting = lie_engine._Commuting(elements)
     pairs = list(itertools.combinations(range(len(elements)), 2))
     rnd.shuffle(pairs)
     for i, j in pairs:
         z = bracket(elements[i], elements[j])
-        if commuting.zero(i, j):
-            assert not z
-        elif not z:
-            commuting.record(i, j)
+        got = commuting.bracket(i, j)
+        if not z:
+            assert got is None
+            continue
+        l = (_integer_terms(elements[i].terms)[0]
+             * _integer_terms(elements[j].terms)[0])
+        assert got == (l, {k: c * l for k, c in z.terms.items()})
+        assert all(type(c) is int for c in got[1].values())
 
 
 def test_polynomials_in_one_quadrature_commute_without_brackets(
@@ -414,9 +426,8 @@ def test_polynomials_in_one_quadrature_commute_without_brackets(
     # two of them
     ell = _linear(3, -5)
     elements = [_times_i(_poly_in(ell, [1] * (d + 1))) for d in range(3, 8)]
-    commuting = lie_engine._Commuting(_integer_terms(x.terms)
-                                      for x in elements)
-    assert all(commuting.zero(i, j)
+    commuting = lie_engine._Commuting(elements)
+    assert all(commuting.bracket(i, j) is None
                for i, j in itertools.combinations(range(5), 2))
     assert len(bracket_calls) == 5
     assert all(_is_root(xs) and not z for xs, _, z in bracket_calls)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skewweyl import classify, lie_engine
+from skewweyl import lie_engine
 from skewweyl.classify import CatalogEntry
 from skewweyl.enumerate import (GLOSSARY_NONABELIAN_COUNTS, RealizationRecord,
                                 brute_force_subalgebras,
@@ -192,8 +192,9 @@ class TestExtensionClosure:
 ])
 def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
                                           brackets, inserts):
-    # brackets are counted where every one is formed, at `_bracket_ints`;
-    # inserts at `LieSpan.insert` and at the closure's `_insert_ints`
+    # brackets are counted where every one is formed, at
+    # `lie_engine._bracket_ints`, which no other module binds; inserts at
+    # `LieSpan.insert` and at the closure's `_insert_ints`
     calls = {"bracket": 0, "insert": 0}
     bracket_ints = lie_engine._bracket_ints
 
@@ -208,7 +209,6 @@ def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
         return wrapper
 
     monkeypatch.setattr(lie_engine, "_bracket_ints", counted_bracket)
-    monkeypatch.setattr(classify, "_bracket_ints", counted_bracket)
     monkeypatch.setattr(LieSpan, "insert", counted(LieSpan.insert))
     monkeypatch.setattr(LieSpan, "_insert_ints", counted(LieSpan._insert_ints))
     assert len(enumerate_subalgebras(basis())) == spans

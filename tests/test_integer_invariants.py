@@ -4,9 +4,9 @@
 `StructureConstants` computes its series, centre, Killing rank and
 signature and the r(j1..jn) weights on its table times the lcm of the
 table's denominators.  The reference below is the same algorithm on the
-`Fraction` table itself: RREF rows in `Fraction`s
-(`test_linalg.fraction_rows`) and a congruence reduction that divides by
-the pivot."""
+`Fraction` table itself: RREF rows in `Fraction`s (`test_linalg.fraction_rows`
+of an `Rref` built by its dense constructor from `Fraction` rows) and a
+congruence reduction that divides by the pivot."""
 
 import itertools
 from fractions import Fraction
@@ -29,7 +29,7 @@ from skewweyl.lie_engine import Budget, LieSpan, Rref, _raw_closure
 from skewweyl.weyl_core import SkewPoly
 from test_classify import _table_cases, gm, gp, skew_power, span_of
 from test_commuting import _LOW_KEYS, _json, _with_scalars, skew_polys
-from test_linalg import fraction_rows
+from test_linalg import dense, fraction_rows
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +46,9 @@ def ref_bracket_vec(sc, u, v):
 
 
 def ref_subspace_product(sc, A, B):
-    out = Rref(ncols=sc.n)
     pairs = itertools.combinations(A, 2) if A == B else itertools.product(A, B)
-    for u, v in pairs:
-        out.insert(ref_bracket_vec(sc, u, v))
+    out = Rref([dense(ref_bracket_vec(sc, u, v), sc.n) for u, v in pairs],
+               sc.n)
     rows = fraction_rows(out)
     return [rows[p] for p in out.pivots]
 
@@ -69,10 +68,8 @@ def ref_center(sc):
     for (i, j), v in sc.table.items():
         for k, c in v.items():
             rows.setdefault((i, k), {})[j] = c
-    kernel = Rref(ncols=sc.n)
-    for key in sorted(rows):
-        kernel.insert(rows[key])
-    return kernel.nullspace()
+    return Rref([dense(rows[key], sc.n) for key in sorted(rows)],
+                sc.n).nullspace()
 
 
 def ref_sylvester_signature(G):

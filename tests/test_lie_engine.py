@@ -1,5 +1,6 @@
 """Brackets, exact spans, closure decisions, and infiniteness witnesses."""
 
+import itertools
 import random
 import sys
 import threading
@@ -36,6 +37,7 @@ from skewweyl.weyl_core import (
     monomial_key_order,
     number_op,
     schrodinger_monomials,
+    subspace_of,
     unit_i,
 )
 
@@ -275,13 +277,13 @@ class TestIntegerRows:
         ]
         for row in rows:
             before = list(row.items())
-            residual = s._echelon._reduce_ints(row)
+            residual = s._echelon.reduce(row)
             assert residual is not row
             s._coordinates_ints(row, 3)
             t = LieSpan(s.basis)
             t._insert_ints(row, 3)
             assert list(row.items()) == before
-        assert s._echelon._reduce_ints(rows[2]) == {}
+        assert s._echelon.reduce(rows[2]) == {}
         assert s._coordinates_ints(rows[2], 2) == {0: 1, 1: 2}
 
 class TestClosures:
@@ -380,18 +382,42 @@ class TestMonomialDecision:
             decide_monomial_set([gp(1, 0) + gm(1, 0)])
 
     def test_key_tests_come_before_brackets(self, monkeypatch):
-        # Schrodinger keys and one nonlinearity with i are decided from the
-        # keys alone; only the commuting test brackets
+        # every clause of the decision reads the keys alone
         calls = []
-        monkeypatch.setattr(lie_engine, "bracket",
-                            lambda x, y: calls.append((x, y)) or bracket(x, y))
+        monkeypatch.setattr(lie_engine, "_bracket_ints",
+                            lambda xs, ys: calls.append((xs, ys)))
         monkeypatch.setattr(lie_engine, "_raw_closure",
                             lambda gens, budget: "closed")
         assert decide_monomial_set(list(schrodinger_monomials())) == "closed"
         assert decide_monomial_set([gp(4, 1), unit_i()]) == "closed"
-        assert calls == []
         assert decide_monomial_set([gp(2, 2), gp(3, 3)]) == "closed"
-        assert len(calls) == 1
+        assert decide_monomial_set([gp(2, 2), gm(3, 0)]).outcome == "infinite"
+        assert calls == []
+
+    def test_huge_monomials_are_decided_from_their_keys(self, monkeypatch):
+        # bracketing this pair took about a minute before any budget check
+        calls = []
+        monkeypatch.setattr(lie_engine, "_bracket_ints",
+                            lambda xs, ys: calls.append((xs, ys)))
+        out = lie_closure([gp(12000, 12000), gm(12000, 0)], Budget())
+        assert out.outcome == "infinite"
+        assert out.witness.rule == "MonomialGlossaryViolation"
+        assert calls == []
+
+    def test_key_clause_is_pairwise_commutation(self, monkeypatch):
+        # on every pair of keys of degree <= 10 the decision equals the one
+        # that tests commutation by a bracket
+        monkeypatch.setattr(lie_engine, "_raw_closure",
+                            lambda gens, budget: "closed")
+        schrodinger = {k for m in schrodinger_monomials() for k in m.terms}
+        for k1, k2 in itertools.combinations(skew_keys(10), 2):
+            x, y = SkewPoly.monomial(*k1), SkewPoly.monomial(*k2)
+            perp = [k for k in (k1, k2) if subspace_of(*k) == "Aperp"]
+            finite = ({k1, k2} <= schrodinger
+                      or (len(perp) == 1
+                          and {k1, k2} <= {perp[0], (PLUS, (0, 0))})
+                      or not bracket(x, y))
+            assert (decide_monomial_set([x, y]) == "closed") == finite
 
 
 class TestFreeHamiltonianDecision:

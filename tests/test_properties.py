@@ -1,6 +1,5 @@
 """Property-based invariants of the exact algebra layer."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -9,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewweyl.classify import StructureConstants, fingerprint
-from skewweyl.lie_engine import (Budget, ClosureOutcome, LieSpan,
-                                 _Commuting, _integer_terms, _raw_closure,
-                                 bracket, lie_closure)
-from skewweyl.weyl_core import (MINUS, NEG_INF, PLUS, SkewPoly, WeylPoly,
-                                schrodinger_monomials, skew_from_json,
-                                skew_to_json)
-from test_commuting import _json, _with_scalars, budgets, quadrature_families
+from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
+                                 lie_closure)
+from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
+                                skew_from_json, skew_to_json)
+from test_commuting import (_all_pairs_closure, _all_pairs_table, _json,
+                            _with_scalars, budgets, quadrature_families)
 
 # well-ordered index pairs of total degree <= 5, minus-diagonal excluded
 _KEYS = [
@@ -173,78 +171,8 @@ class TestClosureInvariants:
 
 
 # ---------------------------------------------------------------------------
-# The integer closure and table against their loops on Fractions
+# The integer closure and table against all-pairs loops on Fractions
 # ---------------------------------------------------------------------------
-
-def _fraction_closure(gens, budget, within=None):
-    """`_raw_closure`'s loop with every bracket a public `bracket` and
-    every candidate a `LieSpan.insert`: the closure as it ran on
-    `Fraction`s before brackets and reductions moved to integer rows."""
-    span = LieSpan(within.basis if within is not None else ())
-    lo = span.dim
-    basis = span.basis
-    commuting = _Commuting(_integer_terms(b.terms) for b in basis)
-    max_deg_seen = max((b.degree for b in basis), default=NEG_INF)
-
-    def over_budget(degree):
-        return ClosureOutcome(
-            "inconclusive",
-            budget_report={"max_dim": budget.max_dim,
-                           "max_degree": budget.max_degree,
-                           "dim_reached": span.dim,
-                           "degree_reached": degree})
-
-    for g in gens:
-        if g.degree > budget.max_degree:
-            return over_budget(g.degree)
-        if span.insert(g):
-            commuting.add(_integer_terms(g.terms)[1], g.degree)
-            max_deg_seen = max(max_deg_seen, g.degree)
-            if span.dim > budget.max_dim:
-                return over_budget(max_deg_seen)
-    start = 0
-    while start < span.dim:
-        end = span.dim
-        for i in range(start, end):
-            for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
-                if commuting.zero(i, j):
-                    continue
-                z = bracket(basis[i], basis[j])
-                if not z:
-                    commuting.record(i, j)
-                    continue
-                if z.degree > budget.max_degree:
-                    return over_budget(z.degree)
-                if span.insert(z):
-                    commuting.add(_integer_terms(z.terms)[1], z.degree)
-                    max_deg_seen = max(max_deg_seen, z.degree)
-                    if span.dim > budget.max_dim:
-                        return over_budget(max_deg_seen)
-        start = end
-    return ClosureOutcome("finite", span=span)
-
-
-def _fraction_table(b):
-    """`StructureConstants.from_span`'s loop with public `bracket` and
-    `LieSpan.coordinates`."""
-    basis = b.basis
-    commuting = _Commuting(_integer_terms(b.terms) for b in basis)
-    entries = {}
-    for i, j in sorted(itertools.combinations(range(b.dim), 2),
-                       key=lambda ij: len(basis[ij[0]].terms)
-                       * len(basis[ij[1]].terms)):
-        if commuting.zero(i, j):
-            continue
-        z = bracket(basis[i], basis[j])
-        if not z:
-            commuting.record(i, j)
-            continue
-        coords = b.coordinates(z)
-        if coords is None:
-            raise ValueError("span is not closed under the bracket")
-        entries[i, j] = dict(enumerate(coords))
-    return StructureConstants(b.dim, dict(sorted(entries.items())))
-
 
 def _assert_same_outcome(got, want):
     assert got.outcome == want.outcome
@@ -259,7 +187,7 @@ def _assert_same_outcome(got, want):
 
 def _assert_same_table(span):
     try:
-        want = _fraction_table(span)
+        want = _all_pairs_table(span)
     except ValueError as exc:
         with pytest.raises(ValueError, match=str(exc)):
             StructureConstants.from_span(span)
@@ -282,13 +210,13 @@ class TestIntegerPathMatchesFractions:
         # the first `split` generators close first when that closure is
         # finite, and the rest extend it through `within`
         within = _raw_closure(gens[:split], budget)
-        _assert_same_outcome(within, _fraction_closure(gens[:split], budget))
+        _assert_same_outcome(within, _all_pairs_closure(gens[:split], budget))
         if within.outcome == "finite":
             rest = gens[split:]
             got = _raw_closure(rest, budget, within=within.span)
-            want = _fraction_closure(rest, budget, within=within.span)
+            want = _all_pairs_closure(rest, budget, within=within.span)
         else:
-            got, want = _raw_closure(gens, budget), _fraction_closure(
+            got, want = _raw_closure(gens, budget), _all_pairs_closure(
                 gens, budget)
         _assert_same_outcome(got, want)
         if got.span is not None:
@@ -300,6 +228,6 @@ class TestIntegerPathMatchesFractions:
     def test_chains(self, n):
         gens = _json(f"closure_chain_{n}.json")
         got = _raw_closure(gens, Budget())
-        _assert_same_outcome(got, _fraction_closure(gens, Budget()))
+        _assert_same_outcome(got, _all_pairs_closure(gens, Budget()))
         _assert_same_table(got.span)
         _assert_same_table(LieSpan(_json(f"classify_chain_{n}.json")))

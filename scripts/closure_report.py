@@ -6,7 +6,7 @@ import json
 import sys
 
 from skewweyl.lie_engine import lie_closure
-from skewweyl.weyl_core import MINUS, PLUS, SkewPoly, number_op, unit_i
+from skewweyl.weyl_core import MINUS, PLUS, SkewPoly, number_op
 
 M = SkewPoly.monomial
 

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import LieSpan, Rref, _Commuting, bracket
+from .lie_engine import Budget, LieSpan, Rref, bracket, lie_closure
 from .weyl_core import SkewPoly
 
 Matrix = List[List[Fraction]]
@@ -59,22 +59,23 @@ class StructureConstants:
     def from_span(b: LieSpan) -> "StructureConstants":
         """The table of b's basis, which must be closed under the bracket.
 
-        Pairs `_Commuting` proves commute are not bracketed: a scalar with
+        Pairs `bracket_pair` proves commute are not bracketed: a scalar with
         anything, or two elements that commute with the same non-scalar
         one, in the basis or a shared linear root (by Amitsur's theorem its
         centralizer is commutative).  The pairs are visited cheapest first,
         by |x.terms|·|y.terms|, so cheap zero brackets find those common
         elements before the dear pairs come up; the table does not depend
         on the order.  Brackets and coordinates are formed in integers
-        (`_Commuting.bracket`, `LieSpan._coordinates_ints`).
+        (`LieSpan.bracket_pair`, `LieSpan._coordinates_ints`).  The links
+        b holds are read and added to: on a closure's own span, every pair
+        of which the closure met, no zero bracket is formed.
         """
         basis = b.basis
-        commuting = _Commuting(basis)
         entries = {}
         for i, j in sorted(itertools.combinations(range(b.dim), 2),
                            key=lambda ij: len(basis[ij[0]].terms)
                            * len(basis[ij[1]].terms)):
-            pair = commuting.bracket(i, j)
+            pair = b.bracket_pair(i, j)
             if pair is None:
                 continue
             l, z = pair
@@ -518,8 +519,6 @@ def identify(b: LieSpan) -> CatalogEntry:
 
 def nullity_witness(b: LieSpan, pair: Tuple[SkewPoly, SkewPoly]) -> bool:
     """True iff the two elements generate exactly the given span."""
-    from .lie_engine import Budget, lie_closure
-
     for p in pair:
         if not b.contains(p):
             raise ValueError("witness elements must lie in the span")

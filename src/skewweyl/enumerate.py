@@ -18,7 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .classify import CatalogEntry, identify
 from .lie_engine import Budget, LieSpan, _raw_closure, lie_closure
-from .weyl_core import SkewPoly, skew_to_json
+from .weyl_core import SkewPoly, schrodinger_monomials, skew_to_json
 
 
 class RealizationRecord(NamedTuple):
@@ -146,8 +146,6 @@ GLOSSARY_NONABELIAN_COUNTS = {
 def glossary_report() -> dict:
     """Enumerate over the six degree-<=2 monomials and group by catalog
     entry, checking the expected class multiplicities."""
-    from .weyl_core import schrodinger_monomials
-
     records = enumerate_subalgebras(schrodinger_monomials())
     counts = dict(Counter(r.catalog.name for r in records))
     dims = dict(Counter(r.span.dim for r in records))

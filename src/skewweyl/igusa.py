@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .lie_engine import _leading_parts, _normal_coeff, bracket

@@ -26,6 +26,7 @@ from .weyl_core import (
     _monomial_bracket,
     monomial_key_order,
     schrodinger_monomials,
+    skew_from_json,
     skew_to_json,
     subspace_of,
 )
@@ -217,12 +218,20 @@ def _primitive(v: Dict, negate: bool = False) -> Dict:
 # Exact spans with echelonized coordinates
 # ---------------------------------------------------------------------------
 
+#: a root not yet computed
+_UNSET = object()
+
+
 class LieSpan:
     """Ordered basis of a subspace of the skew-hermitian algebra with exact
     row-reduced coordinates over the monomial basis.
 
-    Mutable only through `insert` and `_insert_ints`; used as an immutable
-    value once built.
+    Per basis element it also keeps what `bracket_pair` needs: the integer
+    form (l, l·b, degree), l the lcm of b's denominators, the indices b is
+    known to commute with, and b's linear root.
+
+    Mutable only through `insert`, `_insert_ints` and the links that
+    `bracket_pair` records; used as an immutable value once built.
     """
 
     def __init__(self, vectors: Iterable[SkewPoly] = ()):
@@ -233,6 +242,13 @@ class LieSpan:
         # `_coordinates_ints`, dropped by `_append`
         self._inverse: Optional[Tuple[List[MonKey],
                                       List[Tuple[int, List[int]]]]] = None
+        #: per index: (l, l·b as an integer term map, degree)
+        self._forms: List[Tuple[int, Dict[MonKey, int], object]] = []
+        #: per index: the non-scalar indices b is known to commute with,
+        #: itself included, or None for a scalar
+        self._links: List[Optional[set]] = []
+        #: per index: the linear root, None, or _UNSET
+        self._roots: List = []
         for v in vectors:
             self.insert(v)
 
@@ -245,32 +261,87 @@ class LieSpan:
 
     def insert(self, v: SkewPoly) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        residual = self._echelon.reduce(_integer_terms(v.terms)[1])
+        l, xs = _integer_terms(v.terms)
+        residual = self._echelon.reduce(xs)
         if not residual:
             return False
-        self._append(v, residual)
+        self._append(v, residual, l, xs)
         return True
 
-    def _insert_ints(self, v: Dict, d: int) -> Optional[Tuple[int, Dict]]:
+    def _insert_ints(self, v: Dict, d: int) -> bool:
         """`insert` of v/d, for an integer row v and d > 0, that builds the
-        element's `Fraction`s only if the span grows.  Returns the new
-        basis element's integer form (l, l·v/d), l the lcm of its
-        denominators, or None if v/d is already in the span."""
+        element's `Fraction`s only if the span grows."""
         residual = self._echelon.reduce(v)
         if not residual:
-            return None
+            return False
         e = math.gcd(d, *v.values())
         if e != 1:
             d, v = d // e, {k: c // e for k, c in v.items()}
         self._append(SkewPoly._from_terms(
-            {k: Fraction(c, d) for k, c in v.items()}), residual)
-        return d, v
+            {k: Fraction(c, d) for k, c in v.items()}), residual, d, v)
+        return True
 
-    def _append(self, v: SkewPoly, residual: Dict) -> None:
-        """Add v, whose residual the echelon has just returned."""
+    def _append(self, v: SkewPoly, residual: Dict, l: int,
+                xs: Dict[MonKey, int]) -> None:
+        """Add v = xs/l, whose residual the echelon has just returned.  A
+        scalar (a multiple of i, or 0) commutes with everything, so it
+        links nothing; non-scalar skew elements are those of degree >= 1."""
         self._echelon._add(residual)
         self.basis.append(v)
         self._inverse = None
+        degree = max((a + b for _, (a, b) in xs), default=NEG_INF)
+        self._forms.append((l, xs, degree))
+        self._links.append({len(self._links)} if degree > 0 else None)
+        self._roots.append(_UNSET if degree >= 3 else None)
+
+    def copy(self) -> "LieSpan":
+        """A span equal to this one, with its links, that grows apart from
+        it.  Each link set is copied, as `bracket_pair` adds to it; the
+        forms and the echelon rows are shared, as nothing writes to them."""
+        out = LieSpan()
+        out.basis = list(self.basis)
+        out._echelon.integer_rows = dict(self._echelon.integer_rows)
+        out._forms = list(self._forms)
+        out._links = [None if s is None else set(s) for s in self._links]
+        out._roots = list(self._roots)
+        return out
+
+    def bracket_pair(self, i: int, j: int) -> Optional[Tuple[int, Dict]]:
+        """(l_i·l_j, l_i·l_j·[b_i, b_j] as an integer term map), or None
+        if [b_i, b_j] is 0, without a bracket if that is already known.
+
+        For every element w of the Weyl algebra that is not a scalar, the
+        centralizer C(w) is commutative (Amitsur, Pacific J. Math. 8, 1958;
+        Dixmier, Bull. SMF 96, 1968): two elements that both commute with
+        the same non-scalar w commute with each other.  w is a basis
+        element both are linked to, or a linear root both share (see
+        `_root_of`), formed once per element and only when a pair of two
+        elements of degree >= 3 is left open by the links.  A pair proven
+        zero by a shared root, or whose bracket comes out 0, is linked.
+        """
+        a, b = self._links[i], self._links[j]
+        if a is None or b is None or not a.isdisjoint(b):
+            return None
+        if not self._share_root(i, j):
+            (li, xi, _), (lj, xj, _) = self._forms[i], self._forms[j]
+            z = _bracket_ints(xi, xj)
+            if z:
+                return li * lj, z
+        a.add(j)
+        b.add(i)
+        return None
+
+    def _share_root(self, i: int, j: int) -> bool:
+        roots = self._roots
+        if roots[i] is None or roots[j] is None:
+            return False
+        for k in (i, j):
+            if roots[k] is _UNSET:
+                _, xs, degree = self._forms[k]
+                roots[k] = _root_of(xs, degree)
+            if roots[k] is None:
+                return False
+        return roots[i] == roots[j]
 
     def coordinates(self, v: SkewPoly) -> Optional[List[Fraction]]:
         """Exact coordinates of v in `self.basis`, or None if v is outside."""
@@ -388,95 +459,22 @@ def _linear_root(xs: Dict[MonKey, int], d: int) -> Optional[Tuple[int, int]]:
     return r // g, s // g
 
 
-def _commutes_with_root(root: Tuple[int, int], xs: Dict[MonKey, int]) -> bool:
-    """[w, x] = 0 exactly, for w = r·g+^(1,0) + s·g−^(1,0) and x an
-    integer term map: 2·|x| monomial-pair lookups."""
-    r, s = root
-    w = {k: c for k, c in (((PLUS, (1, 0)), r), ((MINUS, (1, 0)), s)) if c}
-    return not _bracket_ints(w, xs)
-
-
 def _root_of(xs: Dict[MonKey, int], d,
              candidate: Optional[Tuple[int, int]] = None
              ) -> Optional[Tuple[int, int]]:
     """The linear root of the element of degree d with integer term map xs:
-    its `_linear_root`, kept only if [w, x] is exactly 0; None if it has
-    none.  With a `candidate`, only whether x has that root, without a
-    bracket unless x's own candidate is the same."""
+    its `_linear_root` w = r·g+^(1,0) + s·g−^(1,0), kept only if [w, x] is
+    exactly 0 (2·|x| monomial-pair lookups); None if it has none.  With a
+    `candidate`, only whether x has that root, without a bracket unless
+    x's own candidate is the same."""
     if d < 3:
         return None
     root = _linear_root(xs, d)
     if root is None or (candidate is not None and root != candidate):
         return None
-    return root if _commutes_with_root(root, xs) else None
-
-
-#: a root not yet computed
-_UNSET = object()
-
-
-class _Commuting:
-    """The brackets of a growing basis, without those known to be 0.
-
-    For every element w of the Weyl algebra that is not a scalar, the
-    centralizer C(w) is commutative (Amitsur, Pacific J. Math. 8, 1958;
-    Dixmier, Bull. SMF 96, 1968): two elements that both commute with the
-    same non-scalar w commute with each other.  Each basis index keeps the
-    non-scalar indices its element is known to commute with, itself
-    included.  A scalar (a multiple of i, or 0) commutes with everything,
-    so it links nothing and keeps None; non-scalar skew elements are those
-    of degree >= 1.
-
-    An element of degree >= 3 may also have a linear root w (see
-    `_root_of`), not in the basis: two elements with the same root lie in
-    the commutative C(w).  A root is formed and checked from the element's
-    integer form, once, and only when a pair of two such elements is left
-    open by the known sets.  A pair proven zero by a shared root, or whose
-    bracket comes out 0, is recorded in the known sets.
-    """
-
-    def __init__(self, basis: Iterable[SkewPoly] = ()):
-        #: per index: (l, l·b as an integer term map, degree)
-        self._forms: List[Tuple[int, Dict[MonKey, int], object]] = []
-        self._known: List[Optional[set]] = []
-        #: per index: the root, None, or _UNSET
-        self._roots: List = []
-        for b in basis:
-            self.add(*_integer_terms(b.terms))
-
-    def add(self, l: int, xs: Dict[MonKey, int]) -> None:
-        """Append the element xs/l, for an integer term map xs and l > 0."""
-        degree = max((a + b for _, (a, b) in xs), default=NEG_INF)
-        self._forms.append((l, xs, degree))
-        self._known.append({len(self._known)} if degree > 0 else None)
-        self._roots.append(_UNSET if degree >= 3 else None)
-
-    def bracket(self, i: int, j: int) -> Optional[Tuple[int, Dict]]:
-        """(l_i·l_j, l_i·l_j·[b_i, b_j] as an integer term map), or None
-        if [b_i, b_j] is 0."""
-        a, b = self._known[i], self._known[j]
-        if a is None or b is None or not a.isdisjoint(b):
-            return None
-        if not self._share_root(i, j):
-            (li, xi, _), (lj, xj, _) = self._forms[i], self._forms[j]
-            z = _bracket_ints(xi, xj)
-            if z:
-                return li * lj, z
-        a.add(j)
-        b.add(i)
-        return None
-
-    def _share_root(self, i: int, j: int) -> bool:
-        roots = self._roots
-        if roots[i] is None or roots[j] is None:
-            return False
-        for k in (i, j):
-            if roots[k] is _UNSET:
-                _, xs, degree = self._forms[k]
-                roots[k] = _root_of(xs, degree)
-            if roots[k] is None:
-                return False
-        return roots[i] == roots[j]
+    r, s = root
+    w = {k: c for k, c in (((PLUS, (1, 0)), r), ((MINUS, (1, 0)), s)) if c}
+    return None if _bracket_ints(w, xs) else root
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +543,7 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
                  within: Optional[LieSpan] = None) -> ClosureOutcome:
     """Budgeted level-structure closure with exact echelon bookkeeping.
 
-    Each unordered pair is bracketed once, except pairs `_Commuting` proves
+    Each unordered pair is bracketed once, except pairs `bracket_pair` proves
     commute: a scalar with anything, or two elements that commute with the
     same non-scalar one, in the basis or a shared linear root (by Amitsur's
     theorem its centralizer is commutative).  Zero brackets are never
@@ -556,19 +554,15 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
 
     A closed `within` from a closure under the same budget is extended as
     the closure of `within.basis + gens` would be, in the same order and
-    with the same report, but without its pairs inside `within`.
+    with the same report, but without its pairs inside `within`, on a
+    `copy` that starts from the links `within` has found.
 
     Brackets and reductions run on each basis element's integer form
-    (l, l·b), l the lcm of its denominators, held by `_Commuting`: a
+    (l, l·b), l the lcm of its denominators, which the span keeps: a
     bracket becomes a `SkewPoly` only if it enlarges the span.
     """
-    span, lo = LieSpan(), 0
-    if within is not None:
-        # `Rref._add` never mutates a stored row, so the rows are shared
-        span.basis = list(within.basis)
-        span._echelon.integer_rows = dict(within._echelon.integer_rows)
-        lo = within.dim
-    commuting = _Commuting(span.basis)
+    span = LieSpan() if within is None else within.copy()
+    lo = span.dim
     max_deg_seen = max((b.degree for b in span.basis), default=NEG_INF)
 
     def over_budget(degree) -> ClosureOutcome:
@@ -584,7 +578,6 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
         if span.insert(g):
-            commuting.add(*_integer_terms(g.terms))
             max_deg_seen = max(max_deg_seen, g.degree)
             if span.dim > budget.max_dim:
                 return over_budget(max_deg_seen)
@@ -596,16 +589,14 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
             # [b_i, b_i] = 0, [b_i, b_j] = -[b_j, b_i] for an earlier
             # frontier j, and [b_i, b_j] lies in `within` for i, j < lo
             for j in itertools.chain(range(start), range(max(i + 1, lo), end)):
-                pair = commuting.bracket(i, j)
+                pair = span.bracket_pair(i, j)
                 if pair is None:
                     continue
                 l, z = pair
                 degree = max(a + b for _, (a, b) in z)
                 if degree > budget.max_degree:
                     return over_budget(degree)
-                form = span._insert_ints(z, l)
-                if form is not None:
-                    commuting.add(*form)
+                if span._insert_ints(z, l):
                     max_deg_seen = max(max_deg_seen, degree)
                     if span.dim > budget.max_dim:
                         return over_budget(max_deg_seen)
@@ -633,7 +624,8 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
     if all(s.degree <= 2 for s in aux_seq):
         # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
         return None
-    # [u, s] = 0 when u shares the linear root of s (see `_Commuting`)
+    # [u, s] = 0 when u shares the linear root of s (see
+    # `LieSpan.bracket_pair`)
     roots = [_root_of(_integer_terms(s.terms)[1], s.degree) for s in aux_seq]
     u = seed
     if u.degree > max_degree:
@@ -670,8 +662,6 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
 
 def verify_chain_witness(w: InfinitenessWitness) -> bool:
     """Re-check a ChainDegreeGrowth witness exactly from its payload."""
-    from .weyl_core import skew_from_json
-
     if w.rule != "ChainDegreeGrowth":
         return False
     chain = [skew_from_json(o) for o in w.evidence["chain"]]

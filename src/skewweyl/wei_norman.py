@@ -32,7 +32,7 @@ import numpy as np
 
 from .fock_oracle import (MIN_DIM, hermitian_generators, read_only,
                           state_columns)
-from .weyl_core import CONTROL_GENERATORS
+from .weyl_core import CONTROL_GENERATORS, unit_i
 
 N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
 
@@ -403,7 +403,6 @@ def _adjoints() -> List[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     """
     from .classify import StructureConstants
     from .lie_engine import LieSpan
-    from .weyl_core import unit_i
 
     table = StructureConstants.from_span(LieSpan(
         (unit_i(), *CONTROL_GENERATORS["schrodinger"]))).table

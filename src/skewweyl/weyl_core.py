@@ -26,7 +26,7 @@ import functools
 import sys
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 MultiIndex = Tuple[int, int]
 

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from skewweyl.classify import (derived_series, fingerprint,
                                lower_central_series, nullity_witness,
@@ -26,8 +25,8 @@ from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
 from skewweyl.wei_norman import (ControlSpec, factored_propagator,
                                  residual_check, schrodinger_factors,
                                  wh2_factors)
-from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, WeylPoly,
-                                number_op, schrodinger_monomials, unit_i)
+from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
+                                schrodinger_monomials, unit_i)
 
 M = SkewPoly.monomial
 

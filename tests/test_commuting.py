@@ -282,7 +282,7 @@ def _degree(xs):
 
 
 def _is_root(xs):
-    """A two-term linear w = r g+(1,0) + s g-(1,0), as `_Commuting` forms
+    """A two-term linear w = r g+(1,0) + s g-(1,0), as `_root_of` forms
     it; each chain angle has cos and sin in {±3/5, ±4/5}, so both terms."""
     return set(xs) == {(PLUS, (1, 0)), (MINUS, (1, 0))}
 
@@ -402,20 +402,22 @@ _HIGH_KEYS = [(sigma, (a, b)) for a in range(7) for b in range(a + 1)
 @settings(max_examples=50, deadline=None)
 def test_zero_only_for_exactly_zero_brackets(elements, rnd):
     # in any pair order: None exactly when [b_i, b_j] = 0, else
-    # l_i l_j [b_i, b_j] in ints over l_i l_j, l the lcm of b's denominators
+    # l_i l_j [b_i, b_j] in ints over l_i l_j, l the lcm of b's denominators;
+    # the span keeps the elements that are independent of those before
     elements = [x for x in elements if x.degree >= 1]
     rnd.shuffle(elements)
-    commuting = lie_engine._Commuting(elements)
-    pairs = list(itertools.combinations(range(len(elements)), 2))
+    span = LieSpan(elements)
+    basis = span.basis
+    pairs = list(itertools.combinations(range(span.dim), 2))
     rnd.shuffle(pairs)
     for i, j in pairs:
-        z = bracket(elements[i], elements[j])
-        got = commuting.bracket(i, j)
+        z = bracket(basis[i], basis[j])
+        got = span.bracket_pair(i, j)
         if not z:
             assert got is None
             continue
-        l = (_integer_terms(elements[i].terms)[0]
-             * _integer_terms(elements[j].terms)[0])
+        l = (_integer_terms(basis[i].terms)[0]
+             * _integer_terms(basis[j].terms)[0])
         assert got == (l, {k: c * l for k, c in z.terms.items()})
         assert all(type(c) is int for c in got[1].values())
 
@@ -426,11 +428,40 @@ def test_polynomials_in_one_quadrature_commute_without_brackets(
     # two of them
     ell = _linear(3, -5)
     elements = [_times_i(_poly_in(ell, [1] * (d + 1))) for d in range(3, 8)]
-    commuting = lie_engine._Commuting(elements)
-    assert all(commuting.bracket(i, j) is None
+    span = LieSpan(elements)
+    assert span.basis == elements
+    assert all(span.bracket_pair(i, j) is None
                for i, j in itertools.combinations(range(5), 2))
     assert len(bracket_calls) == 5
     assert all(_is_root(xs) and not z for xs, _, z in bracket_calls)
+
+
+def _zero_table_brackets(span, bracket_calls):
+    """The zero brackets `StructureConstants.from_span(span)` makes, after
+    checking its table against all pairs."""
+    del bracket_calls[:]
+    got = StructureConstants.from_span(span)
+    zeros = sum(not z for _, _, z in bracket_calls)
+    assert list(got.table.items()) == list(
+        _all_pairs_table(span).table.items())
+    return zeros
+
+
+def test_a_closures_own_table_makes_no_zero_bracket(bracket_calls):
+    # every pair of a closure's basis was met by the closure, which linked
+    # each zero one, or by the closure it extends; the table reads those
+    # links from the span.  A new span of the same basis has none, and
+    # brackets a zero pair again in each case below.
+    out = _raw_closure(_json("closure_affine_poly_5.json"), Budget())
+    assert _zero_table_brackets(out.span, bracket_calls) == 0
+    assert _zero_table_brackets(LieSpan(out.span.basis), bracket_calls) == 4
+    # the reversed glossary monomials: (0, 1, 4) is an extension of (0, 1)
+    records = enumerate_subalgebras(schrodinger_monomials()[::-1])
+    assert [_zero_table_brackets(r.span, bracket_calls)
+            for r in records] == [0] * 22
+    fresh = {r.generating_subset: _zero_table_brackets(
+        LieSpan(r.span.basis), bracket_calls) for r in records}
+    assert {k: v for k, v in fresh.items() if v} == {(0, 1, 4): 1}
 
 
 @pytest.mark.parametrize("name", [f"chain_{n}" for n in range(3, 8)]

@@ -164,6 +164,10 @@ class TestExtensionClosure:
         within = _raw_closure(gens, budget)
         assert within.outcome == "finite"
         key = within.span.canonical_key()
+        dim = within.span.dim
+        rows = {p: (d, dict(nums)) for p, (d, nums)
+                in within.span._echelon.integer_rows.items()}
+        links = [None if s is None else set(s) for s in within.span._links]
         got = _raw_closure(extra, budget, within=within.span)
         want = _raw_closure(within.span.basis + extra, budget)
         assert got.outcome == want.outcome
@@ -175,8 +179,12 @@ class TestExtensionClosure:
             for x, y in zip(got.span.basis, want.span.basis):
                 assert list(x.terms.items()) == list(y.terms.items())
             assert got.span.canonical_key() == want.span.canonical_key()
-        # the extended span is a copy: `within` is unchanged
+        # the extended span is a copy: `within` is unchanged, its basis,
+        # its rows and the zero links its own closure found
         assert within.span.canonical_key() == key
+        assert len(within.span.basis) == dim
+        assert within.span._echelon.integer_rows == rows
+        assert within.span._links == links
 
     def test_span_of_its_own_elements_is_itself(self):
         span = lie_closure(schrodinger_monomials()).span

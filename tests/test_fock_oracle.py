@@ -13,7 +13,7 @@ from skewweyl.fock_oracle import (BAND, _STAGED_STEPS, UnitarityDriftError,
                                   fock_matrix, hermitian_generators,
                                   interior_error, product_crosscheck,
                                   state_fidelity)
-from skewweyl.weyl_core import GR_I, GR_ONE, GaussianRational, WeylPoly
+from skewweyl.weyl_core import GR_I, GaussianRational, WeylPoly
 from skewweyl.wei_norman import ControlSpec
 
 

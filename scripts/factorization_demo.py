@@ -5,17 +5,22 @@ time-ordered integration on a truncated number basis.
 Example:
     python3 scripts/factorization_demo.py --algebra schrodinger \
         --u 1.0 0.2 0.1 0.0 0.1 --t-final 1.0 --fock-dim 96
+
+The constant controls are written to a temporary controls file and run
+through `skewweyl simulate`, whose JSON this script summarizes.  Bad input
+exits 2 with the command's one `error:` line, which names the controls
+file after the flags it is written from.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import sys
+import tempfile
+from pathlib import Path
 
-import numpy as np
-
-from skewweyl.fock_oracle import direct_propagator, state_fidelity
-from skewweyl.wei_norman import (ControlSpec, factored_propagator,
-                                 residual_check, schrodinger_factors,
-                                 wh2_factors)
+from skewweyl import cli
 
 
 def main() -> int:
@@ -31,32 +36,34 @@ def main() -> int:
                     help="write t, f_j(t), phase(t) samples here")
     args = ap.parse_args()
 
-    spec = ControlSpec.constant(args.algebra, args.u, args.t_final, args.h)
-    sol = wh2_factors(spec) if args.algebra == "wh2" else \
-        schrodinger_factors(spec)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        controls = Path(tmp) / "controls.json"
+        controls.write_text(json.dumps({
+            "algebra": args.algebra, "preset": "constant", "values": args.u,
+            "t_final": args.t_final, "h": args.h}))
+        argv = ["simulate", "--algebra", args.algebra, "--controls",
+                str(controls), "--fock-dim", str(args.fock_dim)]
+        if args.csv:
+            argv += ["--csv", args.csv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    sys.stderr.write(err.getvalue().replace(
+        str(controls), "controls (--u, --t-final, --h)"))
+    if code:
+        return code
+    sol = json.loads(out.getvalue())
 
-    print(f"method: {sol.method}")
-    if sol.error_estimate is not None:
-        print(f"step-halving error estimate: {sol.error_estimate:.3e}")
-    print(f"residual (finite-difference): "
-          f"{residual_check(spec, sol):.3e}")
-    for j in range(sol.f.shape[0]):
-        print(f"f{j + 1}({args.t_final:g}) = {sol.f[j, -1]: .10f}")
-    print(f"phase({args.t_final:g}) = {sol.phase[-1]: .10f}")
-
-    N = args.fock_dim
-    psi = np.zeros(N)
-    psi[0] = 1.0
-    fid = state_fidelity(factored_propagator(sol, spec.n_steps, N, psi0=psi),
-                         direct_propagator(spec, N, psi0=psi))
-    print(f"vacuum fidelity vs direct propagator (N={N}): {fid:.12f}")
-
+    print(f"method: {sol['method']}")
+    if "error_estimate" in sol:
+        print(f"step-halving error estimate: {sol['error_estimate']:.3e}")
+    print(f"residual (finite-difference): {sol['residual']:.3e}")
+    for j, f in enumerate(sol["f"]):
+        print(f"f{j + 1}({args.t_final:g}) = {f[-1]: .10f}")
+    print(f"phase({args.t_final:g}) = {sol['phase'][-1]: .10f}")
+    print(f"vacuum fidelity vs direct propagator (N={args.fock_dim}): "
+          f"{sol['fidelity_vs_oracle']:.12f}")
     if args.csv:
-        header = ",".join(["t"]
-                          + [f"f{j + 1}" for j in range(sol.f.shape[0])]
-                          + ["phase"])
-        rows = np.column_stack([sol.grid, sol.f.T, sol.phase])
-        np.savetxt(args.csv, rows, delimiter=",", header=header, comments="")
         print(f"wrote {args.csv}")
     return 0
 

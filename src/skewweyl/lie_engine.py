@@ -25,7 +25,6 @@ from .weyl_core import (
     SkewPoly,
     _monomial_bracket,
     monomial_key_order,
-    schrodinger_monomials,
     skew_from_json,
     skew_to_json,
     subspace_of,
@@ -230,8 +229,8 @@ class LieSpan:
     form (l, l·b, degree), l the lcm of b's denominators, the indices b is
     known to commute with, and b's linear root.
 
-    Mutable only through `insert`, `_insert_ints` and the links that
-    `bracket_pair` records; used as an immutable value once built.
+    Grows only through `_insert_ints`, which `insert` calls, and the links
+    that `bracket_pair` records; used as an immutable value once built.
     """
 
     def __init__(self, vectors: Iterable[SkewPoly] = ()):
@@ -239,7 +238,7 @@ class LieSpan:
         self._echelon = Rref(order=monomial_key_order)
         # (pivot keys, per basis index j the pair (d_j, N_j) with row j of
         # the inverse pivot-entry matrix N_j/d_j); built by
-        # `_coordinates_ints`, dropped by `_append`
+        # `_coordinates_ints`, dropped by `_insert_ints`
         self._inverse: Optional[Tuple[List[MonKey],
                                       List[Tuple[int, List[int]]]]] = None
         #: per index: (l, l·b as an integer term map, degree)
@@ -262,37 +261,33 @@ class LieSpan:
     def insert(self, v: SkewPoly) -> bool:
         """Add v to the span; returns True if the dimension grew."""
         l, xs = _integer_terms(v.terms)
-        residual = self._echelon.reduce(xs)
-        if not residual:
-            return False
-        self._append(v, residual, l, xs)
-        return True
+        return self._insert_ints(xs, l, v)
 
-    def _insert_ints(self, v: Dict, d: int) -> bool:
-        """`insert` of v/d, for an integer row v and d > 0, that builds the
-        element's `Fraction`s only if the span grows."""
+    def _insert_ints(self, v: Dict, d: int,
+                     element: Optional[SkewPoly] = None) -> bool:
+        """Add v/d, for an integer row v and d > 0; returns True if the
+        dimension grew.  The basis keeps `element`, v/d as the caller holds
+        it, or else v/d built in `Fraction`s, only if the span grows.
+
+        A scalar (a multiple of i, or 0) commutes with everything, so it
+        links nothing; non-scalar skew elements are those of degree >= 1."""
         residual = self._echelon.reduce(v)
         if not residual:
             return False
-        e = math.gcd(d, *v.values())
-        if e != 1:
-            d, v = d // e, {k: c // e for k, c in v.items()}
-        self._append(SkewPoly._from_terms(
-            {k: Fraction(c, d) for k, c in v.items()}), residual, d, v)
-        return True
-
-    def _append(self, v: SkewPoly, residual: Dict, l: int,
-                xs: Dict[MonKey, int]) -> None:
-        """Add v = xs/l, whose residual the echelon has just returned.  A
-        scalar (a multiple of i, or 0) commutes with everything, so it
-        links nothing; non-scalar skew elements are those of degree >= 1."""
+        if element is None:
+            e = math.gcd(d, *v.values())
+            if e != 1:
+                d, v = d // e, {k: c // e for k, c in v.items()}
+            element = SkewPoly._from_terms(
+                {k: Fraction(c, d) for k, c in v.items()})
         self._echelon._add(residual)
-        self.basis.append(v)
+        self.basis.append(element)
         self._inverse = None
-        degree = max((a + b for _, (a, b) in xs), default=NEG_INF)
-        self._forms.append((l, xs, degree))
+        degree = max((a + b for _, (a, b) in v), default=NEG_INF)
+        self._forms.append((d, v, degree))
         self._links.append({len(self._links)} if degree > 0 else None)
         self._roots.append(_UNSET if degree >= 3 else None)
+        return True
 
     def copy(self) -> "LieSpan":
         """A span equal to this one, with its links, that grows apart from
@@ -360,9 +355,9 @@ class LieSpan:
         its coefficients at the pivots, and its coordinates are the inverse
         of the basis vectors' pivot-entry matrix applied to those.  The
         inverse is built by one `Rref` on first use, kept as integer rows
-        over a positive denominator each and dropped by `_append`, so each
-        further call is one integer matrix-vector product and one division
-        per nonzero coordinate.
+        over a positive denominator each and dropped by `_insert_ints`, so
+        each further call is one integer matrix-vector product and one
+        division per nonzero coordinate.
         """
         if self._echelon.reduce(v):
             return None
@@ -523,20 +518,36 @@ class ClosureOutcome(NamedTuple):
 # Decision helpers
 # ---------------------------------------------------------------------------
 
-_SCHRODINGER_KEYS = frozenset(k for m in schrodinger_monomials()
-                              for k in m.terms)
+def _support(keys: Iterable[MonKey]) -> frozenset:
+    """The basis subspaces (A0, A1, A2, Aeq, Aperp) that the skew monomials
+    `keys` lie in: the support of an element is that of its keys, since a
+    `SkewPoly` stores no zero coefficient."""
+    return frozenset(subspace_of(*k) for k in keys)
 
 
-def _drift_term(g: SkewPoly) -> Optional[Tuple[Fraction, Fraction]]:
-    """If g = i(w a†a + c) exactly with w != 0, return (w, c)."""
-    keys = set(g.terms)
-    if not keys <= {(PLUS, (1, 1)), (PLUS, (0, 0))}:
-        return None
-    w = 2 * g.coeff(PLUS, (1, 1))
-    c = 2 * g.coeff(PLUS, (0, 0))
-    if not w:
-        return None
-    return (w, c)
+#: the degree-<=2 subalgebra, span(i, i a†a, g±(1,0), g±(2,0))
+_LOW = frozenset(("A0", "A1", "A2"))
+#: the commuting diagonal monomials i, i a†a and g+(k,k), k >= 2
+_DIAGONAL = frozenset(("A0", "Aeq"))
+#: the linear and quadratic monomials g±(1,0), g±(2,0)
+_QUAD = frozenset(("A1", "A2"))
+
+
+def _first(gens: Sequence[SkewPoly], supports: Sequence[frozenset], test
+           ) -> Optional[SkewPoly]:
+    """The first generator whose entry of `supports` passes `test`, or
+    None."""
+    return next((g for g, s in zip(gens, supports) if test(s)), None)
+
+
+def _infinite(rule: str, **evidence) -> ClosureOutcome:
+    return ClosureOutcome("infinite",
+                          witness=InfinitenessWitness(rule, evidence))
+
+
+def _is_drift(g: SkewPoly) -> bool:
+    """Whether g = i(w a†a + c) exactly with w != 0."""
+    return (PLUS, (1, 1)) in g.terms and _support(g.terms) == {"A0"}
 
 
 def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
@@ -698,23 +709,17 @@ def decide_monomial_set(gens: Sequence[SkewPoly],
             raise ValueError("decide_monomial_set requires single-monomial generators")
         keys.update(g.terms)
     perp = [k for k in keys if subspace_of(*k) == "Aperp"]
-    if (keys <= _SCHRODINGER_KEYS
+    support = _support(keys)
+    if (support <= _LOW
             # one nonlinearity plus (optionally) the central i
             or (len(perp) == 1 and keys <= {perp[0], (PLUS, (0, 0))})
             # all central or Kerr-type: mutually commuting
-            or all(a == b for _, (a, b) in keys)):
+            or support <= _DIAGONAL):
         # finite, but a user budget below the closure's size still truncates it
         return _raw_closure(gens, budget)
-    return ClosureOutcome(
-        "infinite",
-        witness=InfinitenessWitness(
-            rule="MonomialGlossaryViolation",
-            evidence={"monomials": [
-                {"sigma": "+" if s == PLUS else "-", "alpha": g[0], "beta": g[1]}
-                for s, g in sorted(keys, key=monomial_key_order)
-            ]},
-        ),
-    )
+    return _infinite("MonomialGlossaryViolation", monomials=[
+        {"sigma": "+" if s == PLUS else "-", "alpha": g[0], "beta": g[1]}
+        for s, g in sorted(keys, key=monomial_key_order)])
 
 
 def decide_with_free_hamiltonian(gens: Sequence[SkewPoly],
@@ -726,35 +731,23 @@ def decide_with_free_hamiltonian(gens: Sequence[SkewPoly],
     residual nonlinear subspace, and additionally no generator has linear or
     quadratic support whenever some generator has Kerr-type support.
     """
-    drift = next((g for g in gens if _drift_term(g) is not None), None)
+    drift = next((g for g in gens if _is_drift(g)), None)
     if drift is None:
         raise ValueError(
             "no generator of the form i(w a†a + c) with w != 0; use lie_closure"
         )
-    perp_offender = next((g for g in gens if g.project("Aperp")), None)
+    supports = [_support(g.terms) for g in gens]
+    perp_offender = _first(gens, supports, lambda s: "Aperp" in s)
     if perp_offender is not None:
-        return ClosureOutcome(
-            "infinite",
-            witness=InfinitenessWitness(
-                rule="PerpWithFreeHam",
-                evidence={"drift": skew_to_json(drift),
-                          "offender": skew_to_json(perp_offender)},
-            ),
-        )
-    eq_support = next((g for g in gens if g.project("Aeq")), None)
+        return _infinite("PerpWithFreeHam", drift=skew_to_json(drift),
+                         offender=skew_to_json(perp_offender))
+    eq_support = _first(gens, supports, lambda s: "Aeq" in s)
     if eq_support is not None:
-        quad = next(
-            (g for g in gens if g.project("A1") or g.project("A2")), None
-        )
+        quad = _first(gens, supports, lambda s: s & _QUAD)
         if quad is not None:
-            return ClosureOutcome(
-                "infinite",
-                witness=InfinitenessWitness(
-                    rule="MixedEqAndQuad",
-                    evidence={"kerr_element": skew_to_json(eq_support),
-                              "quadratic_element": skew_to_json(quad)},
-                ),
-            )
+            return _infinite("MixedEqAndQuad",
+                             kerr_element=skew_to_json(eq_support),
+                             quadratic_element=skew_to_json(quad))
     # finite, but a user budget below the closure's size still truncates it
     return _raw_closure(gens, budget)
 
@@ -763,30 +756,21 @@ def _mixed_eq_quad_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWit
     """Sufficient criterion: one element whose top-degree part is a pure
     Kerr-type monomial of degree >= 4, together with one element whose
     component outside span(A0, Aeq) is nonzero and of maximal degree within
-    that element.
+    that element.  Both are read from the top-degree keys: those of the
+    first lie in Aeq (which holds one monomial g+^(k,k), k >= 2, per
+    degree), and one of the second's lies outside span(A0, Aeq).
     """
-    def eq_leader(g: SkewPoly) -> bool:
-        top = g.top_part()
-        if top.degree == NEG_INF or top.degree < 4:
-            return False
-        return len(top.terms) == 1 and all(
-            subspace_of(*k) == "Aeq" for k in top.terms
-        )
+    tops = [_support(k for k in g.terms if sum(k[1]) == g.degree)
+            for g in gens]
+    leader = _first(gens, tops, lambda top: top == {"Aeq"})
+    partner = _first(gens, tops, lambda top: not top <= _DIAGONAL)
+    return _mixed_witness(leader, partner)
 
-    leaders = [g for g in gens if eq_leader(g)]
-    if not leaders:
+
+def _mixed_witness(e1: Optional[SkewPoly], e2: Optional[SkewPoly]
+                   ) -> Optional[InfinitenessWitness]:
+    if e1 is None or e2 is None:
         return None
-    for g in gens:
-        off_diag = g - g.project("A0") - g.project("Aeq")
-        if not off_diag:
-            continue
-        rest = g - off_diag
-        if off_diag.degree >= rest.degree or not rest:
-            return _mixed_witness(leaders[0], g)
-    return None
-
-
-def _mixed_witness(e1: SkewPoly, e2: SkewPoly) -> InfinitenessWitness:
     return InfinitenessWitness(
         rule="MixedEqAndQuad",
         evidence={"kerr_element": skew_to_json(e1), "partner": skew_to_json(e2)},
@@ -796,18 +780,10 @@ def _mixed_witness(e1: SkewPoly, e2: SkewPoly) -> InfinitenessWitness:
 def _low_degree_mixed_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
     """Companion criterion: e1 in span(A0, Aeq) with Kerr support, e2 in the
     degree-<=2 subalgebra with linear/quadratic support."""
-    e1 = next(
-        (g for g in gens
-         if g.project("Aeq") and g == g.project("A0") + g.project("Aeq")),
-        None,
-    )
-    if e1 is None:
-        return None
-    for g in gens:
-        quad = g.project("A1") + g.project("A2")
-        if quad and g == g.project("A0") + quad:
-            return _mixed_witness(e1, g)
-    return None
+    supports = [_support(g.terms) for g in gens]
+    e1 = _first(gens, supports, lambda s: "Aeq" in s and s <= _DIAGONAL)
+    e2 = _first(gens, supports, lambda s: s & _QUAD and s <= _LOW)
+    return _mixed_witness(e1, e2)
 
 
 def _identity_frame_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
@@ -857,7 +833,7 @@ def lie_closure(gens: Sequence[SkewPoly],
         return ClosureOutcome("finite", span=LieSpan())
     if all(g.is_monomial() for g in gens):
         return decide_monomial_set(gens, budget)
-    if any(_drift_term(g) is not None for g in gens):
+    if any(_is_drift(g) for g in gens):
         return decide_with_free_hamiltonian(gens, budget)
     for rule in (_low_degree_mixed_witness, _mixed_eq_quad_witness,
                  _identity_frame_witness,

@@ -202,22 +202,20 @@ def test_enumeration_extends_closed_spans(monkeypatch, basis, spans,
                                           brackets, inserts):
     # brackets are counted where every one is formed, at
     # `lie_engine._bracket_ints`, which no other module binds; inserts at
-    # `LieSpan.insert` and at the closure's `_insert_ints`
+    # `LieSpan._insert_ints`, the one method that grows a span
     calls = {"bracket": 0, "insert": 0}
     bracket_ints = lie_engine._bracket_ints
+    insert_ints = LieSpan._insert_ints
 
     def counted_bracket(xs, ys):
         calls["bracket"] += 1
         return bracket_ints(xs, ys)
 
-    def counted(insert):
-        def wrapper(self, *args):
-            calls["insert"] += 1
-            return insert(self, *args)
-        return wrapper
+    def counted_insert(self, *args):
+        calls["insert"] += 1
+        return insert_ints(self, *args)
 
     monkeypatch.setattr(lie_engine, "_bracket_ints", counted_bracket)
-    monkeypatch.setattr(LieSpan, "insert", counted(LieSpan.insert))
-    monkeypatch.setattr(LieSpan, "_insert_ints", counted(LieSpan._insert_ints))
+    monkeypatch.setattr(LieSpan, "_insert_ints", counted_insert)
     assert len(enumerate_subalgebras(basis())) == spans
     assert calls == {"bracket": brackets, "insert": inserts}

@@ -202,26 +202,45 @@ def test_simulate_schrodinger_constant_matches_golden():
         GOLDEN / "simulate_schrodinger_constant.json").read_text()
 
 
+def _demo(monkeypatch, *args) -> int:
+    """Exit code of scripts/factorization_demo.py run on `args`, in this
+    interpreter: a fresh one would spend most of a test on importing numpy
+    and scipy."""
+    script = str(ROOT / "scripts" / "factorization_demo.py")
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    return exc.value.code
+
+
 @pytest.mark.parametrize("algebra, u", [
     ("wh2", ["1.0", "0.2", "0.1"]),
     ("schrodinger", ["1.0", "0.2", "0.1", "0.0", "0.1"]),
 ])
 def test_factorization_demo_agrees_with_oracle(algebra, u, monkeypatch,
                                                capsys):
-    # in this interpreter: a fresh one would spend most of the test on
-    # importing numpy and scipy
-    script = str(ROOT / "scripts" / "factorization_demo.py")
-    monkeypatch.setattr(sys, "argv", [script, "--algebra", algebra, "--u",
-                                      *u, "--t-final", "0.2",
-                                      "--fock-dim", "24"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(script, run_name="__main__")
-    assert exc.value.code == 0
+    assert _demo(monkeypatch, "--algebra", algebra, "--u", *u,
+                 "--t-final", "0.2", "--fock-dim", "24") == 0
     out = capsys.readouterr().out
     fidelity = [line for line in out.splitlines()
                 if line.startswith("vacuum fidelity vs direct propagator")]
     assert len(fidelity) == 1, out
     assert float(fidelity[0].rsplit(":", 1)[1]) >= 1 - 1e-5
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--fock-dim", "8"], "--fock-dim must be at least 16"),
+    (["--u", "1.0", "0.2"], "control array shape (2, 201), want (3, 201)"),
+    (["--csv", "{missing}/out.csv"], "No such file or directory"),
+])
+def test_factorization_demo_rejects_bad_input(args, message, monkeypatch,
+                                              capsys, tmp_path):
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    assert _demo(monkeypatch, "--t-final", "0.2", *args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
 
 
 def test_numerical_modules_import_no_scipy_integrate():

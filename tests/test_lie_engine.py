@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,6 +38,7 @@ from skewweyl.weyl_core import (
     monomial_key_order,
     number_op,
     schrodinger_monomials,
+    skew_to_json,
     subspace_of,
     unit_i,
 )
@@ -467,6 +469,125 @@ class TestDecisionRules:
         assert out.outcome == "finite" and out.dim == 3
         assert len(calls) == 6
         assert not any(seed is aux for seed, aux in calls)
+
+
+def _projection_drift(g):
+    """Whether g = i(w a†a + c) with w != 0, by its coefficients."""
+    return (set(g.terms) <= {(PLUS, (1, 1)), (PLUS, (0, 0))}
+            and bool(g.coeff(PLUS, (1, 1))))
+
+
+def _projection_free_hamiltonian(gens):
+    """The free-Hamiltonian decision as `SkewPoly.project` sums ask it:
+    (rule, evidence), "closure", or None without a drift."""
+    drift = next((g for g in gens if _projection_drift(g)), None)
+    if drift is None:
+        return None
+    perp = next((g for g in gens if g.project("Aperp")), None)
+    if perp is not None:
+        return "PerpWithFreeHam", {"drift": skew_to_json(drift),
+                                   "offender": skew_to_json(perp)}
+    eq = next((g for g in gens if g.project("Aeq")), None)
+    if eq is not None:
+        quad = next((g for g in gens if g.project("A1") or g.project("A2")),
+                    None)
+        if quad is not None:
+            return "MixedEqAndQuad", {"kerr_element": skew_to_json(eq),
+                                      "quadratic_element": skew_to_json(quad)}
+    return "closure"
+
+
+def _projection_low_degree_mixed(gens):
+    e1 = next((g for g in gens
+               if g.project("Aeq") and g == g.project("A0") + g.project("Aeq")),
+              None)
+    if e1 is None:
+        return None
+    for g in gens:
+        quad = g.project("A1") + g.project("A2")
+        if quad and g == g.project("A0") + quad:
+            return e1, g
+    return None
+
+
+def _projection_mixed_eq_quad(gens):
+    def eq_leader(g):
+        top = g.top_part()
+        if top.degree < 4:
+            return False
+        return len(top.terms) == 1 and all(
+            subspace_of(*k) == "Aeq" for k in top.terms)
+
+    leaders = [g for g in gens if eq_leader(g)]
+    if not leaders:
+        return None
+    for g in gens:
+        off_diag = g - g.project("A0") - g.project("Aeq")
+        if not off_diag:
+            continue
+        rest = g - off_diag
+        if off_diag.degree >= rest.degree or not rest:
+            return leaders[0], g
+    return None
+
+
+_SUBSPACE_KEYS = {tag: [k for k in skew_keys(8) if subspace_of(*k) == tag]
+                  for tag in ("A0", "A1", "A2", "Aeq", "Aperp")}
+
+
+@st.composite
+def mixed_generators(draw):
+    """One to four generators, each a sum over one to three of the five
+    basis subspaces, so that every support test meets every mix, and in
+    half the draws a drift term as well."""
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for tag in draw(st.sets(st.sampled_from(sorted(_SUBSPACE_KEYS)),
+                                min_size=1, max_size=3)):
+            terms.update(draw(st.dictionaries(
+                st.sampled_from(_SUBSPACE_KEYS[tag]),
+                st.fractions(-3, 3, max_denominator=2).filter(bool),
+                min_size=1, max_size=2)))
+        gens.append(SkewPoly(terms))
+    if draw(st.booleans()):
+        # a drift i(w a†a + c) somewhere among them
+        drift = SkewPoly({(PLUS, (1, 1)): draw(st.sampled_from([1, -2])),
+                          (PLUS, (0, 0)): draw(st.sampled_from([0, 3]))})
+        gens.insert(draw(st.integers(0, len(gens))), drift)
+    return gens
+
+
+class TestSupportRules:
+    """The rules that read which subspaces the generators' keys lie in
+    pick the same generators as the `SkewPoly.project` sums they replace."""
+
+    @given(mixed_generators())
+    @example([number_op(), gp(2, 2) + gp(1, 1), gm(2, 0) + unit_i()])
+    @example([number_op() + unit_i(), gp(3, 3) + gm(5, 0), gp(4, 1)])
+    @example([gp(2, 2) + unit_i(), gm(1, 0) + gp(2, 0)])
+    @example([gp(3, 3) + gp(4, 1), gm(6, 0) + gp(2, 2), gp(5, 1) + gp(3, 3)])
+    @settings(max_examples=300, deadline=None)
+    def test_rules_match_the_projection_sums(self, gens):
+        want = _projection_free_hamiltonian(gens)
+        with mock.patch.object(lie_engine, "_raw_closure",
+                               lambda gens, budget: "closure"):
+            try:
+                out = decide_with_free_hamiltonian(gens)
+            except ValueError:
+                out = None
+        if isinstance(out, ClosureOutcome):
+            out = out.witness.rule, out.witness.evidence
+        assert out == want
+        for rule, reference in (
+                (lie_engine._low_degree_mixed_witness,
+                 _projection_low_degree_mixed),
+                (lie_engine._mixed_eq_quad_witness,
+                 _projection_mixed_eq_quad)):
+            pair = reference(gens)
+            assert rule(gens) == (None if pair is None else InfinitenessWitness(
+                "MixedEqAndQuad", {"kerr_element": skew_to_json(pair[0]),
+                                   "partner": skew_to_json(pair[1])}))
 
 
 class TestChainWitness:

@@ -323,20 +323,17 @@ def _chain_ext_sc(n: int) -> StructureConstants:
     return StructureConstants(n + 2, entries)
 
 
+# the sums with R add a central basis element after these
+_AFF1 = {(0, 1): {0: Fraction(1)}}
+_SL2 = {(0, 1): {1: Fraction(2)}, (0, 2): {2: Fraction(-2)},
+        (1, 2): {0: Fraction(1)}}
+
 _CONCRETE_SC: Dict[str, StructureConstants] = {
-    "aff(1)": StructureConstants(2, {(0, 1): {0: Fraction(1)}}),
-    "aff(1)+R": StructureConstants(3, {(0, 1): {0: Fraction(1)}}),
+    "aff(1)": StructureConstants(2, _AFF1),
+    "aff(1)+R": StructureConstants(3, _AFF1),
     "h1": StructureConstants(3, {(0, 1): {2: Fraction(1)}}),
-    "sl2": StructureConstants(3, {
-        (0, 1): {1: Fraction(2)},
-        (0, 2): {2: Fraction(-2)},
-        (1, 2): {0: Fraction(1)},
-    }),
-    "sl2+R": StructureConstants(4, {
-        (0, 1): {1: Fraction(2)},
-        (0, 2): {2: Fraction(-2)},
-        (1, 2): {0: Fraction(1)},
-    }),
+    "sl2": StructureConstants(3, _SL2),
+    "sl2+R": StructureConstants(4, _SL2),
     "wh1": StructureConstants(4, {
         (1, 2): {0: Fraction(1)},
         (1, 3): {1: Fraction(1)},

@@ -271,8 +271,8 @@ def _build_parser():
 
     c = command("closure", _cmd_closure, "Lie closure of a generator set")
     c.add_argument("--gens", required=True)
-    c.add_argument("--budget-dim", type=int, default=64)
-    c.add_argument("--budget-deg", type=int, default=24)
+    c.add_argument("--budget-dim", type=int, default=Budget().max_dim)
+    c.add_argument("--budget-deg", type=int, default=Budget().max_degree)
 
     c = command("classify", _cmd_classify, "fingerprint and catalog match")
     c.add_argument("--basis", required=True)

@@ -574,9 +574,11 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
     """
     span = LieSpan() if within is None else within.copy()
     lo = span.dim
-    max_deg_seen = max((b.degree for b in span.basis), default=NEG_INF)
 
-    def over_budget(degree) -> ClosureOutcome:
+    def over_budget(degree=None) -> ClosureOutcome:
+        if degree is None:
+            # past the dimension budget: the highest degree in the span
+            degree = max(deg for _, _, deg in span._forms)
         return ClosureOutcome(
             "inconclusive",
             budget_report={"max_dim": budget.max_dim,
@@ -588,10 +590,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
     for g in gens:
         if g.degree > budget.max_degree:
             return over_budget(g.degree)
-        if span.insert(g):
-            max_deg_seen = max(max_deg_seen, g.degree)
-            if span.dim > budget.max_dim:
-                return over_budget(max_deg_seen)
+        if span.insert(g) and span.dim > budget.max_dim:
+            return over_budget()
     start = 0
     while start < span.dim:
         # basis[start:end] is the frontier, the elements of the last level
@@ -607,10 +607,8 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
                 degree = max(a + b for _, (a, b) in z)
                 if degree > budget.max_degree:
                     return over_budget(degree)
-                if span._insert_ints(z, l):
-                    max_deg_seen = max(max_deg_seen, degree)
-                    if span.dim > budget.max_dim:
-                        return over_budget(max_deg_seen)
+                if span._insert_ints(z, l) and span.dim > budget.max_dim:
+                    return over_budget()
         start = end
     return ClosureOutcome("finite", span=span)
 

@@ -46,16 +46,31 @@ def _real(x) -> float:
     return float(x)
 
 
+def _per_control(algebra: str, preset: str, what: str,
+                 *lists) -> List[np.ndarray]:
+    """A preset's parameter lists as float arrays, one entry per control."""
+    n = N_CONTROLS.get(algebra)
+    if n and any(len(xs) != n for xs in lists):
+        raise ValueError(f"the {preset} preset of {algebra} needs {n} "
+                         f"{what}: one per control")
+    return [np.array([_real(x) for x in xs]) for xs in lists]
+
+
+def _check_step(h: float) -> None:
+    if not 0 < h < math.inf:
+        raise ValueError("grid step must be positive and finite")
+
+
 @dataclass
 class ControlSpec:
     """Sampled control functions on a uniform grid t_k = k h, k = 0..n_steps.
 
-    `sampler`, when given, maps an array of times to the controls at them,
-    shape (len(times), n_controls), and serves dense evaluation (RK4
-    midpoints); otherwise a cubic spline through the samples does.
+    `sampler` maps an array of times to the controls at them, shape
+    (len(times), n_controls), and serves dense evaluation (RK4 midpoints).
     `constant` and `sinusoid` build it as one numpy expression over all
-    controls, `from_funcs` as a loop over the times on Python floats.  The
-    grid needs at least one step.
+    controls, `from_funcs` as a loop over the times on Python floats; a
+    spec built from raw samples alone gets the cubic spline through them.
+    The grid needs at least one step.
     """
     algebra: str
     h: float
@@ -66,8 +81,7 @@ class ControlSpec:
     def __post_init__(self):
         if self.algebra not in N_CONTROLS:
             raise ValueError(f"unknown algebra {self.algebra!r}")
-        if not 0 < self.h < math.inf:
-            raise ValueError("grid step must be positive and finite")
+        _check_step(self.h)
         if self.n_steps < 1:
             raise ValueError(
                 f"the control grid has {self.n_steps} steps, it needs at "
@@ -78,26 +92,20 @@ class ControlSpec:
             raise ValueError(f"control array shape {self.u.shape}, want {want}")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("controls must be finite-valued")
-        self._spline = None
+        if self.sampler is None:
+            # only raw-sample controls need the spline, so only they pay
+            # for importing scipy.interpolate
+            from scipy.interpolate import CubicSpline
+
+            spline = CubicSpline(self.grid, self.u, axis=1)
+            self.sampler = lambda ts: spline(ts).T
 
     @property
     def grid(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h
 
-    def _sample_at(self, ts: np.ndarray) -> np.ndarray:
-        """The controls at the times `ts`, shape (len(ts), n_controls)."""
-        if self.sampler is not None:
-            return self.sampler(ts)
-        if self._spline is None:
-            # only raw-sample controls need the spline, so only they pay
-            # for importing scipy.interpolate
-            from scipy.interpolate import CubicSpline
-
-            self._spline = CubicSpline(self.grid, self.u, axis=1)
-        return self._spline(ts).T
-
     def evaluate(self, t: float) -> np.ndarray:
-        return self._sample_at(np.array([t]))[0]
+        return self.sampler(np.array([t]))[0]
 
     def stage_samples(self, substeps: int) -> np.ndarray:
         """Controls at the RK4 stage times t_j = j h / (2 substeps),
@@ -107,8 +115,8 @@ class ControlSpec:
         if substeps < 1:
             raise ValueError(f"substeps must be at least 1, not {substeps}")
         m = 2 * substeps * self.n_steps + 1
-        return read_only(self._sample_at(np.arange(m)
-                                         * (self.h / (2 * substeps))))
+        return read_only(self.sampler(np.arange(m)
+                                      * (self.h / (2 * substeps))))
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -116,6 +124,9 @@ class ControlSpec:
                      h: float) -> "ControlSpec":
         """The spec of `sampler`, sampled on the grid of step h that ends
         nearest t_final."""
+        _check_step(h)
+        if not math.isfinite(t_final):
+            raise ValueError("t_final must be finite")
         n_steps = int(round(t_final / h))
         u = sampler(np.arange(n_steps + 1) * h).T
         return ControlSpec(algebra, h, n_steps, u, sampler)
@@ -133,7 +144,7 @@ class ControlSpec:
     @staticmethod
     def constant(algebra: str, values: Sequence[float], t_final: float,
                  h: float) -> "ControlSpec":
-        v = np.array([_real(x) for x in values])
+        v, = _per_control(algebra, "constant", "values", values)
         return ControlSpec.from_sampler(
             algebra, lambda ts: np.tile(v, (len(ts), 1)), t_final, h)
 
@@ -149,13 +160,9 @@ class ControlSpec:
                 amps = obj["amplitudes"]
                 freqs = obj["frequencies"]
                 phases = obj.get("phases", [0.0] * len(amps))
-                n = N_CONTROLS.get(algebra)
-                if n and {len(amps), len(freqs), len(phases)} != {n}:
-                    raise ValueError(f"the sinusoid preset of {algebra} "
-                                     f"needs {n} amplitudes, frequencies and "
-                                     "phases: one per control")
-                A, w, p = (np.array([_real(x) for x in xs])
-                           for xs in (amps, freqs, phases))
+                A, w, p = _per_control(
+                    algebra, "sinusoid", "amplitudes, frequencies and phases",
+                    amps, freqs, phases)
 
                 def sinusoid(ts):
                     # u_j(t) = A_j sin(w_j t + p_j), by the operations of

@@ -378,6 +378,46 @@ class TestSimulate:
         assert_input_error(["simulate", "--algebra", "wh2", "--controls",
                             str(controls), "--fock-dim", "16"], capsys)
 
+    @staticmethod
+    def assert_one_error_line(controls, capsys):
+        """Exit code 2 with one `error:` line as all of stderr, and no
+        warning; returns that line."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = assert_input_error(["simulate", "--algebra", "wh2",
+                                      "--controls", str(controls),
+                                      "--fock-dim", "16"], capsys)
+        assert not caught, [str(w.message) for w in caught]
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"h": 0}, "grid step must be positive and finite"),
+        ({"h": float("nan")}, "grid step must be positive and finite"),
+        ({"h": float("inf")}, "grid step must be positive and finite"),
+        ({"t_final": float("nan")}, "t_final must be finite"),
+        ({"t_final": float("inf")}, "t_final must be finite"),
+    ])
+    def test_bad_grid_names_its_field(self, tmp_path, capsys, grid, message):
+        # both are checked before the preset divides t_final by h
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({
+            "preset": "constant", "values": [1.0, 0.1, 0.0],
+            "t_final": 0.05, "h": 1e-3, **grid}))
+        assert message in self.assert_one_error_line(controls, capsys)
+
+    @pytest.mark.parametrize("entries", [
+        {"preset": "constant", "values": [1.0, 0.1]},
+        {"preset": "constant", "values": [1.0, 0.1, 0.0, 0.0]},
+    ])
+    def test_constant_preset_names_the_count_it_needs(self, tmp_path, capsys,
+                                                      entries):
+        controls = tmp_path / "c.json"
+        controls.write_text(json.dumps({"t_final": 0.01, "h": 1e-3,
+                                        **entries}))
+        err = self.assert_one_error_line(controls, capsys)
+        assert "the constant preset of wh2 needs 3 values" in err, err
+
     @pytest.mark.parametrize("algebra, n", [("wh2", 3), ("schrodinger", 5)])
     def test_each_control_sampled_once_per_grid(self, tmp_path, monkeypatch,
                                                  algebra, n):

@@ -4,7 +4,7 @@ markdown and as JSON), `skewweyl enumerate` on a non-monomial basis,
 `skewweyl classify` on eight closed spans, `skewweyl closure` on five
 filiform chain generator pairs, on {∂, x∂, x⁵} and on six pairs that one
 infiniteness rule each decides or that stop inconclusive, `skewweyl igusa`
-on the pairs of tests/data/igusa_pairs.json and `skewweyl simulate` on four
+on the pairs of tests/data/igusa_pairs.json and `skewweyl simulate` on five
 short control files; `scripts/factorization_demo.py`, whose output is
 float-formatted, only has to run and agree with the direct propagator.
 
@@ -16,6 +16,8 @@ or
 ``PYTHONPATH=src python -m skewweyl.cli simulate --algebra schrodinger --controls tests/data/controls_schrodinger_constant.json --fock-dim 32 > tests/golden/simulate_schrodinger_constant.json``
 or
 ``PYTHONPATH=src python -m skewweyl.cli simulate --algebra schrodinger --controls tests/data/controls_schrodinger_sinusoid.json --fock-dim 32 > tests/golden/simulate_schrodinger_sinusoid.json``
+or
+``PYTHONPATH=src python -m skewweyl.cli simulate --algebra schrodinger --controls tests/data/controls_schrodinger_samples.json --fock-dim 32 > tests/golden/simulate_schrodinger_samples.json``
 (every `simulate` golden is compared byte for byte, and its bytes do not
 depend on the number of BLAS threads);
 the `igusa` golden is
@@ -117,6 +119,9 @@ SIMULATE = {
     # constant controls: broadcast samples, the oracle's eigenbasis form
     # and the RK4 factors
     "schrodinger_constant": ("schrodinger", 32),
+    # raw samples, 30 steps of varying values: the cubic spline through
+    # them serves the factor solver's and the oracle's stage grids
+    "schrodinger_samples": ("schrodinger", 32),
 }
 
 
@@ -202,6 +207,11 @@ def test_simulate_schrodinger_constant_matches_golden():
         GOLDEN / "simulate_schrodinger_constant.json").read_text()
 
 
+def test_simulate_schrodinger_samples_matches_golden():
+    assert _simulate("schrodinger_samples") == (
+        GOLDEN / "simulate_schrodinger_samples.json").read_text()
+
+
 def _demo(monkeypatch, *args) -> int:
     """Exit code of scripts/factorization_demo.py run on `args`, in this
     interpreter: a fresh one would spend most of a test on importing numpy
@@ -230,8 +240,9 @@ def test_factorization_demo_agrees_with_oracle(algebra, u, monkeypatch,
 
 @pytest.mark.parametrize("args, message", [
     (["--fock-dim", "8"], "--fock-dim must be at least 16"),
-    (["--u", "1.0", "0.2"], "control array shape (2, 201), want (3, 201)"),
+    (["--u", "1.0", "0.2"], "preset of wh2 needs 3 values"),
     (["--csv", "{missing}/out.csv"], "No such file or directory"),
+    (["--h", "0"], "grid step must be positive and finite"),
 ])
 def test_factorization_demo_rejects_bad_input(args, message, monkeypatch,
                                               capsys, tmp_path):
@@ -245,7 +256,8 @@ def test_factorization_demo_rejects_bad_input(args, message, monkeypatch,
 
 def test_numerical_modules_import_no_scipy_integrate():
     # scipy.integrate and scipy.interpolate cost most of the simulate
-    # start-up; only raw-sample controls load the latter, on first use
+    # start-up; only raw-sample controls load the latter, when their spec
+    # is built
     code = ("import sys\n"
             "import skewweyl.cli, skewweyl.wei_norman, skewweyl.fock_oracle\n"
             "print(sorted(m for m in sys.modules if m.startswith("

@@ -326,6 +326,31 @@ class TestClosures:
         assert out.outcome == "inconclusive"
         assert out.budget_report["dim_reached"] == max_dim + 1
 
+    @pytest.mark.parametrize("gens, within, max_dim, reached", [
+        # generator loop: the overflowing degree-1 generator follows a
+        # quartic
+        ([gp(4, 0), gm(1, 0)], None, 1, (2, 4)),
+        # bracket loop: the overflowing brackets have degrees 1 and 2
+        ([gp(1, 0), gm(3, 0), gp(4, 0)], None, 5, (6, 5)),
+        ([gp(1, 0), gm(3, 0), gp(4, 0)], None, 12, (13, 7)),
+        # extending the span of the quartic: its degree counts, at a
+        # generator and at brackets of degrees 3 and 2
+        ([gm(1, 0)], [gp(4, 0)], 1, (2, 4)),
+        ([gm(1, 0)], [gp(4, 0)], 2, (3, 4)),
+        ([gm(1, 0)], [gp(4, 0)], 4, (5, 5)),
+    ], ids=["generators", "brackets_5", "brackets_12", "within_generator",
+            "within_brackets_2", "within_brackets_4"])
+    def test_dim_budget_reports_the_highest_degree_of_the_span(
+            self, gens, within, max_dim, reached):
+        # degree_reached is the highest degree in the span that overflowed,
+        # not the degree of the element that overflowed it
+        if within is not None:
+            within = _raw_closure(within, Budget(max_dim, 24)).span
+        out = _raw_closure(gens, Budget(max_dim, 24), within=within)
+        assert out.outcome == "inconclusive"
+        report = out.budget_report
+        assert (report["dim_reached"], report["degree_reached"]) == reached
+
     @pytest.mark.parametrize("gens", [[gp(5, 0), gp(0, 0)],
                                       [gp(5, 0) + gm(5, 0)]],
                              ids=["monomial", "mixed"])

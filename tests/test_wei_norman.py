@@ -94,6 +94,8 @@ class TestControlSpec:
         spec = ControlSpec.from_json({"algebra": "wh2", "h": 0.2,
                                       "controls": u.tolist()})
         assert spec.n_steps == 5
+        # the spline is the spec's sampler once it is built
+        assert np.allclose(spec.sampler(spec.grid).T, u)
         # spline evaluation reproduces nodes exactly
         assert spec.evaluate(0.4)[0] == pytest.approx(0.4)
 

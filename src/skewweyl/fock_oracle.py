@@ -1,10 +1,11 @@
-"""Truncated Fock-space oracle: independent floating-point checks of the
-symbolic engine and direct time-ordered propagation.
+"""Truncated Fock-space oracle: direct time-ordered propagation, the
+reference `simulate` checks the Wei–Norman factors against.
 
 Matrices act on the number basis |0>..|N-1> with a|n> = sqrt(n)|n-1>.
 Truncation spills only upward through powers of a†, so any identity between
 polynomials of total degree D is exact on the rows/columns with index
-< N - D (the leak-free interior block); all cross-checks assert there.
+< N - D (the leak-free interior block), where the bracket and product
+cross-checks of tests/test_fock_oracle.py assert.
 """
 
 from __future__ import annotations
@@ -64,38 +65,6 @@ def fock_matrix(p: WeylPoly, N: int) -> np.ndarray:
             m = ad_pows[alpha] if alpha else a_pows[beta]
         out += complex(c) * m
     return out
-
-
-def interior_error(M: np.ndarray, total_degree: int) -> float:
-    """Max magnitude on the leak-free block rows/cols < N - total_degree."""
-    N = M.shape[0]
-    k = N - total_degree
-    if k <= 0:
-        raise ValueError("truncation too small for the requested degrees")
-    return float(np.max(np.abs(M[:k, :k])))
-
-
-def commutator_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
-    """Max interior-block deviation between the symbolic commutator and the
-    matrix commutator."""
-    dp = 0 if p.degree is NEG_INF else p.degree
-    dq = 0 if q.degree is NEG_INF else q.degree
-    if N < dp + dq + 2:
-        raise ValueError("need N >= deg p + deg q + 2")
-    Mp, Mq = fock_matrix(p, N), fock_matrix(q, N)
-    Mc = fock_matrix(p.commutator(q), N)
-    return interior_error(Mc - (Mp @ Mq - Mq @ Mp), dp + dq)
-
-
-def product_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
-    """Same leak-free comparison for the associative product."""
-    dp = 0 if p.degree is NEG_INF else p.degree
-    dq = 0 if q.degree is NEG_INF else q.degree
-    if N < dp + dq + 2:
-        raise ValueError("need N >= deg p + deg q + 2")
-    return interior_error(
-        fock_matrix(p * q, N) - fock_matrix(p, N) @ fock_matrix(q, N), dp + dq
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -850,11 +850,5 @@ def centralizer_in(x: SkewPoly, ambient: LieSpan) -> LieSpan:
     keys = {k for im in images for k in im.terms}
     kernel = Rref([[im.terms.get(k, Fraction(0)) for im in images] for k in keys],
                   ambient.dim).nullspace()
-    out = LieSpan()
-    for vec in kernel:
-        denom = math.lcm(*(c.denominator for c in vec.values()))
-        acc = SkewPoly()
-        for j, c in vec.items():
-            acc = acc + ambient.basis[j].scale(c * denom)
-        out.insert(acc)
-    return out
+    return LieSpan(sum((ambient.basis[j].scale(c) for j, c in vec.items()),
+                       SkewPoly()) for vec in kernel)

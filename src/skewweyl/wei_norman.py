@@ -127,7 +127,10 @@ class ControlSpec:
         _check_step(h)
         if not math.isfinite(t_final):
             raise ValueError("t_final must be finite")
-        n_steps = int(round(t_final / h))
+        steps = t_final / h
+        if not math.isfinite(steps):
+            raise ValueError("the step count t_final / h overflows")
+        n_steps = int(round(steps))
         u = sampler(np.arange(n_steps + 1) * h).T
         return ControlSpec(algebra, h, n_steps, u, sampler)
 

@@ -274,9 +274,6 @@ class WeylPoly:
             return NEG_INF
         return max(a + b for a, b in self.terms)
 
-    def truncate_to_degree(self, d: int) -> "WeylPoly":
-        return WeylPoly({k: v for k, v in self.terms.items() if k[0] + k[1] <= d})
-
     def coeff(self, alpha: int, beta: int) -> GaussianRational:
         return self.terms.get((alpha, beta), GR_ZERO)
 
@@ -487,7 +484,7 @@ CONTROL_GENERATORS["wh2"] = CONTROL_GENERATORS["schrodinger"][:3]
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats (bit-exact fraction strings)
+# JSON wire format (bit-exact fraction strings)
 # ---------------------------------------------------------------------------
 
 def skew_to_json(s: SkewPoly) -> dict:
@@ -526,45 +523,24 @@ def _exact(value) -> Fraction:
     raise ValueError(f"coefficient {value!r} is not of the form n or n/d")
 
 
-def _terms_from_json(obj, name: str, read) -> dict:
-    """The terms of the array obj[name], summed by key; `read(e, gamma)`
-    gives one term's (key, coefficient).  alpha and beta must be JSON
-    integers: 1.7 or true is a bad term, not 1."""
+def skew_from_json(obj: dict) -> SkewPoly:
+    """The element of obj["skew"], its terms summed by key.  alpha and beta
+    must be JSON integers: 1.7 or true is a bad term, not 1."""
     try:
-        entries = obj[name]
+        entries = obj["skew"]
     except (KeyError, TypeError):
-        raise ValueError(f"expected an object with a '{name}' array")
+        raise ValueError("expected an object with a 'skew' array")
     terms: dict = {}
     for i, e in enumerate(entries):
         try:
             gamma = (e["alpha"], e["beta"])
             if type(gamma[0]) is not int or type(gamma[1]) is not int:
                 raise TypeError(f"alpha and beta must be integers, got {gamma}")
-            key, c = read(e, gamma)
+            key, c = (_SIGNS[e["sigma"]], gamma), _exact(e["coeff"])
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"bad {name} term at index {i}: {exc}") from exc
+            raise ValueError(f"bad skew term at index {i}: {exc}") from exc
         terms[key] = terms[key] + c if key in terms else c
-    return terms
-
-
-def skew_from_json(obj: dict) -> SkewPoly:
-    terms = _terms_from_json(obj, "skew", lambda e, gamma: (
-        (_SIGNS[e["sigma"]], gamma), _exact(e["coeff"])))
     if all(c and 0 <= beta <= alpha and (sigma == PLUS or alpha > beta)
            for (sigma, (alpha, beta)), c in terms.items()):
         return SkewPoly._from_terms(terms)
     return SkewPoly(terms)  # drops zero sums, then checks the keys
-
-
-def weyl_to_json(p: WeylPoly) -> dict:
-    return {
-        "weyl": [
-            {"alpha": a, "beta": b, "re": str(c.re), "im": str(c.im)}
-            for (a, b), c in sorted(p.terms.items())
-        ]
-    }
-
-
-def weyl_from_json(obj: dict) -> WeylPoly:
-    return WeylPoly(_terms_from_json(obj, "weyl", lambda e, gamma: (
-        gamma, GaussianRational(_exact(e["re"]), _exact(e["im"])))))

@@ -15,8 +15,7 @@ from skewweyl.classify import (derived_series, fingerprint,
                                reference_structure)
 from skewweyl.enumerate import (brute_force_subalgebras,
                                 enumerate_subalgebras, glossary_report)
-from skewweyl.fock_oracle import (commutator_crosscheck, direct_propagator,
-                                  state_fidelity)
+from skewweyl.fock_oracle import direct_propagator, state_fidelity
 from skewweyl.igusa import (chain_degrees, identity_check, symplectic_search,
                             verify_certificate)
 from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
@@ -27,6 +26,8 @@ from skewweyl.wei_norman import (ControlSpec, factored_propagator,
                                  wh2_factors)
 from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, number_op,
                                 schrodinger_monomials, unit_i)
+
+from test_fock_oracle import commutator_crosscheck
 
 M = SkewPoly.monomial
 

@@ -397,9 +397,12 @@ class TestSimulate:
         ({"h": float("inf")}, "grid step must be positive and finite"),
         ({"t_final": float("nan")}, "t_final must be finite"),
         ({"t_final": float("inf")}, "t_final must be finite"),
+        ({"h": 1e-320}, "the step count t_final / h overflows"),
+        ({"t_final": 1e300, "h": 1e-10}, "the step count t_final / h overflows"),
     ])
     def test_bad_grid_names_its_field(self, tmp_path, capsys, grid, message):
-        # both are checked before the preset divides t_final by h
+        # both are checked before the preset divides t_final by h, and the
+        # quotient before it is rounded
         controls = tmp_path / "c.json"
         controls.write_text(json.dumps({
             "preset": "constant", "values": [1.0, 0.1, 0.0],

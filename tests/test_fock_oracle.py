@@ -8,13 +8,49 @@ from scipy.linalg.blas import zaxpy, zgbmv
 
 from skewweyl import fock_oracle
 from skewweyl.fock_oracle import (BAND, _STAGED_STEPS, UnitarityDriftError,
-                                  _band_table, annihilator,
-                                  commutator_crosscheck, direct_propagator,
+                                  _band_table, annihilator, direct_propagator,
                                   fock_matrix, hermitian_generators,
-                                  interior_error, product_crosscheck,
                                   state_fidelity)
-from skewweyl.weyl_core import GR_I, GaussianRational, WeylPoly
+from skewweyl.weyl_core import GR_I, NEG_INF, GaussianRational, WeylPoly
 from skewweyl.wei_norman import ControlSpec
+
+
+# ---------------------------------------------------------------------------
+# Reference checks of the exact normal-ordered ring against matrices
+# ---------------------------------------------------------------------------
+
+def interior_error(M: np.ndarray, total_degree: int) -> float:
+    """Max magnitude on the leak-free block rows/cols < N - total_degree."""
+    N = M.shape[0]
+    k = N - total_degree
+    if k <= 0:
+        raise ValueError("truncation too small for the requested degrees")
+    return float(np.max(np.abs(M[:k, :k])))
+
+
+def _degrees(p: WeylPoly, q: WeylPoly, N: int) -> int:
+    """deg p + deg q (the zero polynomial counts 0), if N leaves room."""
+    dp = 0 if p.degree is NEG_INF else p.degree
+    dq = 0 if q.degree is NEG_INF else q.degree
+    if N < dp + dq + 2:
+        raise ValueError("need N >= deg p + deg q + 2")
+    return dp + dq
+
+
+def commutator_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
+    """Max interior-block deviation between the symbolic commutator and the
+    matrix commutator."""
+    d = _degrees(p, q, N)
+    Mp, Mq = fock_matrix(p, N), fock_matrix(q, N)
+    return interior_error(
+        fock_matrix(p.commutator(q), N) - (Mp @ Mq - Mq @ Mp), d)
+
+
+def product_crosscheck(p: WeylPoly, q: WeylPoly, N: int) -> float:
+    """Same leak-free comparison for the associative product."""
+    d = _degrees(p, q, N)
+    return interior_error(
+        fock_matrix(p * q, N) - fock_matrix(p, N) @ fock_matrix(q, N), d)
 
 
 class TestMatrices:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from skewweyl import lie_engine, weyl_core
 from skewweyl.classify import identify
+from skewweyl.enumerate import enumerate_subalgebras
 from skewweyl.lie_engine import (
     Budget,
     ClosureOutcome,
@@ -43,7 +44,8 @@ from skewweyl.weyl_core import (
     unit_i,
 )
 
-from test_linalg import solve
+from test_commuting import _json
+from test_linalg import from_sympy, solve, to_sympy
 from test_weyl_core import assert_record_contract
 
 
@@ -676,3 +678,24 @@ class TestCentralizer:
     def test_requires_closed_span(self):
         with pytest.raises(ValueError):
             centralizer_in(gp(1, 0), LieSpan([gp(1, 0), gm(1, 0)]))
+
+    def test_equals_the_sympy_kernel_of_ad_x(self):
+        # on the glossary spans and the chain closures, for each basis
+        # element and the sum of the basis: the span of sympy's nullspace
+        # of the ad x matrix, on which x commutes with every element
+        spans = [r.span for r in enumerate_subalgebras(schrodinger_monomials())]
+        spans += [lie_closure(_json(f"closure_chain_{n}.json")).span
+                  for n in range(3, 8)]
+        for span in spans:
+            for x in [*span.basis, sum(span.basis, SkewPoly())]:
+                images = [bracket(x, b) for b in span.basis]
+                keys = {k for im in images for k in im.terms}
+                ad = to_sympy([[im.coeff(*k) for im in images] for k in keys],
+                              span.dim)
+                want = LieSpan(
+                    sum((b.scale(from_sympy(c))
+                         for b, c in zip(span.basis, v)), SkewPoly())
+                    for v in ad.nullspace())
+                got = centralizer_in(x, span)
+                assert got == want
+                assert all(not bracket(x, c) for c in got.basis)

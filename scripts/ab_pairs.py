@@ -7,13 +7,22 @@ alternating pairs of runs.
 Each pair runs `perfbench/run.py --workload W --seed N --seconds S
 --trace 0` once in each checkout, each in a fresh process, and the side
 that runs first alternates from pair to pair.  S is `run_seconds` of the
-change's `BENCHMARK.json`, whose `end_to_end` list names the metrics and
-their better direction.  Per metric the script prints each side's
-median and quartiles, the pairs in which the change is better, and whether
-the change passes the rule for a claimed gain: better in at least 9 of 10
-pairs, and a median that differs from the parent's, in the better
-direction, by more than the parent's interquartile range.  It exits 1 if a
-run does not report `correct`.
+change's `BENCHMARK.json`, whose `end_to_end` list names the metrics,
+their better direction and their bound.  Per metric the script prints each
+side's median and quartiles, the pairs in which the change is better,
+whether the change passes the rule for a claimed gain (better in at least
+9 of 10 pairs, and a median that differs from the parent's, in the better
+direction, by more than the parent's interquartile range), and one
+no-regression verdict:
+
+- `worse than bound`: the change's median is worse than the parent's by
+  more than bound × the parent's median;
+- `unresolved`: otherwise, the parent's interquartile range exceeds
+  bound × its median, unless every change run beats every parent run;
+- `within bound`: otherwise.
+
+It exits 1 if a run does not report `correct` or a metric is worse than
+its bound.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from typing import Dict, List, Sequence
 
 #: share of pairs the change must win for a claimed gain
 WIN_SHARE = 0.9
+
+#: the no-regression verdicts
+WITHIN, WORSE, UNRESOLVED = "within bound", "worse than bound", "unresolved"
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -53,9 +65,9 @@ def _quartiles(values: Sequence[float]) -> List[float]:
 def summarize(parent: Sequence[Dict[str, float]],
               change: Sequence[Dict[str, float]],
               metrics: Sequence[dict]) -> List[dict]:
-    """One row per metric of `metrics` (each {"name", "better"}, better
-    "lower" or "higher") from the parent's and the change's metric values,
-    run i of each side making pair i."""
+    """One row per metric of `metrics` (each {"name", "better", "bound"},
+    better "lower" or "higher") from the parent's and the change's metric
+    values, run i of each side making pair i."""
     rows = []
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "lower" else -1
@@ -64,10 +76,18 @@ def summarize(parent: Sequence[Dict[str, float]],
         pq, cq = _quartiles(p), _quartiles(c)
         wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         gap = sign * (pq[1] - cq[1])
+        allowed = m["bound"] * abs(pq[1])
+        if -gap > allowed:
+            verdict = WORSE
+        elif pq[2] - pq[0] > allowed and \
+                max(sign * x for x in c) >= min(sign * x for x in p):
+            verdict = UNRESOLVED
+        else:
+            verdict = WITHIN
         rows.append({"name": name, "parent": pq, "change": cq,
                      "wins": wins, "pairs": len(p),
                      "gain": wins >= WIN_SHARE * len(p)
-                     and gap > pq[2] - pq[0]})
+                     and gap > pq[2] - pq[0], "verdict": verdict})
     return rows
 
 
@@ -95,16 +115,17 @@ def main(argv=None) -> int:
                                 for k, v in doc["metrics"].items()})
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{seconds:g} s runs; quartiles q1 / median / q3")
-    for row in summarize(sides["parent"], sides["change"],
-                         bench["end_to_end"]):
+    rows = summarize(sides["parent"], sides["change"], bench["end_to_end"])
+    for row in rows:
         p, c = row["parent"], row["change"]
         rel = (c[1] - p[1]) / p[1] if p[1] else 0.0
         print(f"  {row['name']:<13} parent {p[0]:.5g} / {p[1]:.5g} / "
               f"{p[2]:.5g}  change {c[0]:.5g} / {c[1]:.5g} / {c[2]:.5g}  "
               f"({rel:+.1%})  change better in "
               f"{row['wins']}/{row['pairs']}  gain "
-              f"{'holds' if row['gain'] else 'does not hold'}")
-    return 0
+              f"{'holds' if row['gain'] else 'does not hold'}  "
+              f"{row['verdict']}")
+    return int(any(row["verdict"] == WORSE for row in rows))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from typing import Tuple
 import numpy as np
 from scipy.linalg.blas import zaxpy, zgbmv
 
-from .weyl_core import CONTROL_GENERATORS, NEG_INF, WeylPoly
+from .weyl_core import (CONTROL_GENERATORS, GR_ZERO, GaussianRational,
+                         _weyl_terms)
 
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
@@ -34,43 +35,6 @@ BAND = max(alpha - beta for gens in CONTROL_GENERATORS.values()
 _STAGED_STEPS = 64
 
 
-def annihilator(N: int) -> np.ndarray:
-    a = np.zeros((N, N), dtype=complex)
-    n = np.arange(1, N)
-    a[n - 1, n] = np.sqrt(n)
-    return a
-
-
-def fock_matrix(p: WeylPoly, N: int) -> np.ndarray:
-    """Matrix of a normal-ordered polynomial in the truncated number basis."""
-    d = p.degree
-    if d is not NEG_INF and N <= d:
-        raise ValueError(f"truncation dim {N} must exceed degree {d}")
-    a = annihilator(N)
-    ad = a.conj().T
-    # cache powers, from the zeroth
-    a_pows = [np.eye(N, dtype=complex), a]
-    for _ in range(1, max((b for _, b in p.terms), default=0)):
-        a_pows.append(a_pows[-1] @ a)
-    ad_pows = [a_pows[0], ad]
-    for _ in range(1, max((al for al, _ in p.terms), default=0)):
-        ad_pows.append(ad_pows[-1] @ ad)
-    out = np.zeros((N, N), dtype=complex)
-    for (alpha, beta), c in p.terms.items():
-        # a term with one exponent 0 is the other power itself, not its
-        # product with the identity
-        if alpha and beta:
-            m = ad_pows[alpha] @ a_pows[beta]
-        else:
-            m = ad_pows[alpha] if alpha else a_pows[beta]
-        out += complex(c) * m
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians and direct propagation
-# ---------------------------------------------------------------------------
-
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a`, marked read-only: what a cache hands out is shared."""
     a.flags.writeable = False
@@ -78,16 +42,49 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def hermitian_generators(algebra: str, N: int) -> Tuple[np.ndarray, ...]:
-    """Hermitian control generators H_j = -i X_j, so that
-    H(t) = sum u_j(t) H_j, as N x N matrices of the exact skew generators
-    X_j in `weyl_core.CONTROL_GENERATORS`: wh2 -> (a†a, -i(a-a†), a+a†);
-    schrodinger adds (-i(a²-a†²), a²+a†²).  Cached per (algebra, N), and
-    read-only."""
+def _band_table(algebra: str, N: int) -> np.ndarray:
+    """-i H_j = -X_j in LAPACK band storage, one generator after another:
+    entry [j, c, BAND - d] is -i H_j[c - d, c] for column c and the offsets
+    d = -BAND..BAND, zero where c - d leaves the truncation.  Shape
+    (n_generators, N, 2 BAND + 1); the transpose of a slab [j] is the
+    Fortran-ordered (2 BAND + 1, N) array that BLAS `zgbmv` reads with
+    BAND sub- and superdiagonals.  Read from the skew keys of the X_j in
+    `weyl_core.CONTROL_GENERATORS`: a term c (a†)^p a^q maps |m + q> to
+    c √(m+1)⋯√(m+p)·√(m+1)⋯√(m+q) |m + p>.  Cached and read-only."""
     if algebra not in CONTROL_GENERATORS:
         raise ValueError(f"unknown algebra {algebra!r}")
-    return tuple(read_only(-1j * fock_matrix(X.to_weyl(), N))
-                 for X in CONTROL_GENERATORS[algebra])
+    gens = CONTROL_GENERATORS[algebra]
+    if N <= (d := max(X.degree for X in gens)):
+        raise ValueError(f"truncation dim {N} must exceed degree {d}")
+    root = np.sqrt(np.arange(N))
+    table = np.zeros((len(gens), N, 2 * BAND + 1), dtype=complex)
+    for j, X in enumerate(gens):
+        acc = {}  # the normal-ordered terms of X_j, summed exactly
+        for key, c in X.terms.items():
+            for g, re, im in _weyl_terms(key):
+                acc[g] = acc.get(g, GR_ZERO) + GaussianRational(re * c, im * c)
+        for (p, q), c in acc.items():
+            m = np.arange(N - max(p, q))
+            w = root[m[:, None] + np.r_[1:p + 1, 1:q + 1]].prod(axis=1)
+            table[j, m + q, BAND + p - q] -= complex(c) * w
+    return read_only(table)
+
+
+def _dense(bands: np.ndarray) -> np.ndarray:
+    """The N x N matrices that `bands` holds as `_band_table` does."""
+    N = bands.shape[-2]
+    out = np.zeros(bands.shape[:-1] + (N,), dtype=complex)
+    for d in range(-BAND, BAND + 1):
+        cols = np.arange(max(0, d), min(N, N + d))
+        out[..., cols - d, cols] = bands[..., cols, BAND - d]
+    return out
+
+
+def hermitian_generators(algebra: str, N: int) -> Tuple[np.ndarray, ...]:
+    """Hermitian control generators H_j = -i X_j, so that H(t) =
+    sum u_j(t) H_j: wh2 -> (a†a, -i(a-a†), a+a†); schrodinger adds
+    (-i(a²-a†²), a²+a†²).  Written out from `_band_table` on each call."""
+    return tuple(_dense(1j * _band_table(algebra, N)))
 
 
 class UnitarityDriftError(RuntimeError):
@@ -98,23 +95,6 @@ class UnitarityDriftError(RuntimeError):
         )
         self.drift = drift
         self.step = step
-
-
-@functools.lru_cache(maxsize=8)
-def _band_table(algebra: str, N: int) -> np.ndarray:
-    """-i H_j in LAPACK band storage, one generator after another: entry
-    [j, c, BAND - d] is -i H_j[c - d, c] for column c and the offsets
-    d = -BAND..BAND, zero where c - d leaves the truncation.  Shape
-    (n_generators, N, 2 BAND + 1); the transpose of a slab [j] is the
-    Fortran-ordered (2 BAND + 1, N) array that BLAS `zgbmv` reads with
-    BAND sub- and superdiagonals.  Cached per (algebra, N), and
-    read-only."""
-    gens = np.stack(hermitian_generators(algebra, N))
-    table = np.zeros((len(gens), N, 2 * BAND + 1), dtype=complex)
-    for d in range(-BAND, BAND + 1):
-        cols = np.arange(max(0, d), min(N, N + d))
-        table[:, cols, BAND - d] = -1j * gens[:, cols - d, cols]
-    return read_only(table)
 
 
 def state_columns(psi0, N: int) -> Tuple[np.ndarray, tuple]:
@@ -221,8 +201,9 @@ def _rk4_power(algebra: str, u0: np.ndarray, N: int, Y0: np.ndarray,
                h: float, n_steps: int) -> np.ndarray:
     """n RK4 steps of Y0 under the constant controls `u0`.  One step is
     the matrix T4(z) = 1 + z + z²/2 + z³/6 + z⁴/24 of z = -i h H, so n
-    steps are T4(z)^n, applied in the eigenbasis of the hermitian H."""
-    H = sum(c * Hj for c, Hj in zip(u0, hermitian_generators(algebra, N)))
+    steps are T4(z)^n, applied in the eigenbasis of the hermitian H, whose
+    band is the controls' combination of the `_band_table` slabs."""
+    H = _dense(1j * np.tensordot(u0, _band_table(algebra, N), 1))
     lam, V = np.linalg.eigh(H)
     z = -1j * h * lam
     step = 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))

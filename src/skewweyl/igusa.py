@@ -6,8 +6,9 @@ commutator chain of strictly increasing degree: if a0·b0 != 0 and the mixed
 invariant delta = d2·a1·b0 - d1·a0·b1 != 0, the generated Lie algebra is
 infinite-dimensional.  When the raw coefficients fail the test, a symplectic
 change of frame a† -> s11·a† + s12·a, a -> s21·a† + s22·a (det = 1) can make
-them generic; `symplectic_search` decides whether some frame does, and
-returns a re-checkable certificate when one does.
+them generic; `symplectic_search` looks for a frame that does, and
+returns a re-checkable certificate when it finds one.  It decides only
+while the float frames clear NUMERIC_TOLERANCE: see `symplectic_search`.
 
 The leading data in a new frame come from the top homogeneous part alone.
 Substituting the frame into (a†)^α a^β and normal ordering the result gives
@@ -89,18 +90,25 @@ def _frame_leading(e: SkewPoly, frame) -> Tuple[int, complex, complex]:
     sum of the |coefficients| of the transformed degree-d part: the values
     do not depend on the element's scale, and their rounding error stays
     near machine precision in every frame, far below NUMERIC_TOLERANCE.
+    Where a power of the frame leaves the float range (at d = 1420 for
+    s = 1/2), a0 and a1 are NaN, which no test counts as nonzero: such a
+    frame certifies nothing.  A coefficient of e with no float value
+    raises OverflowError.
     """
     s11, s12, s21, s22 = frame
     r1, r2 = abs(s11) + abs(s12), abs(s21) + abs(s22)
     a0 = a1 = 0j
     scale = 0.0
     for alpha, beta, c in _top_terms(e):
-        scale += abs(c) * r1 ** alpha * r2 ** beta
-        a0 += c * s12 ** alpha * s22 ** beta
-        if alpha:
-            a1 += c * alpha * s11 * s12 ** (alpha - 1) * s22 ** beta
-        if beta:
-            a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
+        try:
+            scale += abs(c) * r1 ** alpha * r2 ** beta
+            a0 += c * s12 ** alpha * s22 ** beta
+            if alpha:
+                a1 += c * alpha * s11 * s12 ** (alpha - 1) * s22 ** beta
+            if beta:
+                a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
+        except OverflowError:
+            return e.degree, math.nan, math.nan
     return e.degree, a0 / scale, a1 / scale
 
 
@@ -232,17 +240,21 @@ def _evaluate_frame(e1: SkewPoly, e2: SkewPoly,
     d2, b0, b1 = _frame_leading(e2, frame)
     prod = a0 * b0
     dlt = d2 * a1 * b0 - d1 * a0 * b1
+    # NaN leading data, from a frame past the float range, fail both tests
     if abs(prod) > NUMERIC_TOLERANCE and abs(dlt) > NUMERIC_TOLERANCE:
         return IgusaCertificate("infinite", params, prod, dlt)
     return None
 
 
 def symplectic_search(e1: SkewPoly, e2: SkewPoly) -> Optional[IgusaCertificate]:
-    """The first certifying frame, or None where no frame certifies (module
-    docstring): None at once, with no frame evaluated, unless the top parts'
-    bracket has degree d1 + d2 - 2; else the exact identity, then the D + 1
-    frames SymplecticParams(1/2, 0, 2πk/(D + 1)), with distinct ratios
-    s12/s22 = e^{iθ}·tanh(1/2).  Float frames must clear NUMERIC_TOLERANCE."""
+    """The first certifying frame, or None: None at once, with no frame
+    evaluated, when the top parts' bracket has degree below d1 + d2 - 2, as
+    then no frame certifies (module docstring); else the exact identity, then
+    the D + 1 frames SymplecticParams(1/2, 0, 2πk/(D + 1)), with distinct
+    ratios s12/s22 = e^{iθ}·tanh(1/2).  Float frames must clear
+    NUMERIC_TOLERANCE, so the search decides only at low degree: the
+    normalised a0·b0 and delta shrink like 4^-d, and for g+^(d,0) and
+    g-^(d,0), which some frame certifies, it finds none from d = 18 on."""
     _require_high_degree(e1, e2, "symplectic_search")
     d1, d2 = e1.degree, e2.degree
     if bracket(e1.top_part(), e2.top_part()).degree != d1 + d2 - 2:

@@ -617,38 +617,34 @@ def _raw_closure(gens: Sequence[SkewPoly], budget: Budget,
 CHAIN_GROWTH = 3
 
 
-def chain_witness(seed: SkewPoly, aux, steps: int = 8,
+def chain_witness(seed: SkewPoly, aux: SkewPoly, steps: int = 8,
                   max_degree: float = math.inf) -> Optional[InfinitenessWitness]:
-    """Run the commutator chain u <- [u, s] and look for sustained strict
+    """Run the commutator chain u <- [u, aux] and look for sustained strict
     degree growth.
 
-    `aux` is either a fixed SkewPoly or a sequence cycled over the steps.
     Returns a witness carrying the chain prefix once CHAIN_GROWTH
     consecutive strict degree increases are seen, else None; also None at
     the first chain element of degree above `max_degree`.
     """
     if steps < 2:
         raise ValueError("need at least two chain steps")
-    aux_seq = [aux] if isinstance(aux, SkewPoly) else list(aux)
-    if all(s.degree <= 2 for s in aux_seq):
-        # deg [u, s] <= deg u + deg s - 2: no step can raise the degree
+    if aux.degree <= 2:
+        # deg [u, aux] <= deg u + deg aux - 2: no step can raise the degree
         return None
-    # [u, s] = 0 when u shares the linear root of s (see
+    # [u, aux] = 0 when u shares the linear root of aux (see
     # `LieSpan.bracket_pair`)
-    roots = [_root_of(_integer_terms(s.terms)[1], s.degree) for s in aux_seq]
+    root = _root_of(_integer_terms(aux.terms)[1], aux.degree)
     u = seed
     if u.degree > max_degree:
         return None
     degrees = [u.degree]
     chain = [u]
     growth = 0
-    for step in range(steps):
-        s = aux_seq[step % len(aux_seq)]
-        root = roots[step % len(aux_seq)]
+    for _ in range(steps):
         if root is not None and _root_of(_integer_terms(u.terms)[1],
                                          u.degree, root):
             return None
-        u = bracket(u, s)
+        u = bracket(u, aux)
         if not u or u.degree > max_degree:
             return None
         chain.append(u)
@@ -661,7 +657,7 @@ def chain_witness(seed: SkewPoly, aux, steps: int = 8,
                     evidence={
                         "degrees": degrees,
                         "chain": [skew_to_json(c) for c in chain],
-                        "aux": [skew_to_json(a) for a in aux_seq],
+                        "aux": [skew_to_json(aux)],
                     },
                 )
         else:

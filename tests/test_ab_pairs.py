@@ -9,8 +9,14 @@ _spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"},
-           {"name": "rate", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "rate", "better": "higher", "bound": 0.25}]
+
+#: ten parent runs with median 12 and interquartile range 2, within the
+#: bound 0.25 × 12 = 3
+STEADY = [10, 11, 12, 13, 14, 10, 11, 12, 13, 14]
+#: ten parent runs with median 12 and interquartile range 8, past it
+NOISY = [6, 8, 12, 16, 18, 6, 8, 12, 16, 18]
 
 
 def _runs(wall, rate):
@@ -54,3 +60,55 @@ def test_a_run_that_is_not_correct_fails_the_comparison(tmp_path,
                           str(tmp_path), "--workload", "chains",
                           "--seed", "1", "--pairs", "1"]) == 1
     assert "the change run is not correct" in capsys.readouterr().err
+
+
+def _verdicts(parent_wall, change_wall, parent_rate=None, change_rate=None):
+    rows = ab_pairs.summarize(
+        _runs(parent_wall, parent_rate or [12] * len(parent_wall)),
+        _runs(change_wall, change_rate or [12] * len(change_wall)), METRICS)
+    return [row["verdict"] for row in rows]
+
+
+def test_a_median_worse_by_at_most_the_bound_is_within_bound():
+    # 15 against 12 is worse by 3 = 0.25 × 12, and so is 9 against 12
+    # for a higher-is-better metric
+    assert _verdicts(STEADY, [15] * 10, STEADY, [9] * 10) \
+        == ["within bound"] * 2
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse_than_bound():
+    assert _verdicts(STEADY, [16] * 10, STEADY, [8] * 10) \
+        == ["worse than bound"] * 2
+    # however noisy the parent
+    assert _verdicts(NOISY, [16] * 10)[0] == "worse than bound"
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    # a change median equal to the parent's tells nothing when the
+    # parent's own runs spread by more than the bound
+    assert _verdicts(NOISY, NOISY, NOISY, NOISY) == ["unresolved"] * 2
+
+
+def test_every_change_run_better_than_every_parent_run_is_resolved():
+    assert _verdicts(NOISY, [5] * 10, NOISY, [19] * 10) \
+        == ["within bound"] * 2
+    # one change run that ties the best parent run leaves it unresolved
+    assert _verdicts(NOISY, [5] * 9 + [6])[0] == "unresolved"
+
+
+def test_a_metric_worse_than_bound_fails_the_comparison(tmp_path,
+                                                        monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": '
+        '[{"name": "wall_s", "better": "lower", "bound": 0.25}]}')
+    # pair 1 runs the parent first, pair 2 the change first
+    walls = iter([1.0, 2.0, 2.0, 1.0])
+    monkeypatch.setattr(ab_pairs, "run_once", lambda *args: {
+        "correct": True, "metrics": {"wall_s": {"value": next(walls)}}})
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path),
+            "--workload", "chains", "--seed", "1", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 1
+    assert "worse than bound" in capsys.readouterr().out
+    walls = iter([1.0, 1.1, 1.1, 1.0])
+    assert ab_pairs.main(argv) == 0
+    assert "within bound" in capsys.readouterr().out

@@ -296,6 +296,16 @@ class TestIgusa:
         assert doc["verdict"] == "infinite"
         assert doc["sigma"] == "identity"
 
+    def test_frames_past_the_float_range_are_inconclusive(self, tmp_path,
+                                                          out):
+        # at degree 1420 the frame normaliser (|s11| + |s12|)^1420 leaves
+        # the float range: no frame certifies, and the command still ends
+        e1 = write_elements(tmp_path, "e1.json", [mono(PLUS, 1420, 0)])
+        e2 = write_elements(tmp_path, "e2.json", [mono(MINUS, 1420, 0)])
+        assert run(["igusa", "--e1", e1, "--e2", e2]) == 0
+        assert out() == {"identity_verdict": "inconclusive",
+                         "verdict": "inconclusive"}
+
     def test_low_degree_is_domain_error(self, tmp_path):
         e1 = write_elements(tmp_path, "e1.json", [mono(PLUS, 2, 0)])
         e2 = write_elements(tmp_path, "e2.json", [mono(PLUS, 3, 0)])

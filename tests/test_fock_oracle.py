@@ -8,16 +8,50 @@ from scipy.linalg.blas import zaxpy, zgbmv
 
 from skewweyl import fock_oracle
 from skewweyl.fock_oracle import (BAND, _STAGED_STEPS, UnitarityDriftError,
-                                  _band_table, annihilator, direct_propagator,
-                                  fock_matrix, hermitian_generators,
-                                  state_fidelity)
-from skewweyl.weyl_core import GR_I, NEG_INF, GaussianRational, WeylPoly
+                                  _band_table, direct_propagator,
+                                  hermitian_generators, state_fidelity)
+from skewweyl.weyl_core import (CONTROL_GENERATORS, GR_I, NEG_INF,
+                                GaussianRational, WeylPoly)
 from skewweyl.wei_norman import ControlSpec
 
 
 # ---------------------------------------------------------------------------
-# Reference checks of the exact normal-ordered ring against matrices
+# Reference: the matrix of a `WeylPoly` from dense powers of the
+# annihilator, and checks of the exact normal-ordered ring against it
 # ---------------------------------------------------------------------------
+
+def annihilator(N: int) -> np.ndarray:
+    a = np.zeros((N, N), dtype=complex)
+    n = np.arange(1, N)
+    a[n - 1, n] = np.sqrt(n)
+    return a
+
+
+def fock_matrix(p: WeylPoly, N: int) -> np.ndarray:
+    """Matrix of a normal-ordered polynomial in the truncated number basis."""
+    d = p.degree
+    if d is not NEG_INF and N <= d:
+        raise ValueError(f"truncation dim {N} must exceed degree {d}")
+    a = annihilator(N)
+    ad = a.conj().T
+    # cache powers, from the zeroth
+    a_pows = [np.eye(N, dtype=complex), a]
+    for _ in range(1, max((b for _, b in p.terms), default=0)):
+        a_pows.append(a_pows[-1] @ a)
+    ad_pows = [a_pows[0], ad]
+    for _ in range(1, max((al for al, _ in p.terms), default=0)):
+        ad_pows.append(ad_pows[-1] @ ad)
+    out = np.zeros((N, N), dtype=complex)
+    for (alpha, beta), c in p.terms.items():
+        # a term with one exponent 0 is the other power itself, not its
+        # product with the identity
+        if alpha and beta:
+            m = ad_pows[alpha] @ a_pows[beta]
+        else:
+            m = ad_pows[alpha] if alpha else a_pows[beta]
+        out += complex(c) * m
+    return out
+
 
 def interior_error(M: np.ndarray, total_degree: int) -> float:
     """Max magnitude on the leak-free block rows/cols < N - total_degree."""
@@ -154,18 +188,17 @@ class TestPropagation:
     def test_generator_count_per_algebra(self):
         assert len(hermitian_generators("wh2", 16)) == 3
         assert len(hermitian_generators("schrodinger", 16)) == 5
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown algebra"):
             hermitian_generators("su3", 16)
+        with pytest.raises(ValueError, match="must exceed degree 2"):
+            hermitian_generators("schrodinger", 2)
 
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     def test_cached_tables_are_read_only(self, algebra):
-        gens = hermitian_generators(algebra, 24)
-        assert hermitian_generators(algebra, 24) is gens
         table = _band_table(algebra, 24)
         assert _band_table(algebra, 24) is table
-        for a in (*gens, table):
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
         with pytest.raises(ValueError):
             table.reshape(-1)[0] = 1.0
 
@@ -187,6 +220,24 @@ def _hand_written_generators(algebra, N):
 
 
 class TestGeneratorTable:
+    @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
+    @pytest.mark.parametrize("N", [16, 17, 48, 96, 200])
+    def test_table_equals_the_weyl_reference(self, algebra, N):
+        # read from the skew keys, the band table holds -i H_j on its
+        # diagonals and the dense H_j written out from it equal the
+        # reference -i·fock_matrix(X_j) entry for entry
+        want = [-1j * fock_matrix(X.to_weyl(), N)
+                for X in CONTROL_GENERATORS[algebra]]
+        got = hermitian_generators(algebra, N)
+        assert len(got) == len(want)
+        for H, ref in zip(got, want):
+            assert np.array_equal(H, ref)
+        table = _band_table(algebra, N)
+        for d in range(-BAND, BAND + 1):
+            cols = np.arange(max(0, d), min(N, N + d))
+            assert np.array_equal(table[:, cols, BAND - d],
+                                  -1j * np.stack(want)[:, cols - d, cols])
+
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     @pytest.mark.parametrize("N", [16, 96])
     def test_generators_equal_hand_written(self, algebra, N):

@@ -290,3 +290,47 @@ def test_structural_commands_import_no_numpy(tmp_path):
             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
             "('numpy', 'scipy', 'dataclasses', 'inspect')))\n")
     assert _run(["-c", code]) == "[]\n"
+
+
+def test_no_command_builds_a_weyl_poly(tmp_path):
+    # every command reads the skew keys alone: run in a fresh process with
+    # the constructor of `WeylPoly` raising, each exits and prints as it
+    # does in a fresh process without the patch
+    data = ROOT / "tests" / "data"
+    pair = json.loads((data / "igusa_pairs.json").read_text())[0]
+    for key in ("e1", "e2"):
+        (tmp_path / f"{key}.json").write_text(json.dumps(pair[key]))
+    commands = [["selftest"]]
+    commands += [["closure", "--gens", str(p)]
+                 for p in sorted(data.glob("closure_*.json"))]
+    commands += [["classify", "--basis", str(p)]
+                 for p in sorted(data.glob("classify_*.json"))]
+    commands += [["enumerate", "--basis", str(data / "mixed_basis.json")],
+                 ["igusa", "--e1", str(tmp_path / "e1.json"),
+                  "--e2", str(tmp_path / "e2.json")]]
+    commands += [["simulate", "--algebra", p.stem.split("_")[1],
+                  "--controls", str(p), "--fock-dim", "16"]
+                 for p in sorted(data.glob("controls_*.json"))]
+    code = ("import contextlib, io, json, sys\n"
+            "from skewweyl import cli, weyl_core\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('a WeylPoly was built')\n"
+            "if sys.argv[1] == 'patched':\n"
+            "    weyl_core.WeylPoly.__init__ = refuse\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(stdout), \\\n"
+            "            contextlib.redirect_stderr(stderr):\n"
+            "        try:\n"
+            "            exit_code = cli.run(argv)\n"
+            "        except AssertionError as exc:\n"
+            "            exit_code = repr(exc)\n"
+            "    out.append([argv, exit_code, stdout.getvalue(),\n"
+            "                stderr.getvalue()])\n"
+            "print(json.dumps(out))\n")
+    plain, patched = (json.loads(_run(["-c", code, mode, json.dumps(commands)]))
+                      for mode in ("plain", "patched"))
+    assert len(plain) == 28 and all(row[1] == 0 for row in plain)
+    for want, got in zip(plain, patched):
+        assert got == want, want[0]

@@ -423,6 +423,21 @@ class TestDecision:
             == SymplecticParams(0.5, 0.0, 0.0)
         assert len(calls) == 2
 
+    def test_full_degree_monomial_pairs_certify_through_degree_17(self):
+        for d in (3, 10, 17):
+            cert = symplectic_search(gp(d, 0), gm(d, 0))
+            assert cert is not None
+            assert verify_certificate(cert, gp(d, 0), gm(d, 0))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: past degree 17 the normalised a0·b0 and delta of "
+        "every float frame fall below NUMERIC_TOLERANCE; ROADMAP item 1, "
+        "the exact shear, is the fix"))
+    def test_full_degree_monomial_pair_certifies_at_degree_18(self):
+        e1, e2 = gp(18, 0), gm(18, 0)
+        assert _top_bracket_is_full(e1, e2)
+        assert symplectic_search(e1, e2) is not None
+
     @given(low_bracket_pairs())
     @settings(max_examples=30, deadline=None)
     def test_deleted_schedule_finds_nothing_below_the_top_degree(self, pair):

@@ -635,7 +635,8 @@ class TestChainWitness:
         monkeypatch.setattr(lie_engine, "bracket",
                             lambda x, y: calls.append((x, y)) or bracket(x, y))
         assert chain_witness(gp(5, 0), gm(2, 0), steps=8) is None
-        assert chain_witness(gp(3, 1), [gp(1, 0), number_op()]) is None
+        assert chain_witness(gp(3, 1), gp(1, 0)) is None
+        assert chain_witness(gp(3, 1), number_op()) is None
         assert calls == []
 
     def test_step_validation(self):

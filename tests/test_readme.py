@@ -129,8 +129,24 @@ def test_names_the_package_lacks_are_reported():
     # a removed function and a removed attribute of a class that still
     # exists, each added to the table
     names = PackageNames()
-    for token in ("weyl_from_json", "Rref.rows"):
+    for token in ("weyl_from_json", "Rref.rows", "fock_matrix",
+                  "annihilator"):
         mutated = README.replace(
             "| `cli` |", f"| `cli` | `{token}` holds nothing;", 1)
         assert mutated != README
         assert names.unresolved(mutated) == [token]
+
+
+def _row(module: str) -> str:
+    return next(line for line in README.splitlines()
+                if line.startswith(f"| `{module}` |"))
+
+
+def test_fock_rows_describe_the_skew_key_table():
+    # the oracle's one table is read from the skew keys and the dense
+    # generators are written out from it; `WeylPoly` serves no Fock matrix
+    fock = _row("fock_oracle")
+    assert "`_band_table`" in fock and "read straight from the skew keys" \
+        in fock
+    assert "`hermitian_generators` writes the dense H_j out from it" in fock
+    assert "fock_matrix" not in _row("weyl_core")

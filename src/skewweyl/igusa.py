@@ -20,8 +20,8 @@ degree stays d, and a0, a1 are the y^d and x·y^(d-1) coefficients of the
 substituted degree-d part.  `_frame_leading` evaluates exactly that, in
 O(d) per element; `transform`, the full normal-ordered frame change, is
 kept as its reference.  The leading data are read from the skew keys:
-exactly at the identity frame (from g±^(d,0) and g±^(d-1,1), as integers
-over one denominator), in floating point at every other frame.
+in floating point here, and exactly at the identity frame by
+`lie_engine.identity_certificate`, which `lie_closure` runs too.
 
 Which frames certify.  With p, q the degree-d parts as commuting polynomials
 in (x, y) and v = (s12, s22), Euler's identity d·p = x·p_x + y·p_y gives
@@ -44,7 +44,8 @@ import itertools
 import math
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import _leading_parts, _normal_coeff, bracket
+from .lie_engine import (IgusaCertificate, _normal_coeff, bracket,
+                         identity_certificate)
 from .weyl_core import MultiIndex, SkewPoly, WeylPoly, _reorder
 
 #: |value| threshold for "nonzero" under floating-point frames, applied to
@@ -55,15 +56,6 @@ NUMERIC_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 # Leading data, read from the skew keys
 # ---------------------------------------------------------------------------
-
-def _identity_leading(e: SkewPoly) -> Tuple[int, int, Tuple[int, ...]]:
-    """(d, n, (Re a0, Im a0, Re a1, Im a1)·n): the coefficients a0 of a^d
-    and a1 of a† a^(d-1) as integers over one denominator n."""
-    d = e.degree
-    parts = _leading_parts(e.terms, d)
-    n = math.lcm(*(c.denominator for c in parts))
-    return d, n, tuple(c.numerator * (n // c.denominator) for c in parts)
-
 
 def _top_terms(e: SkewPoly) -> Iterator[Tuple[int, int, complex]]:
     """The degree-d normal-ordered terms (α, β, c) of e in the order of its
@@ -204,37 +196,12 @@ def transform(x: WeylPoly, sigma) -> CPoly:
 # Certificates and the search
 # ---------------------------------------------------------------------------
 
-class IgusaCertificate(NamedTuple):
-    verdict: str  # always "infinite"
-    params: Optional[SymplecticParams]  # None means the identity frame
-    a0b0: complex
-    delta: complex
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "sigma": self.params.to_json() if self.params else "identity",
-            "a0b0": [self.a0b0.real, self.a0b0.imag],
-            "delta": [self.delta.real, self.delta.imag],
-        }
-
-
 def _evaluate_frame(e1: SkewPoly, e2: SkewPoly,
                     params: Optional[SymplecticParams]) -> Optional[IgusaCertificate]:
     """The certificate of the pair at one frame, or None where the test
     fails there.  `params` None is the identity frame, evaluated exactly."""
     if params is None:
-        d1, n1, (a0r, a0i, a1r, a1i) = _identity_leading(e1)
-        d2, n2, (b0r, b0i, b1r, b1i) = _identity_leading(e2)
-        # a0·b0 and delta = d2·a1·b0 - d1·a0·b1 times n = n1·n2; int / int
-        # rounds correctly, as float(Fraction) does
-        n, prod = n1 * n2, (a0r * b0r - a0i * b0i, a0r * b0i + a0i * b0r)
-        dlt = (d2 * (a1r * b0r - a1i * b0i) - d1 * (a0r * b1r - a0i * b1i),
-               d2 * (a1r * b0i + a1i * b0r) - d1 * (a0r * b1i + a0i * b1r))
-        if any(prod) and any(dlt):
-            return IgusaCertificate("infinite", None, *(
-                complex(re / n, im / n) for re, im in (prod, dlt)))
-        return None
+        return identity_certificate(e1, e2)
     frame = params.matrix()
     d1, a0, a1 = _frame_leading(e1, frame)
     d2, b0, b1 = _frame_leading(e2, frame)

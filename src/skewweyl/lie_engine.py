@@ -427,6 +427,45 @@ def _leading_parts(terms: Dict, d: int) -> Tuple:
     return (*_normal_coeff(terms, 0, d), *_normal_coeff(terms, 1, d - 1))
 
 
+class IgusaCertificate(NamedTuple):
+    verdict: str  # always "infinite"
+    params: Optional[tuple]  # an igusa.SymplecticParams; None: identity
+    a0b0: complex
+    delta: complex
+
+    def to_json(self) -> dict:
+        return {"verdict": self.verdict,
+                "sigma": self.params.to_json() if self.params else "identity",
+                "a0b0": [self.a0b0.real, self.a0b0.imag],
+                "delta": [self.delta.real, self.delta.imag]}
+
+
+def identity_certificate(x: SkewPoly, y: SkewPoly
+                         ) -> Optional[IgusaCertificate]:
+    """The exact identity-frame test for x and y of degree d1, d2 > 2:
+    their certificate if a0·b0 and delta = d2·a1·b0 - d1·a0·b1 are nonzero,
+    else None, for (a0, a1) and (b0, b1) the `_leading_parts` of x and y.
+    Both are formed in integers from l1·x and l2·y and divided once by l1·l2
+    (int / int rounds like float(Fraction)); past the float range they
+    raise OverflowError."""
+    (l1, xs), (l2, ys) = _integer_terms(x.terms), _integer_terms(y.terms)
+    d1, d2 = x.degree, y.degree
+    a0r, a0i, a1r, a1i = _leading_parts(xs, d1)
+    b0r, b0i, b1r, b1i = _leading_parts(ys, d2)
+    prod = a0r * b0r - a0i * b0i, a0r * b0i + a0i * b0r
+    dlt = (d2 * (a1r * b0r - a1i * b0i) - d1 * (a0r * b1r - a0i * b1i),
+           d2 * (a1r * b0i + a1i * b0r) - d1 * (a0r * b1i + a0i * b1r))
+    if not (any(prod) and any(dlt)):
+        return None
+    n = l1 * l2
+    try:
+        return IgusaCertificate("infinite", None, *(
+            complex(re / n, im / n) for re, im in (prod, dlt)))
+    except OverflowError:
+        raise OverflowError("the identity-frame certificate's a0·b0 or "
+                            "delta lies outside the float range") from None
+
+
 def _linear_root(xs: Dict[MonKey, int], d: int) -> Optional[Tuple[int, int]]:
     """The one linear w = r·g+^(1,0) + s·g−^(1,0), up to a real factor,
     whose centralizer can hold an element of degree d >= 3 with integer
@@ -666,16 +705,21 @@ def chain_witness(seed: SkewPoly, aux: SkewPoly, steps: int = 8,
 
 
 def verify_chain_witness(w: InfinitenessWitness) -> bool:
-    """Re-check a ChainDegreeGrowth witness exactly from its payload."""
+    """Re-check a ChainDegreeGrowth witness exactly from its payload, as
+    `chain_witness` writes it: one auxiliary element, each chain element
+    the bracket of the one before with it.  Any other payload is False."""
     if w.rule != "ChainDegreeGrowth":
         return False
-    chain = [skew_from_json(o) for o in w.evidence["chain"]]
-    aux = [skew_from_json(o) for o in w.evidence["aux"]]
-    for i in range(len(chain) - 1):
-        if bracket(chain[i], aux[i % len(aux)]) != chain[i + 1]:
-            return False
+    try:
+        (aux,) = [skew_from_json(o) for o in w.evidence["aux"]]
+        chain = [skew_from_json(o) for o in w.evidence["chain"]]
+        recorded = w.evidence["degrees"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    if any(bracket(u, aux) != v for u, v in zip(chain, chain[1:])):
+        return False
     degs = [c.degree for c in chain]
-    if degs != w.evidence["degrees"]:
+    if degs != recorded:
         return False
     # sustained growth at the end of the recorded prefix
     return len(degs) > CHAIN_GROWTH and all(
@@ -746,13 +790,32 @@ def decide_with_free_hamiltonian(gens: Sequence[SkewPoly],
     return _raw_closure(gens, budget)
 
 
-def _mixed_eq_quad_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
-    """Sufficient criterion: one element whose top-degree part is a pure
-    Kerr-type monomial of degree >= 4, together with one element whose
-    component outside span(A0, Aeq) is nonzero and of maximal degree within
-    that element.  Both are read from the top-degree keys: those of the
-    first lie in Aeq (which holds one monomial g+^(k,k), k >= 2, per
-    degree), and one of the second's lies outside span(A0, Aeq).
+def _mixed_witness(e1: Optional[SkewPoly], e2: Optional[SkewPoly]
+                   ) -> Optional[ClosureOutcome]:
+    if e1 is None or e2 is None:
+        return None
+    return _infinite("MixedEqAndQuad", kerr_element=skew_to_json(e1),
+                     partner=skew_to_json(e2))
+
+
+def _low_degree_mixed_witness(gens: Sequence[SkewPoly],
+                              budget: Budget) -> Optional[ClosureOutcome]:
+    """e1 in span(A0, Aeq) with Kerr support, e2 in the degree-<=2
+    subalgebra with linear/quadratic support."""
+    supports = [_support(g.terms) for g in gens]
+    e1 = _first(gens, supports, lambda s: "Aeq" in s and s <= _DIAGONAL)
+    e2 = _first(gens, supports, lambda s: s & _QUAD and s <= _LOW)
+    return _mixed_witness(e1, e2)
+
+
+def _mixed_eq_quad_witness(gens: Sequence[SkewPoly],
+                           budget: Budget) -> Optional[ClosureOutcome]:
+    """One element whose top-degree part is a pure Kerr-type monomial of
+    degree >= 4, together with one element whose component outside
+    span(A0, Aeq) is nonzero and of maximal degree within that element.
+    Both are read from the top-degree keys: those of the first lie in Aeq
+    (which holds one monomial g+^(k,k), k >= 2, per degree), and one of the
+    second's lies outside span(A0, Aeq).
     """
     tops = [_support(k for k in g.terms if sum(k[1]) == g.degree)
             for g in gens]
@@ -761,52 +824,33 @@ def _mixed_eq_quad_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWit
     return _mixed_witness(leader, partner)
 
 
-def _mixed_witness(e1: Optional[SkewPoly], e2: Optional[SkewPoly]
-                   ) -> Optional[InfinitenessWitness]:
-    if e1 is None or e2 is None:
-        return None
-    return InfinitenessWitness(
-        rule="MixedEqAndQuad",
-        evidence={"kerr_element": skew_to_json(e1), "partner": skew_to_json(e2)},
-    )
-
-
-def _low_degree_mixed_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
-    """Companion criterion: e1 in span(A0, Aeq) with Kerr support, e2 in the
-    degree-<=2 subalgebra with linear/quadratic support."""
-    supports = [_support(g.terms) for g in gens]
-    e1 = _first(gens, supports, lambda s: "Aeq" in s and s <= _DIAGONAL)
-    e2 = _first(gens, supports, lambda s: s & _QUAD and s <= _LOW)
-    return _mixed_witness(e1, e2)
-
-
-def _identity_frame_witness(gens: Sequence[SkewPoly]) -> Optional[InfinitenessWitness]:
-    """Sufficient criterion: the leading-coefficient condition at the
-    identity frame for a pair of generators of degree > 2."""
-    from .igusa import _evaluate_frame
-
+def _identity_frame_witness(gens: Sequence[SkewPoly],
+                            budget: Budget) -> Optional[ClosureOutcome]:
+    """The first pair of degree > 2 that `identity_certificate` certifies."""
     for x, y in itertools.combinations(gens, 2):
-        if x.degree > 2 and y.degree > 2:
-            cert = _evaluate_frame(x, y, None)
-            if cert is not None:
-                return InfinitenessWitness(
-                    rule="IgusaCertificate",
-                    evidence={"pair": [skew_to_json(x), skew_to_json(y)],
-                              **cert.to_json()},
-                )
+        cert = min(x.degree, y.degree) > 2 and identity_certificate(x, y)
+        if cert:
+            return _infinite("IgusaCertificate",
+                             pair=[skew_to_json(x), skew_to_json(y)],
+                             **cert.to_json())
     return None
 
 
 def _chain_growth_witness(gens: Sequence[SkewPoly],
-                          budget: Budget) -> Optional[InfinitenessWitness]:
+                          budget: Budget) -> Optional[ClosureOutcome]:
     """Commutator-chain search over ordered pairs of distinct generators
     (a chain seeded at its own auxiliary vanishes at the first step); a
     chain ends at its first element above the degree budget."""
     for seed, aux in itertools.permutations(gens, 2):
         w = chain_witness(seed, aux, 8, budget.max_degree)
         if w is not None:
-            return w
+            return _infinite(w.rule, **w.evidence)
     return None
+
+
+#: in order, each (gens, budget) -> an `infinite` outcome, or None
+_SUFFICIENT_CRITERIA = (_low_degree_mixed_witness, _mixed_eq_quad_witness,
+                       _identity_frame_witness, _chain_growth_witness)
 
 
 def lie_closure(gens: Sequence[SkewPoly],
@@ -815,12 +859,12 @@ def lie_closure(gens: Sequence[SkewPoly],
 
     Rule order: zero generators dropped; exact monomial-set decision; exact
     drift-term decision (i(w a†a + c) of either sign); then the sufficient
-    criteria low-degree mixed Kerr/quadratic, mixed Kerr/quadratic by
-    leading degree, identity-frame leading coefficients (pairs of degree
-    > 2) and commutator-chain growth (a chain ends above the degree
-    budget); then the budgeted closure.  Every finite answer comes from a
-    closure run under `budget`, so a closure larger than the budget is
-    reported `inconclusive`.
+    criteria `_SUFFICIENT_CRITERIA`: low-degree mixed Kerr/quadratic, mixed
+    Kerr/quadratic by leading degree, `identity_certificate` on pairs of
+    degree > 2 (so no closure imports `igusa`) and commutator-chain growth
+    (a chain ends above the degree budget); then the budgeted closure.
+    Every finite answer comes from a closure run under `budget`, so a
+    closure larger than the budget is reported `inconclusive`.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -829,12 +873,10 @@ def lie_closure(gens: Sequence[SkewPoly],
         return decide_monomial_set(gens, budget)
     if any(_is_drift(g) for g in gens):
         return decide_with_free_hamiltonian(gens, budget)
-    for rule in (_low_degree_mixed_witness, _mixed_eq_quad_witness,
-                 _identity_frame_witness,
-                 lambda g: _chain_growth_witness(g, budget)):
-        w = rule(gens)
-        if w is not None:
-            return ClosureOutcome("infinite", witness=w)
+    for criterion in _SUFFICIENT_CRITERIA:
+        out = criterion(gens, budget)
+        if out is not None:
+            return out
     return _raw_closure(gens, budget)
 
 

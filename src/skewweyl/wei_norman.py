@@ -46,14 +46,17 @@ def _real(x) -> float:
     return float(x)
 
 
-def _per_control(algebra: str, preset: str, what: str,
-                 *lists) -> List[np.ndarray]:
-    """A preset's parameter lists as float arrays, one entry per control."""
+def _per_control(algebra: str, preset: str, **fields) -> List[np.ndarray]:
+    """A preset's parameter lists, each named by its field, as float
+    arrays, one entry per control."""
     n = N_CONTROLS.get(algebra)
-    if n and any(len(xs) != n for xs in lists):
-        raise ValueError(f"the {preset} preset of {algebra} needs {n} "
-                         f"{what}: one per control")
-    return [np.array([_real(x) for x in xs]) for xs in lists]
+    for what, xs in fields.items():
+        if not isinstance(xs, (list, tuple)):
+            raise ValueError(f"{what} must be a list, one number per control")
+        if n and len(xs) != n:
+            raise ValueError(f"the {preset} preset of {algebra} needs {n} "
+                             f"{what}: one per control")
+    return [np.array([_real(x) for x in xs]) for xs in fields.values()]
 
 
 def _check_step(h: float) -> None:
@@ -147,7 +150,7 @@ class ControlSpec:
     @staticmethod
     def constant(algebra: str, values: Sequence[float], t_final: float,
                  h: float) -> "ControlSpec":
-        v, = _per_control(algebra, "constant", "values", values)
+        v, = _per_control(algebra, "constant", values=values)
         return ControlSpec.from_sampler(
             algebra, lambda ts: np.tile(v, (len(ts), 1)), t_final, h)
 
@@ -160,12 +163,11 @@ class ControlSpec:
             if obj["preset"] == "constant":
                 return ControlSpec.constant(algebra, obj["values"], t_final, h)
             if obj["preset"] == "sinusoid":
-                amps = obj["amplitudes"]
-                freqs = obj["frequencies"]
-                phases = obj.get("phases", [0.0] * len(amps))
-                A, w, p = _per_control(
-                    algebra, "sinusoid", "amplitudes, frequencies and phases",
-                    amps, freqs, phases)
+                A, w = _per_control(algebra, "sinusoid",
+                                    amplitudes=obj["amplitudes"],
+                                    frequencies=obj["frequencies"])
+                p, = _per_control(algebra, "sinusoid",
+                                  phases=obj.get("phases", [0.0] * len(A)))
 
                 def sinusoid(ts):
                     # u_j(t) = A_j sin(w_j t + p_j), by the operations of
@@ -182,6 +184,9 @@ class ControlSpec:
                 and all(isinstance(row, list) for row in rows)):
             raise ValueError("controls must be a list of sample rows, one "
                              "per control")
+        if not all(rows):
+            raise ValueError("the control grid needs at least two samples: "
+                             "a sample row is empty")
         u = np.array([[_real(x) for x in row] for row in rows])
         return ControlSpec(algebra, h, u.shape[1] - 1, u)
 

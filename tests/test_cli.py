@@ -726,6 +726,25 @@ class TestErrors:
         assert_input_error(["simulate", "--algebra", "wh2", "--controls",
                             str(path), "--fock-dim", "16"], capsys)
 
+    @pytest.mark.parametrize("controls, message", [
+        ({"preset": "constant", "values": 3}, "values must be a list"),
+        ({"preset": "sinusoid", "amplitudes": 3, "frequencies": [1, 2, 3]},
+         "amplitudes must be a list"),
+        ({"preset": "sinusoid", "amplitudes": [1, 2, 3],
+          "frequencies": {"1": 2}}, "frequencies must be a list"),
+        ({"preset": "sinusoid", "amplitudes": [1, 2, 3],
+          "frequencies": [1, 2, 3], "phases": None}, "phases must be a list"),
+        ({"controls": [[], [], []]}, "needs at least two samples"),
+    ], ids=["values", "amplitudes", "frequencies", "phases", "empty_rows"])
+    def test_control_parameter_that_is_not_a_list(self, tmp_path, capsys,
+                                                  controls, message):
+        # the error names the field, not a len() of some other type
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"t_final": 0.1, "h": 1e-2, **controls}))
+        err = assert_input_error(["simulate", "--algebra", "wh2",
+                                  "--controls", str(path)], capsys)
+        assert message in err
+
     def test_deterministic_output(self, tmp_path, capsys):
         gens = write_elements(tmp_path, "g.json", schrodinger_monomials())
         run(["closure", "--gens", gens])
@@ -759,6 +778,23 @@ class TestArithmeticOverflow:
         e2 = write_elements(tmp_path, "e2.json", [
             mono(MINUS, 4, 1).scale(big) + mono(PLUS, 2, 0)])
         self.assert_domain_error(["igusa", "--e1", e1, "--e2", e2], capsys)
+
+    @pytest.mark.parametrize("command", ["closure", "igusa"])
+    def test_identity_certificate_beyond_float_range(self, tmp_path, capsys,
+                                                     command):
+        # the identity frame certifies the pair with a0·b0 = 10^400, which
+        # has no float value
+        e1 = mono(MINUS, 3, 0).scale(Fraction(10) ** 400) + mono(MINUS, 2, 1)
+        e2 = mono(MINUS, 4, 0)
+        if command == "closure":
+            argv = ["closure", "--gens",
+                    write_elements(tmp_path, "g.json", [e1, e2])]
+        else:
+            argv = ["igusa", "--e1", write_elements(tmp_path, "e1.json", [e1]),
+                    "--e2", write_elements(tmp_path, "e2.json", [e2])]
+        err = self.assert_domain_error(argv, capsys)
+        assert "identity-frame certificate" in err
+        assert "outside the float range" in err
 
     def test_result_coefficient_beyond_the_writer_limit(self, tmp_path,
                                                         capsys):

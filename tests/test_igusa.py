@@ -12,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewweyl import igusa
+from skewweyl import lie_engine
 from skewweyl.igusa import (NUMERIC_TOLERANCE, IgusaCertificate,
                             SymplecticParams, _evaluate_frame, _frame_leading,
-                            _identity_leading, _normal_coeff, chain_degrees,
-                            cpoly_mul, identity_check, symplectic_search,
-                            transform, verify_certificate)
-from skewweyl.lie_engine import Budget, bracket, lie_closure
+                            _normal_coeff, chain_degrees, cpoly_mul,
+                            identity_check, symplectic_search, transform,
+                            verify_certificate)
+from skewweyl.lie_engine import (Budget, _leading_parts, bracket,
+                                 identity_certificate, lie_closure)
 from skewweyl.weyl_core import (GR_I, MINUS, PLUS, GaussianRational, SkewPoly,
-                                WeylPoly, skew_from_json)
+                                WeylPoly, skew_from_json, skew_to_json)
 from test_weyl_core import assert_record_contract
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,10 +107,9 @@ def weyl_to_cpoly(x: WeylPoly):
 
 
 def identity_pair(e):
-    """(a0, a1) of `_identity_leading` as `GaussianRational`s."""
-    _, n, (a0r, a0i, a1r, a1i) = _identity_leading(e)
-    return (GaussianRational(Fraction(a0r, n), Fraction(a0i, n)),
-            GaussianRational(Fraction(a1r, n), Fraction(a1i, n)))
+    """(a0, a1) of `_leading_parts` as `GaussianRational`s."""
+    a0r, a0i, a1r, a1i = map(Fraction, _leading_parts(e.terms, e.degree))
+    return GaussianRational(a0r, a0i), GaussianRational(a1r, a1i)
 
 
 class TestLeadingData:
@@ -121,8 +122,8 @@ class TestLeadingData:
         # and g+(1,1) lies below the top; with g-(3,1) the degree is 4,
         # a0 = 0 and a1 = 1
         e = gm(3, 0) + gp(3, 0, Fraction(1, 2)) + gm(2, 1, 7) + gp(1, 1, 5)
-        assert _identity_leading(e) == (3, 2, (2, 1, 14, 0))
-        assert _identity_leading(e + gm(3, 1)) == (4, 1, (0, 0, 1, 0))
+        assert _leading_parts(e.terms, 3) == (1, Fraction(1, 2), 7, 0)
+        assert _leading_parts((e + gm(3, 1)).terms, 4) == (0, 0, 1, 0)
         assert identity_pair(e) == leading_pair(e.to_weyl())
 
     def test_normal_coeff_follows_the_basis_conventions(self):
@@ -196,6 +197,50 @@ class TestIdentityCheck:
 
     def test_verdict_vocabulary(self):
         assert identity_check(gm(3, 0), gp(3, 0)) in {"infinite", "inconclusive"}
+
+
+class TestIdentityCertificate:
+    """`lie_engine.identity_certificate` is the one exact identity-frame
+    test: the closure rule and every `igusa` entry point run it."""
+
+    def test_one_function_serves_the_closure_and_the_search(self,
+                                                            monkeypatch):
+        assert igusa.identity_certificate is identity_certificate
+        assert igusa.IgusaCertificate is lie_engine.IgusaCertificate
+        e1, e2 = gm(3, 0) + gm(2, 1), gm(4, 0)
+        cert = identity_certificate(e1, e2)
+        assert cert == IgusaCertificate("infinite", None, 1 + 0j, 4 + 0j)
+        calls = []
+        for module in (igusa, lie_engine):
+            monkeypatch.setattr(module, "identity_certificate",
+                                lambda *args: calls.append(args) or cert)
+        assert _evaluate_frame(e1, e2, None) is cert
+        assert identity_check(e1, e2) == "infinite"
+        assert symplectic_search(e1, e2) is cert
+        assert verify_certificate(cert, e1, e2)
+        assert lie_closure([e1, e2]).witness.evidence == {
+            "pair": [skew_to_json(e1), skew_to_json(e2)], **cert.to_json()}
+        assert calls == [(e1, e2)] * 5
+
+    def test_values_past_the_float_range_name_the_certificate(self):
+        # a0·b0 = 10^400 has no float value
+        e1 = gm(3, 0, Fraction(10) ** 400) + gm(2, 1)
+        for run in (lambda: identity_certificate(e1, gm(4, 0)),
+                    lambda: symplectic_search(e1, gm(4, 0)),
+                    lambda: lie_closure([e1, gm(4, 0)])):
+            with pytest.raises(OverflowError,
+                               match="identity-frame certificate.*float range"):
+                run()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: a0·b0 = 10^-400 is nonzero but rounds to 0.0 in the "
+        "float certificate; ROADMAP item 1, exact a0b0/delta strings, is "
+        "the fix"))
+    def test_a_product_below_the_float_range_prints_nonzero(self):
+        e1 = gm(3, 0, Fraction(1, 10 ** 400)) + gm(2, 1)
+        out = lie_closure([e1, gm(4, 0)])
+        assert out.witness.rule == "IgusaCertificate"
+        assert out.witness.evidence["a0b0"] != [0.0, 0.0]
 
 
 class TestTransform:
@@ -490,7 +535,7 @@ class TestSkewKeyReader:
     def test_leading_data_equal_the_weyl_reference(self, e1, e2, frame):
         x, y = e1.to_weyl(), e2.to_weyl()
         for e, w in ((e1, x), (e2, y)):
-            assert _identity_leading(e)[0] == w.degree
+            assert e.degree == w.degree
             assert identity_pair(e) == leading_pair(w)
         assert repr(_evaluate_frame(e1, e2, None)) \
             == repr(evaluate_frame(x, y, None))

@@ -3,9 +3,15 @@ under src/, tests/ and scripts/.
 
 A module fails if it imports a name that it never reads and that its
 `__all__` does not export, or if an annotation names a `typing` name that
-the module never binds."""
+the module never binds.  Within the package, the relative imports, at
+module level and inside functions, form a graph without a cycle, and
+`lie_engine` imports `weyl_core` alone, so that no closure loads `igusa`."""
 
 import ast
+import graphlib
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -109,3 +115,59 @@ def test_kept_imports_are_still_imported_and_unread():
         assert not any(isinstance(n, ast.Name) and n.id == name
                        and not isinstance(n.ctx, ast.Store)
                        for n in ast.walk(tree))
+
+
+# ---------------------------------------------------------------------------
+# Import direction inside the package
+# ---------------------------------------------------------------------------
+
+PACKAGE = ROOT / "src" / "skewweyl"
+
+
+def package_imports() -> dict:
+    """Module -> the package modules it imports with `from .x import` or
+    `from . import x`, anywhere in its source."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets.update(a.name for a in node.names)
+        graph[path.stem] = targets
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    graph = package_imports()
+    assert {"lie_engine", "igusa", "cli"} <= set(graph)
+    # raises CycleError, naming the cycle, if there is one
+    graphlib.TopologicalSorter(graph).prepare()
+
+
+def test_lie_engine_imports_only_weyl_core():
+    assert package_imports()["lie_engine"] == {"weyl_core"}
+
+
+def test_closures_leave_igusa_unimported():
+    # a fresh interpreter runs `skewweyl closure` on every closure input in
+    # turn and reports, after each, whether skewweyl.igusa was loaded
+    inputs = sorted(str(p) for p in (ROOT / "tests" / "data")
+                    .glob("closure_*.json"))
+    assert len(inputs) >= 12
+    script = (
+        "import contextlib, io, sys\n"
+        "from skewweyl.cli import run\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = run(['closure', '--gens', path])\n"
+        "    print(code, 'skewweyl.igusa' in sys.modules, path)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script, *inputs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 False {p}" for p in inputs]

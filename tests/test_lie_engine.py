@@ -612,9 +612,11 @@ class TestSupportRules:
                 (lie_engine._mixed_eq_quad_witness,
                  _projection_mixed_eq_quad)):
             pair = reference(gens)
-            assert rule(gens) == (None if pair is None else InfinitenessWitness(
-                "MixedEqAndQuad", {"kerr_element": skew_to_json(pair[0]),
-                                   "partner": skew_to_json(pair[1])}))
+            want = None if pair is None else ClosureOutcome(
+                "infinite", witness=InfinitenessWitness(
+                    "MixedEqAndQuad", {"kerr_element": skew_to_json(pair[0]),
+                                       "partner": skew_to_json(pair[1])}))
+            assert rule(gens, Budget()) == want
 
 
 class TestChainWitness:
@@ -642,6 +644,27 @@ class TestChainWitness:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             chain_witness(gp(3, 0), gm(3, 0), steps=1)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda ev: ev.update(aux=[]),
+        lambda ev: ev.pop("aux"),
+        lambda ev: ev.update(aux=ev["aux"] * 2),
+        lambda ev: ev.update(chain=ev["chain"][:1],
+                             degrees=ev["degrees"][:1]),
+        lambda ev: ev.pop("chain"),
+        lambda ev: ev.pop("degrees"),
+        lambda ev: ev.update(aux=[{"skew": "?"}]),
+    ], ids=["empty_aux", "missing_aux", "two_aux", "one_element_chain",
+            "missing_chain", "missing_degrees", "malformed_aux"])
+    def test_malformed_witness_is_false(self, mutate):
+        # the one-aux witness that chain_witness writes verifies; a mutated
+        # payload is False, never an exception
+        w = chain_witness(gp(3, 0), gm(3, 0), steps=8)
+        assert verify_chain_witness(w)
+        evidence = dict(w.evidence)
+        mutate(evidence)
+        assert verify_chain_witness(InfinitenessWitness(w.rule, evidence)) \
+            is False
 
     @pytest.mark.parametrize("max_degree, outcome", [(6, "inconclusive"),
                                                      (7, "infinite")])

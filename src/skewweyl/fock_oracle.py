@@ -16,19 +16,13 @@ from typing import Tuple
 import numpy as np
 from scipy.linalg.blas import zaxpy, zgbmv
 
-from .weyl_core import (CONTROL_GENERATORS, GR_ZERO, GaussianRational,
-                         _weyl_terms)
+from .weyl_core import CONTROL_GENERATORS, _normal_coeff
 
 #: smallest truncation `direct_propagator` accepts
 MIN_DIM = 16
 
 #: RK4 steps of `direct_propagator` per grid interval, unless asked
 RK4_SUBSTEPS = 4
-
-#: half-width of the band of every control generator in the number basis:
-#: a term a†^α a^β (α >= β) of X_j fills the diagonals ±(α - β)
-BAND = max(alpha - beta for gens in CONTROL_GENERATORS.values()
-           for X in gens for _, (alpha, beta) in X.terms)
 
 #: RK4 steps of `direct_propagator` whose stage bands one matrix product
 #: computes: enough to amortise it, few enough to stay in L2 (1 MB at N = 96)
@@ -44,39 +38,39 @@ def read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _band_table(algebra: str, N: int) -> np.ndarray:
     """-i H_j = -X_j in LAPACK band storage, one generator after another:
-    entry [j, c, BAND - d] is -i H_j[c - d, c] for column c and the offsets
-    d = -BAND..BAND, zero where c - d leaves the truncation.  Shape
-    (n_generators, N, 2 BAND + 1); the transpose of a slab [j] is the
-    Fortran-ordered (2 BAND + 1, N) array that BLAS `zgbmv` reads with
-    BAND sub- and superdiagonals.  Read from the skew keys of the X_j in
-    `weyl_core.CONTROL_GENERATORS`: a term c (a†)^p a^q maps |m + q> to
-    c √(m+1)⋯√(m+p)·√(m+1)⋯√(m+q) |m + p>.  Cached and read-only."""
+    entry [j, c, b - d] is -i H_j[c - d, c] for column c and the offsets
+    d = -b..b, b the algebra's own half-width (the largest α - β of a key
+    g±^(α,β) of its X_j), zero where c - d leaves the truncation.  Shape
+    (n_generators, N, 2b + 1); the transpose of a slab [j] is the
+    Fortran-ordered (2b + 1, N) array that BLAS `zgbmv` reads with b sub-
+    and superdiagonals.  Read from the skew keys of the X_j in
+    `weyl_core.CONTROL_GENERATORS` by `_normal_coeff`: a term c (a†)^p a^q
+    maps |m + q> to c √(m+1)⋯√(m+p)·√(m+1)⋯√(m+q) |m + p>.  Cached and
+    read-only."""
     if algebra not in CONTROL_GENERATORS:
         raise ValueError(f"unknown algebra {algebra!r}")
     gens = CONTROL_GENERATORS[algebra]
     if N <= (d := max(X.degree for X in gens)):
         raise ValueError(f"truncation dim {N} must exceed degree {d}")
+    b = max(alpha - beta for X in gens for _, (alpha, beta) in X.terms)
     root = np.sqrt(np.arange(N))
-    table = np.zeros((len(gens), N, 2 * BAND + 1), dtype=complex)
+    table = np.zeros((len(gens), N, 2 * b + 1), dtype=complex)
     for j, X in enumerate(gens):
-        acc = {}  # the normal-ordered terms of X_j, summed exactly
-        for key, c in X.terms.items():
-            for g, re, im in _weyl_terms(key):
-                acc[g] = acc.get(g, GR_ZERO) + GaussianRational(re * c, im * c)
-        for (p, q), c in acc.items():
-            m = np.arange(N - max(p, q))
-            w = root[m[:, None] + np.r_[1:p + 1, 1:q + 1]].prod(axis=1)
-            table[j, m + q, BAND + p - q] -= complex(c) * w
+        for p, q in np.ndindex(d + 1, d + 1):
+            if any(c := _normal_coeff(X.terms, p, q)):
+                m = np.arange(N - max(p, q))
+                w = root[m[:, None] + np.r_[1:p + 1, 1:q + 1]].prod(axis=1)
+                table[j, m + q, b + p - q] -= complex(*c) * w
     return read_only(table)
 
 
 def _dense(bands: np.ndarray) -> np.ndarray:
     """The N x N matrices that `bands` holds as `_band_table` does."""
-    N = bands.shape[-2]
+    N, b = bands.shape[-2], bands.shape[-1] // 2
     out = np.zeros(bands.shape[:-1] + (N,), dtype=complex)
-    for d in range(-BAND, BAND + 1):
+    for d in range(-b, b + 1):
         cols = np.arange(max(0, d), min(N, N + d))
-        out[..., cols - d, cols] = bands[..., cols, BAND - d]
+        out[..., cols - d, cols] = bands[..., cols, b - d]
     return out
 
 
@@ -125,7 +119,7 @@ def direct_propagator(spec, N: int, *, psi0=None,
     The stage samples select one of two ways to take the same n RK4 steps:
 
     - controls that differ anywhere on the stage grid: every generator lies
-      within `BAND` diagonals of the main one in the number basis, so
+      within the band of `_band_table` in the number basis, so
       -i H(t) is a band matrix, the columns of Y are independent, and each
       is stepped on its own by 4 `zgbmv` and 4 `zaxpy` calls a step,
       O(N) per stage (`_rk4_steps`);
@@ -167,8 +161,9 @@ def _rk4_steps(algebra: str, u: np.ndarray, N: int, Y0: np.ndarray,
     `zgbmv` with y as its beta term, and y += h/6 A_e a4 + D/3 with
     D = a2 + 2 a3 + a4 - 4 y = h/2 (k1 + 2 k2 + 2 k3), so that only the
     increment, not the state, is scaled by the inexact 1/3."""
-    b, w = BAND, 2 * BAND + 1  # sub- and superdiagonals, band rows
-    table = _band_table(algebra, N).reshape(-1, N * w).view(float)
+    table = _band_table(algebra, N)
+    b, w = table.shape[-1] // 2, table.shape[-1]  # sub-/superdiagonals, rows
+    table = table.reshape(-1, N * w).view(float)
     h2, h6, third = h / 2, h / 6, 1 / 3
     # one contiguous row y per column of Y, stepped in place: zaxpy, and
     # zgbmv given overwrite_y (after incy, offy, trans), write into y

@@ -40,13 +40,11 @@ The condition is sufficient only; the verdict vocabulary is
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .lie_engine import (IgusaCertificate, _normal_coeff, bracket,
-                         identity_certificate)
-from .weyl_core import MultiIndex, SkewPoly, WeylPoly, _reorder
+from .lie_engine import IgusaCertificate, bracket, identity_certificate
+from .weyl_core import MultiIndex, SkewPoly, WeylPoly, _normal_coeff, _reorder
 
 #: |value| threshold for "nonzero" under floating-point frames, applied to
 #: leading data normalised as in `_frame_leading`
@@ -57,24 +55,24 @@ NUMERIC_TOLERANCE = 1e-9
 # Leading data, read from the skew keys
 # ---------------------------------------------------------------------------
 
-def _top_terms(e: SkewPoly) -> Iterator[Tuple[int, int, complex]]:
-    """The degree-d normal-ordered terms (α, β, c) of e in the order of its
-    `WeylPoly` conversion, so every float sum over them runs as over it: per
-    skew key (β, α) before (α, β), and g±^γ merged at the first of them."""
+def _top_terms(e: SkewPoly) -> Tuple[int, tuple]:
+    """(d, the degree-d normal-ordered terms (α, β, c) of e), read once per
+    element and search, in the order of its `WeylPoly` conversion so every
+    float sum over them runs as over it: per skew key (β, α) before (α, β),
+    and g±^γ merged at the first of them."""
     d, terms = e.degree, e.terms
-    seen = set()
-    for _, gamma in terms:
-        alpha, beta = gamma
-        if alpha + beta != d or gamma in seen:
-            continue
-        seen.add(gamma)
-        for key in ((beta, alpha), gamma) if alpha != beta else (gamma,):
-            re, im = _normal_coeff(terms, *key)
-            yield key[0], key[1], complex(float(re), float(im))
+    keys = dict.fromkeys(k for _, g in terms if sum(g) == d
+                         for k in (g[::-1], g))
+    try:
+        return d, tuple((a, b, complex(*map(float, _normal_coeff(terms, a, b))))
+                        for a, b in keys)
+    except OverflowError:
+        raise OverflowError("the float frame search reads a top-degree "
+                            "coefficient outside the float range") from None
 
 
-def _frame_leading(e: SkewPoly, frame) -> Tuple[int, complex, complex]:
-    """(d, a0, a1) of e after the frame change (s11, s12, s21, s22).
+def _frame_leading(top, frame) -> Tuple[int, complex, complex]:
+    """(d, a0, a1) of the `_top_terms` `top` after the frame (s11, s12, s21, s22).
 
     Over the degree-d terms c·(a†)^α a^β, a0 = Σ c·s12^α·s22^β and
     a1 = Σ c·(α·s11·s12^(α-1)·s22^β + β·s21·s12^α·s22^(β-1)).  Both are
@@ -84,14 +82,14 @@ def _frame_leading(e: SkewPoly, frame) -> Tuple[int, complex, complex]:
     near machine precision in every frame, far below NUMERIC_TOLERANCE.
     Where a power of the frame leaves the float range (at d = 1420 for
     s = 1/2), a0 and a1 are NaN, which no test counts as nonzero: such a
-    frame certifies nothing.  A coefficient of e with no float value
-    raises OverflowError.
+    frame certifies nothing.
     """
+    d, terms = top
     s11, s12, s21, s22 = frame
     r1, r2 = abs(s11) + abs(s12), abs(s21) + abs(s22)
     a0 = a1 = 0j
     scale = 0.0
-    for alpha, beta, c in _top_terms(e):
+    for alpha, beta, c in terms:
         try:
             scale += abs(c) * r1 ** alpha * r2 ** beta
             a0 += c * s12 ** alpha * s22 ** beta
@@ -100,8 +98,8 @@ def _frame_leading(e: SkewPoly, frame) -> Tuple[int, complex, complex]:
             if beta:
                 a1 += c * beta * s21 * s12 ** alpha * s22 ** (beta - 1)
         except OverflowError:
-            return e.degree, math.nan, math.nan
-    return e.degree, a0 / scale, a1 / scale
+            return d, math.nan, math.nan
+    return d, a0 / scale, a1 / scale
 
 
 def _require_high_degree(e1: SkewPoly, e2: SkewPoly, who: str) -> None:
@@ -202,9 +200,14 @@ def _evaluate_frame(e1: SkewPoly, e2: SkewPoly,
     fails there.  `params` None is the identity frame, evaluated exactly."""
     if params is None:
         return identity_certificate(e1, e2)
+    return _float_frame(_top_terms(e1), _top_terms(e2), params)
+
+
+def _float_frame(top1, top2, params) -> Optional[IgusaCertificate]:
+    """`_evaluate_frame` at a float frame, on the pair's `_top_terms`."""
     frame = params.matrix()
-    d1, a0, a1 = _frame_leading(e1, frame)
-    d2, b0, b1 = _frame_leading(e2, frame)
+    d1, a0, a1 = _frame_leading(top1, frame)
+    d2, b0, b1 = _frame_leading(top2, frame)
     prod = a0 * b0
     dlt = d2 * a1 * b0 - d1 * a0 * b1
     # NaN leading data, from a frame past the float range, fail both tests
@@ -226,13 +229,14 @@ def symplectic_search(e1: SkewPoly, e2: SkewPoly) -> Optional[IgusaCertificate]:
     d1, d2 = e1.degree, e2.degree
     if bracket(e1.top_part(), e2.top_part()).degree != d1 + d2 - 2:
         return None
+    cert = identity_certificate(e1, e2)
+    if cert is not None:
+        return cert
+    tops = _top_terms(e1), _top_terms(e2)
     n = 2 * (d1 + d2) - 1  # D + 1
     frames = (SymplecticParams(0.5, 0.0, 2 * math.pi * k / n) for k in range(n))
-    for params in itertools.chain([None], frames):
-        cert = _evaluate_frame(e1, e2, params)
-        if cert is not None:
-            return cert
-    return None
+    certs = (_float_frame(*tops, params) for params in frames)
+    return next((cert for cert in certs if cert is not None), None)
 
 
 def verify_certificate(cert: IgusaCertificate, e1: SkewPoly,
@@ -241,9 +245,7 @@ def verify_certificate(cert: IgusaCertificate, e1: SkewPoly,
     if min(e1.degree, e2.degree) <= 2:
         return False
     fresh = _evaluate_frame(e1, e2, cert.params)
-    if fresh is None:
-        return False
-    return (abs(fresh.a0b0 - cert.a0b0) < 1e-9
+    return (fresh is not None and abs(fresh.a0b0 - cert.a0b0) < 1e-9
             and abs(fresh.delta - cert.delta) < 1e-9)
 
 
@@ -255,11 +257,13 @@ def chain_degrees(e1: SkewPoly, e2: SkewPoly,
     so the chain is bracketed exactly in the original frame.  Used to
     confirm certificates independently."""
     frame = params.matrix() if params else (1, 0, 0, 1)
-    aux = [(e, _frame_leading(e, frame)) for e in (e1, e2)]
-    u = e2
+    aux = [(e, _frame_leading(_top_terms(e), frame)) for e in (e1, e2)]
+    u, lead = aux[1]
     degrees = [u.degree]
-    for _ in range(steps):
-        du, u0, u1 = _frame_leading(u, frame)
+    for step in range(steps):
+        if step:
+            lead = _frame_leading(_top_terms(u), frame)
+        du, u0, u1 = lead
         s = next((e for e, (ds, s0, s1) in aux
                   if abs(ds * u1 * s0 - du * u0 * s1) > NUMERIC_TOLERANCE), None)
         if s is None:

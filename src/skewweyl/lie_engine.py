@@ -24,6 +24,7 @@ from .weyl_core import (
     MultiIndex,
     SkewPoly,
     _monomial_bracket,
+    _normal_coeff,
     monomial_key_order,
     skew_from_json,
     skew_to_json,
@@ -405,18 +406,6 @@ def span_is_bracket_closed(span: LieSpan) -> bool:
             if not span.contains(bracket(x, y)):
                 return False
     return True
-
-
-def _normal_coeff(terms, alpha: int, beta: int) -> Tuple[Fraction, Fraction]:
-    """(re, im) of the coefficient of (a†)^α a^β in the element with skew
-    terms `terms`, exact, as its `WeylPoly` conversion gives it: with c±
-    the coefficients of g±^γ, γ = (max(α, β), min(α, β)), it is c- + i·c+
-    for α < β, -c- + i·c+ for α > β and 2i·c+ for α = β."""
-    if alpha == beta:
-        return 0, 2 * terms.get((PLUS, (alpha, beta)), 0)
-    gamma = (alpha, beta) if alpha > beta else (beta, alpha)
-    minus = terms.get((MINUS, gamma), 0)
-    return -minus if alpha > beta else minus, terms.get((PLUS, gamma), 0)
 
 
 def _leading_parts(terms: Dict, d: int) -> Tuple:
@@ -817,8 +806,8 @@ def _mixed_eq_quad_witness(gens: Sequence[SkewPoly],
     (which holds one monomial g+^(k,k), k >= 2, per degree), and one of the
     second's lies outside span(A0, Aeq).
     """
-    tops = [_support(k for k in g.terms if sum(k[1]) == g.degree)
-            for g in gens]
+    tops = [_support(k for k in g.terms if sum(k[1]) == d)
+            for g in gens for d in (g.degree,)]
     leader = _first(gens, tops, lambda top: top == {"Aeq"})
     partner = _first(gens, tops, lambda top: not top <= _DIAGONAL)
     return _mixed_witness(leader, partner)

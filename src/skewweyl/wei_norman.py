@@ -32,7 +32,7 @@ import numpy as np
 
 from .fock_oracle import (MIN_DIM, hermitian_generators, read_only,
                           state_columns)
-from .weyl_core import CONTROL_GENERATORS, unit_i
+from .weyl_core import CONTROL_GENERATORS, _monomial_bracket, unit_i
 
 N_CONTROLS = {name: len(X) for name, X in CONTROL_GENERATORS.items()}
 
@@ -407,8 +407,9 @@ def schrodinger_factors(spec: ControlSpec) -> FactorSolution:
 def _adjoints() -> List[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     """(ad X_j, f ↦ exp(-f ad X_j)) for X1..X5 on the basis (i, X1..X5).
 
-    The ad matrices are read, once, from the exact structure constants:
-    (ad X_j)[k][l] = table[j, l][k].  The exponential map takes an array
+    The ad matrices are read, once, from the exact brackets of the basis
+    monomials: with b_k = s_k m_k, (ad X_j)[k][l] is s_j·s_l/s_k times the
+    coefficient of [m_j, m_l] at m_k.  The exponential map takes an array
     of n values of f to n 6 x 6 matrices: ad X2 and ad X3 are nilpotent
     (cube zero), so their series stops after the square; ad X1 (a
     rotation) and ad X4, ad X5 (boosts) are diagonalisable and are
@@ -416,15 +417,13 @@ def _adjoints() -> List[Tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     with the exact exponential to 1e-14 relative to its largest entry for
     |f| <= 3, closer than scipy's expm there.
     """
-    from .classify import StructureConstants
-    from .lie_engine import LieSpan
-
-    table = StructureConstants.from_span(LieSpan(
-        (unit_i(), *CONTROL_GENERATORS["schrodinger"]))).table
+    mono, s = zip(*(next(iter(b.terms.items()))  # b_k = s_k m_k
+                    for b in (unit_i(), *CONTROL_GENERATORS["schrodinger"])))
+    index = {m: k for k, m in enumerate(mono)}
     ads = np.zeros((6, 6, 6))
-    for (j, l), v in table.items():
-        for k, c in v.items():
-            ads[j, k, l] = float(c)
+    for j, l in np.ndindex(6, 6):
+        for m, c in _monomial_bracket(mono[j], mono[l]):
+            ads[j, index[m], l] = float(s[j] * s[l] * c / s[index[m]])
     return [(ad, _exp_map(ad)) for ad in ads[1:]]
 
 

@@ -174,6 +174,18 @@ def _weyl_terms(key: Tuple[int, MultiIndex]
     return ((beta, alpha), 1, 0), ((alpha, beta), -1, 0)
 
 
+def _normal_coeff(terms, alpha: int, beta: int) -> Tuple[Fraction, Fraction]:
+    """(re, im) of the coefficient of (a†)^α a^β in the element with skew
+    terms `terms`, exact, as its `WeylPoly` conversion gives it: with c±
+    the coefficients of g±^γ, γ = (max(α, β), min(α, β)), it is c- + i·c+
+    for α < β, -c- + i·c+ for α > β and 2i·c+ for α = β."""
+    if alpha == beta:
+        return 0, 2 * terms.get((PLUS, (alpha, beta)), 0)
+    gamma = (alpha, beta) if alpha > beta else (beta, alpha)
+    minus = terms.get((MINUS, gamma), 0)
+    return -minus if alpha > beta else minus, terms.get((PLUS, gamma), 0)
+
+
 def _monomial_bracket(k1: Tuple[int, MultiIndex], k2: Tuple[int, MultiIndex]
                       ) -> Tuple[Tuple[Tuple[int, MultiIndex], int], ...]:
     """[k1, k2] of two skew monomials as (key, integer coefficient) pairs.

@@ -777,7 +777,10 @@ class TestArithmeticOverflow:
             mono(PLUS, 3, 0).scale(big) + mono(PLUS, 1, 0)])
         e2 = write_elements(tmp_path, "e2.json", [
             mono(MINUS, 4, 1).scale(big) + mono(PLUS, 2, 0)])
-        self.assert_domain_error(["igusa", "--e1", e1, "--e2", e2], capsys)
+        err = self.assert_domain_error(["igusa", "--e1", e1, "--e2", e2],
+                                       capsys)
+        assert "float frame search" in err
+        assert "outside the float range" in err
 
     @pytest.mark.parametrize("command", ["closure", "igusa"])
     def test_identity_certificate_beyond_float_range(self, tmp_path, capsys,

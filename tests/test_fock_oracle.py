@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg.blas import zaxpy, zgbmv
 
 from skewweyl import fock_oracle
-from skewweyl.fock_oracle import (BAND, _STAGED_STEPS, UnitarityDriftError,
+from skewweyl.fock_oracle import (_STAGED_STEPS, UnitarityDriftError,
                                   _band_table, direct_propagator,
                                   hermitian_generators, state_fidelity)
 from skewweyl.weyl_core import (CONTROL_GENERATORS, GR_I, NEG_INF,
@@ -219,6 +219,11 @@ def _hand_written_generators(algebra, N):
     return gens
 
 
+#: half-width of each algebra's band: a² and a†² reach two diagonals off
+#: the main one, a and a† one
+HALF_WIDTH = {"wh2": 1, "schrodinger": 2}
+
+
 class TestGeneratorTable:
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     @pytest.mark.parametrize("N", [16, 17, 48, 96, 200])
@@ -233,9 +238,10 @@ class TestGeneratorTable:
         for H, ref in zip(got, want):
             assert np.array_equal(H, ref)
         table = _band_table(algebra, N)
-        for d in range(-BAND, BAND + 1):
+        b = HALF_WIDTH[algebra]
+        for d in range(-b, b + 1):
             cols = np.arange(max(0, d), min(N, N + d))
-            assert np.array_equal(table[:, cols, BAND - d],
+            assert np.array_equal(table[:, cols, b - d],
                                   -1j * np.stack(want)[:, cols - d, cols])
 
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
@@ -250,29 +256,33 @@ class TestGeneratorTable:
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     @pytest.mark.parametrize("N", [16, 96])
     def test_band_table_unchanged(self, algebra, N):
-        # the band storage rebuilds -i H_j exactly: entry [j, c, 2 - d] is
+        # the band storage rebuilds -i H_j exactly: entry [j, c, b - d] is
         # -i H_j[c - d, c], and nothing of H_j lies outside the band
         want = -1j * np.stack(_hand_written_generators(algebra, N))
         table = _band_table(algebra, N)
-        assert table.shape == (len(want), N, 5)
+        b = HALF_WIDTH[algebra]
+        assert table.shape == (len(want), N, 2 * b + 1)
         dense = np.zeros_like(want)
-        for d in range(-2, 3):
+        for d in range(-b, b + 1):
             for c in range(max(0, d), min(N, N + d)):
-                dense[:, c - d, c] = table[:, c, 2 - d]
+                dense[:, c - d, c] = table[:, c, b - d]
         assert np.array_equal(dense, want)
 
     @pytest.mark.parametrize("algebra", ["wh2", "schrodinger"])
     @pytest.mark.parametrize("N", [16, 48])
     def test_band_holds_every_nonzero(self, algebra, N):
-        # a² and a†² reach two diagonals off the main one
-        assert BAND == 2
+        # the band is the algebra's own, with no padding: its outermost
+        # diagonals hold nonzeros
+        b = HALF_WIDTH[algebra]
         gens = -1j * np.stack(hermitian_generators(algebra, N))
         rows, cols = np.indices((N, N))
-        assert not np.any(gens[:, np.abs(rows - cols) > BAND])
+        assert not np.any(gens[:, np.abs(rows - cols) > b])
+        assert np.any(gens[:, rows - cols == b])
+        assert np.any(gens[:, cols - rows == b])
         table = _band_table(algebra, N)
-        assert table.shape == (len(gens), N, 2 * BAND + 1)
+        assert table.shape == (len(gens), N, 2 * b + 1)
         j, r, c = np.nonzero(gens)
-        assert np.array_equal(table[j, c, BAND - c + r], gens[j, r, c])
+        assert np.array_equal(table[j, c, b - c + r], gens[j, r, c])
         assert np.count_nonzero(table) == len(j)
 
 
@@ -307,21 +317,23 @@ def _sinusoid(algebra, t_final):
 
 def _per_step_setup(spec, N, psi0, substeps):
     """The columns of psi0 (None: the identity), the result shape, the
-    RK4 step and step count of `direct_propagator`, and the band of
-    -i H(t_j) at the stage time j h/2, formed for that stage alone by a
-    complex product with the table."""
+    RK4 step and step count of `direct_propagator`, the half-width b of
+    the table, and the band of -i H(t_j) at the stage time j h/2, formed
+    for that stage alone by a complex product with the table."""
     Y0 = np.eye(N, dtype=complex) if psi0 is None else \
         np.array(psi0, dtype=complex)
     shape = Y0.shape
     h = spec.h / substeps
     n_steps = int(round(spec.h * spec.n_steps / h))
-    table = _band_table(spec.algebra, N).reshape(-1, N * 5)
+    table = _band_table(spec.algebra, N)
+    w = table.shape[-1]
+    table = table.reshape(-1, N * w)
     u = spec.stage_samples(substeps)
 
     def band(j):
-        return (u[j] @ table).reshape(N, 5).T
+        return (u[j] @ table).reshape(N, w).T
 
-    return Y0.reshape(N, -1), shape, h, n_steps, band
+    return Y0.reshape(N, -1), shape, h, n_steps, w // 2, band
 
 
 def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
@@ -331,11 +343,11 @@ def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
     intermediate, without the drift check.  The stage arguments a2, a3,
     a4 are y plus a band product, and the update is y + h/6 A_e a4 + D/3
     with D = a2 + 2 a3 + a4 - 4 y."""
-    Y0, shape, h, n_steps, band = _per_step_setup(spec, N, psi0, substeps)
+    Y0, shape, h, n_steps, b, band = _per_step_setup(spec, N, psi0, substeps)
 
     def stage(alpha, j, x, y):
         # y + alpha (-i H(t_j)) x
-        return zgbmv(N, N, 2, 2, alpha, band(j), x, beta=1.0, y=y)
+        return zgbmv(N, N, b, b, alpha, band(j), x, beta=1.0, y=y)
 
     Y = np.empty_like(Y0)
     for col in range(Y0.shape[1]):
@@ -355,10 +367,10 @@ def _banded_rk4_per_step(spec, N, psi0=None, substeps=4):
 def _textbook_rk4(spec, N, psi0=None, substeps=4):
     """Reference: the same steps in the textbook form, the derivatives
     k1..k4 and then y += h/6 ((k1 + k4) + 2 k2 + 2 k3)."""
-    Y0, shape, h, n_steps, band = _per_step_setup(spec, N, psi0, substeps)
+    Y0, shape, h, n_steps, b, band = _per_step_setup(spec, N, psi0, substeps)
 
     def derivative(j, y):
-        return zgbmv(N, N, 2, 2, 1.0, band(j), y)
+        return zgbmv(N, N, b, b, 1.0, band(j), y)
 
     Y = np.empty_like(Y0)
     for col in range(Y0.shape[1]):

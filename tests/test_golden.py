@@ -265,6 +265,19 @@ def test_numerical_modules_import_no_scipy_integrate():
     assert _run(["-c", code]) == "[]\n"
 
 
+def test_simulate_leaves_classify_unimported():
+    # the Wei–Norman adjoint matrices are read from the monomial brackets
+    # of weyl_core, so a simulate never loads classify
+    controls = str(ROOT / "tests" / "data" / "controls_schrodinger_sinusoid.json")
+    code = ("import contextlib, io, sys\n"
+            "from skewweyl.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = run(['simulate', '--algebra', 'schrodinger',\n"
+            f"                '--controls', {controls!r}, '--fock-dim', '32'])\n"
+            "print(code, 'skewweyl.classify' in sys.modules)\n")
+    assert _run(["-c", code]) == "0 False\n"
+
+
 def test_structural_commands_import_no_numpy(tmp_path):
     # the exact half runs on the stdlib alone: only `simulate` loads numpy
     # and scipy, and no structural module loads `dataclasses`, whose

@@ -15,7 +15,8 @@ from skewweyl import igusa
 from skewweyl import lie_engine
 from skewweyl.igusa import (NUMERIC_TOLERANCE, IgusaCertificate,
                             SymplecticParams, _evaluate_frame, _frame_leading,
-                            _normal_coeff, chain_degrees, cpoly_mul,
+                            _normal_coeff, _top_terms, chain_degrees,
+                            cpoly_mul,
                             identity_check, symplectic_search, transform,
                             verify_certificate)
 from skewweyl.lie_engine import (Budget, _leading_parts, bracket,
@@ -299,7 +300,7 @@ class TestFrameLeading:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_transform(self, e, params):
         x = e.to_weyl()
-        d, a0, a1 = _frame_leading(e, params.matrix())
+        d, a0, a1 = _frame_leading(_top_terms(e), params.matrix())
         p = transform(x, params)
         s11, s12, s21, s22 = params.matrix()
         scale = sum(abs(complex(c)) * (abs(s11) + abs(s12)) ** a
@@ -319,7 +320,8 @@ class TestFrameLeading:
         # a^3 has 2 and a† a^2 has 2i, divided by the sum 2 + 2 + 2 + 2 of
         # the top-degree |coefficients|; g+(1,1) lies below the top
         e = gm(3, 0, 2) + gp(2, 1, 2) + gp(1, 1, 3)
-        assert _frame_leading(e, (1, 0, 0, 1)) == (3, 0.25 + 0j, 0.25j)
+        assert _frame_leading(_top_terms(e), (1, 0, 0, 1)) \
+            == (3, 0.25 + 0j, 0.25j)
 
     @given(elements_of_degree_3_to_7(), frames,
            st.fractions(min_value=-4, max_value=4,
@@ -453,9 +455,10 @@ class TestDecision:
     def test_commuting_and_proportional_pairs_evaluate_no_frame(
             self, monkeypatch):
         calls = []
-        evaluate = igusa._evaluate_frame
-        monkeypatch.setattr(igusa, "_evaluate_frame",
-                            lambda *args: calls.append(args) or evaluate(*args))
+        for name in ("identity_certificate", "_float_frame"):
+            evaluate = getattr(igusa, name)
+            monkeypatch.setattr(igusa, name, lambda *args, _f=evaluate:
+                                calls.append(args) or _f(*args))
         e = gm(6, 0, -2) + gm(5, 1, 3) + gp(4, 2, Fraction(1, 2))
         kerr = gp(2, 2) + gp(1, 1)
         for e1, e2 in [(e, e.scale(Fraction(3, 2))), (e, e),
@@ -467,6 +470,23 @@ class TestDecision:
         assert symplectic_search(gm(3, 0), gp(3, 0)).params \
             == SymplecticParams(0.5, 0.0, 0.0)
         assert len(calls) == 2
+
+    def test_top_terms_are_read_once_per_element(self, monkeypatch):
+        # the search reads each element's top terms once for all its
+        # frames, and the chain reads each of its elements once
+        read = []
+        top_terms = igusa._top_terms
+        monkeypatch.setattr(igusa, "_top_terms",
+                            lambda e: read.append(e) or top_terms(e))
+        e1, e2 = gp(18, 0), gm(18, 0)
+        assert _top_bracket_is_full(e1, e2)
+        assert symplectic_search(e1, e2) is None  # after all 71 frames
+        assert read == [e1, e2]
+        read.clear()
+        degrees = chain_degrees(gm(3, 0), gp(3, 0),
+                                SymplecticParams(0.5, 0.0, 0.0))
+        assert len(degrees) == 6
+        assert len(read) == 6 and len(set(map(id, read))) == 6
 
     def test_full_degree_monomial_pairs_certify_through_degree_17(self):
         for d in (3, 10, 17):
@@ -548,7 +568,8 @@ class TestSkewKeyReader:
         frames = [(1, 0, 0, 1), frame] + [p.matrix() for p in family]
         for e, w in ((e1, x), (e2, y)):
             for f in frames:
-                assert repr(_frame_leading(e, f)) == repr(frame_leading(w, f))
+                assert repr(_frame_leading(_top_terms(e), f)) \
+                    == repr(frame_leading(w, f))
 
 
 def test_verdicts_and_igusa_pairs_need_no_weyl_conversion(monkeypatch):

@@ -151,6 +151,22 @@ def test_lie_engine_imports_only_weyl_core():
     assert package_imports()["lie_engine"] == {"weyl_core"}
 
 
+def test_numerical_modules_read_their_tables_through_weyl_core():
+    # the Fock band table and the adjoint matrices come from the skew keys
+    # and the monomial brackets of `weyl_core`, not from classify's
+    # structure constants, a `LieSpan` or a `GaussianRational` sum
+    graph = package_imports()
+
+    def names(module):
+        return set(_imports(ast.parse((PACKAGE / f"{module}.py").read_text())))
+
+    for module in ("wei_norman", "fock_oracle"):
+        assert "classify" not in graph[module]
+        assert "LieSpan" not in names(module)
+    assert not names("fock_oracle") & {"GaussianRational", "GR_ZERO",
+                                       "_weyl_terms"}
+
+
 def test_closures_leave_igusa_unimported():
     # a fresh interpreter runs `skewweyl closure` on every closure input in
     # turn and reports, after each, whether skewweyl.igusa was loaded

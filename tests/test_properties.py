@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from skewweyl.classify import StructureConstants, fingerprint
 from skewweyl.lie_engine import (Budget, LieSpan, _raw_closure, bracket,
                                  lie_closure)
-from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, schrodinger_monomials,
-                                skew_from_json, skew_to_json)
+from skewweyl.weyl_core import (MINUS, PLUS, SkewPoly, _normal_coeff,
+                                schrodinger_monomials, skew_from_json,
+                                skew_to_json)
 from test_commuting import (_all_pairs_closure, _all_pairs_table, _json,
                             _with_scalars, budgets, quadrature_families)
 
@@ -73,6 +74,18 @@ class TestRepresentations:
     @settings(max_examples=80, deadline=None)
     def test_weyl_roundtrip(self, x):
         assert SkewPoly.from_weyl(x.to_weyl()) == x
+
+    @given(skew_polys(max_terms=5))
+    @settings(max_examples=80, deadline=None)
+    def test_normal_coeff_equals_the_weyl_conversion(self, x):
+        # the one normal-ordered reader against `to_weyl`, which sums
+        # `_weyl_terms`, at every index up to the degree, zeros included
+        w = x.to_weyl()
+        d = max(x.degree, 0)
+        for alpha in range(d + 1):
+            for beta in range(d + 1):
+                c = w.coeff(alpha, beta)
+                assert _normal_coeff(x.terms, alpha, beta) == (c.re, c.im)
 
     @given(skew_polys())
     @settings(max_examples=80, deadline=None)

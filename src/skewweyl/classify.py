@@ -6,9 +6,11 @@ profiles, center dimension, exact Killing signature).  The fingerprint
 separates every named algebra in the catalog; in particular the two
 four-dimensional solvable algebras wh1 and wh2 differ in Killing signature
 ((1,0,3) vs (0,1,3)), which replaces any case analysis over nonlinear
-systems.  Parametric families (nilpotent chains L_n, their solvable
-extensions, and diagonal solvable algebras r(j1..jn)) are recognized
-structurally.
+systems.  Each dimension has one ordered list of reference fingerprints:
+R^n, the concrete catalog, the nilpotent chain L_(n-1) and its solvable
+extension Ltilde_(n-2).  The first equal one names the algebra; else the
+one structural family, the diagonal solvable algebras r(j1..jn), is tried,
+and named only where the generator acts diagonalisably.
 """
 
 from __future__ import annotations
@@ -392,30 +394,21 @@ def _catalog() -> Dict[str, Fingerprint]:
 
 
 @functools.lru_cache(maxsize=None)
-def _chain_fingerprint(n: int) -> Fingerprint:
-    return _fingerprint_from_sc(_chain_sc(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _chain_ext_fingerprint(n: int) -> Fingerprint:
-    return _fingerprint_from_sc(_chain_ext_sc(n))
-
-
-def _identify_parametric(sc: StructureConstants, fp: Fingerprint) -> Optional[CatalogEntry]:
-    n = sc.n
-    if fp.nilpotent and fp.lcs_dims == tuple([n] + list(range(n - 2, -1, -1))):
-        if fp == _chain_fingerprint(n - 1):
-            return CatalogEntry("L_n", (n - 1,), fp, "structural")
-    if fp.solvable and not fp.nilpotent and n >= 4:
-        if fp == _chain_ext_fingerprint(n - 2):
-            return CatalogEntry("Ltilde_n", (n - 2,), fp, "structural")
-    if fp.derived_dims == (n, n - 1, 0):
-        # candidate diagonal family: [g, g] abelian of codimension 1, some
-        # generator acting diagonalizably on it with rational eigenvalues
-        weights = _diagonal_weights(sc, sc.derived)
-        if weights is not None:
-            return CatalogEntry("r(j1..jn)", tuple(weights), fp, "structural")
-    return None
+def _references(n: int) -> Tuple[CatalogEntry, ...]:
+    """The catalog algebras of dimension n in lookup order: R^n, the
+    concrete ones, L_(n-1), Ltilde_(n-2).  The first match names the
+    algebra, so L_2 is h1."""
+    refs = [CatalogEntry("R^n", (n,),
+                         _fingerprint_from_sc(StructureConstants(n, {})))]
+    refs += [CatalogEntry(name, (), fp) for name, fp in _catalog().items()
+             if fp.dim == n]
+    if n >= 3:
+        refs.append(CatalogEntry("L_n", (n - 1,), _fingerprint_from_sc(
+            _chain_sc(n - 1)), "structural"))
+    if n >= 4:
+        refs.append(CatalogEntry("Ltilde_n", (n - 2,), _fingerprint_from_sc(
+            _chain_ext_sc(n - 2)), "structural"))
+    return tuple(refs)
 
 
 def _diagonal_weights(sc: StructureConstants,
@@ -429,14 +422,23 @@ def _diagonal_weights(sc: StructureConstants,
     scale·ad w.  w is the first non-pivot unit vector; any other choice is
     c·w plus an element of the abelian `der`, which scales the weights by
     c, as `scale` does.  w is fixed only up to sign, so of the sorted
-    weights of w and -w the larger tuple is returned.
+    weights of w and -w the larger tuple is returned.  None unless ad w is
+    diagonalisable: the product of (A - λ) over its distinct weights λ is
+    0 for its matrix A, and nonzero on a Jordan block.
     """
     pivots = [min(row) for row in der]
     outside = {next(i for i in range(sc.n) if i not in pivots): 1}
     images = [(sc.bracket_vec(outside, v), v[p]) for v, p in zip(der, pivots)]
-    weights = _rational_eigenvalues([[Fraction(w.get(p, 0), d)
-                                      for w, d in images] for p in pivots])
+    A = [[Fraction(w.get(p, 0), d) for w, d in images] for p in pivots]
+    weights = _rational_eigenvalues(A)
     if weights is None or not any(weights):
+        return None
+    product = [[Fraction(i == j) for j in range(len(A))]
+               for i in range(len(A))]
+    for lam in set(weights):
+        product = [[sum(x * a for x, a in zip(row, col)) - lam * row[j]
+                    for j, col in enumerate(zip(*A))] for row in product]
+    if any(any(row) for row in product):
         return None
     scale = max(abs(w) for w in weights)
     return max(tuple(sorted((sign * w / scale for w in weights), reverse=True))
@@ -496,18 +498,22 @@ def _rational_eigenvalues(A: Matrix) -> Optional[List[Fraction]]:
     return [g * r for r in roots]
 
 
-def identify(b: LieSpan) -> CatalogEntry:
-    sc = StructureConstants.from_span(b)
+def _identify_table(sc: StructureConstants) -> CatalogEntry:
+    """The first of `_references` with sc's fingerprint, else r(j1..jn) by
+    `_diagonal_weights`, else Unrecognized."""
     fp = _fingerprint_from_sc(sc)
-    if fp.center_dim == fp.dim:
-        return CatalogEntry("R^n", (fp.dim,), fp)
-    for name, ref in _catalog().items():
-        if fp == ref:
-            return CatalogEntry(name, (), fp)
-    parametric = _identify_parametric(sc, fp)
-    if parametric is not None:
-        return parametric
+    for ref in _references(sc.n):
+        if ref.fingerprint == fp:
+            return ref
+    if fp.derived_dims == (sc.n, sc.n - 1, 0):
+        weights = _diagonal_weights(sc, sc.derived)
+        if weights is not None:
+            return CatalogEntry("r(j1..jn)", weights, fp, "structural")
     return CatalogEntry("Unrecognized", (), fp, "none")
+
+
+def identify(b: LieSpan) -> CatalogEntry:
+    return _identify_table(StructureConstants.from_span(b))
 
 
 # ---------------------------------------------------------------------------

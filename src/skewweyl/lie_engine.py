@@ -435,8 +435,9 @@ def identity_certificate(x: SkewPoly, y: SkewPoly
     their certificate if a0·b0 and delta = d2·a1·b0 - d1·a0·b1 are nonzero,
     else None, for (a0, a1) and (b0, b1) the `_leading_parts` of x and y.
     Both are formed in integers from l1·x and l2·y and divided once by l1·l2
-    (int / int rounds like float(Fraction)); past the float range they
-    raise OverflowError."""
+    (int / int rounds like float(Fraction)); past the float range, or so
+    far below it that a nonzero value rounds to 0, they raise
+    OverflowError."""
     (l1, xs), (l2, ys) = _integer_terms(x.terms), _integer_terms(y.terms)
     d1, d2 = x.degree, y.degree
     a0r, a0i, a1r, a1i = _leading_parts(xs, d1)
@@ -448,11 +449,13 @@ def identity_certificate(x: SkewPoly, y: SkewPoly
         return None
     n = l1 * l2
     try:
-        return IgusaCertificate("infinite", None, *(
-            complex(re / n, im / n) for re, im in (prod, dlt)))
+        values = [complex(re / n, im / n) for re, im in (prod, dlt)]
+        if 0j in values:  # a nonzero value below the float range
+            raise OverflowError
     except OverflowError:
         raise OverflowError("the identity-frame certificate's a0·b0 or "
                             "delta lies outside the float range") from None
+    return IgusaCertificate("infinite", None, *values)
 
 
 def _linear_root(xs: Dict[MonKey, int], d: int) -> Optional[Tuple[int, int]]:

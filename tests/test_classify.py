@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skewweyl.classify import (
     _CONCRETE_SC,
@@ -16,6 +18,7 @@ from skewweyl.classify import (
     _chain_ext_sc,
     _chain_sc,
     _fingerprint_from_sc,
+    _identify_table,
     _killing_from_sc,
     catalog_fingerprints,
     center,
@@ -40,6 +43,7 @@ from skewweyl.weyl_core import (
     unit_i,
 )
 
+from test_linalg import from_sympy
 from test_weyl_core import assert_record_contract
 
 
@@ -79,6 +83,16 @@ WH1 = span_of(unit_i(), gp(1, 0), gm(1, 0), gm(2, 0))
 WH2 = span_of(number_op(), gm(1, 0))
 SL2 = span_of(gp(2, 0), gm(2, 0))
 SL2R = span_of(unit_i(), number_op(), gp(2, 0), gm(2, 0))
+
+#: Bianchi IV, [w, d1] = d1 and [w, d2] = d1 + d2: ad w is a Jordan block
+BIANCHI_IV = StructureConstants(3, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1}})
+#: Bianchi V, [w, d1] = d1 and [w, d2] = d2: the same fingerprint, r(1, 1)
+BIANCHI_V = StructureConstants(3, {(0, 1): {1: 1}, (0, 2): {2: 1}})
+#: a Jordan block of weight 1 beside the weight 2, and its diagonal twin
+JORDAN_4 = StructureConstants(4, {(0, 1): {1: 1}, (0, 2): {1: 1, 2: 1},
+                                  (0, 3): {3: 2}})
+DIAGONAL_4 = StructureConstants(4, {(0, 1): {1: 1}, (0, 2): {2: 1},
+                                    (0, 3): {3: 2}})
 
 
 class TestSeries:
@@ -287,32 +301,96 @@ class TestFingerprintAndIdentify:
             assert entry.name == "r(j1..jn)" and entry.parameters == want
 
     def test_chain_reference_fingerprint_is_computed_once(self, monkeypatch):
+        # the benchmark's set-up fills `_catalog()` and relies on each
+        # dimension's reference fingerprints being kept after that
         from skewweyl import classify
 
-        sp = span_of(gp(1, 0), displacement_power(4))
+        chain = span_of(gp(1, 0), displacement_power(4))
+        cases = [(lambda: identify(chain), "L_n"),
+                 (lambda: identify(WH2), "wh2"),
+                 (lambda: _identify_table(_chain_ext_sc(3)), "Ltilde_n")]
+        classify._catalog()
         calls = []
         real = classify._fingerprint_from_sc
         monkeypatch.setattr(classify, "_fingerprint_from_sc",
                             lambda sc: calls.append(sc) or real(sc))
-        assert identify(sp).name == "L_n"
-        calls.clear()
-        assert identify(sp).name == "L_n"
-        # only the span's own fingerprint, not the reference L_5's again
-        assert len(calls) == 1
+        for lookup, name in cases:
+            assert lookup().name == name
+            calls.clear()
+            assert lookup().name == name
+            # only the table's own fingerprint, not the references' again
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_extension_family(self, n):
-        from skewweyl.classify import (_chain_ext_sc, _fingerprint_from_sc,
-                                       _identify_parametric)
-
-        sc = _chain_ext_sc(n)
-        entry = _identify_parametric(sc, _fingerprint_from_sc(sc))
+        entry = _identify_table(_chain_ext_sc(n))
         assert entry.name == "Ltilde_n" and entry.parameters == (n,)
+
+    def test_a_jordan_block_is_not_diagonal(self):
+        # equal fingerprints, but only Bianchi V is r(1, 1): a claim for
+        # Bianchi IV would name an isomorphism that does not exist
+        fp = _fingerprint_from_sc(BIANCHI_V)
+        assert _fingerprint_from_sc(BIANCHI_IV) == fp
+        assert _identify_table(BIANCHI_V) == CatalogEntry(
+            "r(j1..jn)", (1, 1), fp, "structural")
+        assert _identify_table(BIANCHI_IV) == CatalogEntry(
+            "Unrecognized", (), fp, "none")
+        assert _identify_table(JORDAN_4).name == "Unrecognized"
+        assert _identify_table(DIAGONAL_4).parameters == (
+            1, Fraction(1, 2), Fraction(1, 2))
 
     def test_identification_json(self):
         obj = identify(WH2).to_json()
         assert obj["name"] == "wh2"
         assert obj["fingerprint"]["killing_signature"] == [0, 1, 3]
+
+
+def reference_tables():
+    """Every table the lookup names: the concrete catalog, R^n for n <= 4,
+    L_2..L_7 and Ltilde_2..Ltilde_5."""
+    return (list(_CONCRETE_SC.values())
+            + [StructureConstants(n, {}) for n in range(1, 5)]
+            + [_chain_sc(n) for n in range(2, 8)]
+            + [_chain_ext_sc(n) for n in range(2, 6)])
+
+
+@st.composite
+def diagonal_tables(draw):
+    """r(j1..jn): [w, d_k] = j_k d_k for nonzero integer weights."""
+    weights = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1,
+                            max_size=4))
+    return StructureConstants(len(weights) + 1, {
+        (0, k): {k: j} for k, j in enumerate(weights, 1)})
+
+
+def change_basis(sc, P):
+    """sc's table in the basis b'_i = sum_j P[i][j] b_j, P invertible: a
+    bracket with old coordinates v has new coordinates v P^-1."""
+    n = sc.n
+    inv = sympy.Matrix(P).inv()
+    entries = {}
+    for i, j in itertools.combinations(range(n), 2):
+        old = {}
+        for (k, l), v in sc.table.items():
+            for m, c in v.items():
+                old[m] = old.get(m, 0) + P[i][k] * P[j][l] * c
+        entries[i, j] = {r: sum(c * from_sympy(inv[m, r])
+                                for m, c in old.items()) for r in range(n)}
+    return StructureConstants(n, entries)
+
+
+class TestLookupInAnyBasis:
+    @given(st.one_of(st.sampled_from(reference_tables()), diagonal_tables()),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_change_of_basis_keeps_the_entry(self, sc, data):
+        n = sc.n
+        P = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                        max_size=n), min_size=n, max_size=n))
+        assume(sympy.Matrix(P).det() != 0)
+        entry = _identify_table(sc)
+        assert entry.name != "Unrecognized"
+        assert _identify_table(change_basis(sc, P)) == entry
 
 
 class TestNullity:

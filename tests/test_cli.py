@@ -782,12 +782,10 @@ class TestArithmeticOverflow:
         assert "float frame search" in err
         assert "outside the float range" in err
 
-    @pytest.mark.parametrize("command", ["closure", "igusa"])
-    def test_identity_certificate_beyond_float_range(self, tmp_path, capsys,
-                                                     command):
-        # the identity frame certifies the pair with a0·b0 = 10^400, which
-        # has no float value
-        e1 = mono(MINUS, 3, 0).scale(Fraction(10) ** 400) + mono(MINUS, 2, 1)
+    def assert_identity_certificate_error(self, tmp_path, capsys, command,
+                                          scale):
+        # the identity frame certifies the pair with a0·b0 = scale
+        e1 = mono(MINUS, 3, 0).scale(scale) + mono(MINUS, 2, 1)
         e2 = mono(MINUS, 4, 0)
         if command == "closure":
             argv = ["closure", "--gens",
@@ -798,6 +796,21 @@ class TestArithmeticOverflow:
         err = self.assert_domain_error(argv, capsys)
         assert "identity-frame certificate" in err
         assert "outside the float range" in err
+
+    @pytest.mark.parametrize("command", ["closure", "igusa"])
+    def test_identity_certificate_beyond_float_range(self, tmp_path, capsys,
+                                                     command):
+        # a0·b0 = 10^400 has no float value
+        self.assert_identity_certificate_error(tmp_path, capsys, command,
+                                               Fraction(10) ** 400)
+
+    @pytest.mark.parametrize("command", ["closure", "igusa"])
+    def test_identity_certificate_below_float_range(self, tmp_path, capsys,
+                                                    command):
+        # a0·b0 = 10^-400 is nonzero but rounds to 0.0, so the printed
+        # certificate would fail its own condition
+        self.assert_identity_certificate_error(tmp_path, capsys, command,
+                                               Fraction(1, 10 ** 400))
 
     def test_result_coefficient_beyond_the_writer_limit(self, tmp_path,
                                                         capsys):

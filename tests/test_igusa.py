@@ -234,9 +234,9 @@ class TestIdentityCertificate:
                 run()
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known defect: a0·b0 = 10^-400 is nonzero but rounds to 0.0 in the "
-        "float certificate; ROADMAP item 1, exact a0b0/delta strings, is "
-        "the fix"))
+        "known limit: a0·b0 = 10^-400 is nonzero but rounds to 0.0 as a "
+        "float, so the closure raises OverflowError instead of printing a "
+        "certificate; ROADMAP item 1, exact a0b0/delta strings, is the fix"))
     def test_a_product_below_the_float_range_prints_nonzero(self):
         e1 = gm(3, 0, Fraction(1, 10 ** 400)) + gm(2, 1)
         out = lie_closure([e1, gm(4, 0)])

@@ -4,8 +4,9 @@ under src/, tests/ and scripts/.
 A module fails if it imports a name that it never reads and that its
 `__all__` does not export, or if an annotation names a `typing` name that
 the module never binds.  Within the package, the relative imports, at
-module level and inside functions, form a graph without a cycle, and
-`lie_engine` imports `weyl_core` alone, so that no closure loads `igusa`."""
+module level and inside functions, form a graph without a cycle,
+`lie_engine` imports `weyl_core` alone, so that no closure loads `igusa`,
+and no module holds an `assert`."""
 
 import ast
 import graphlib
@@ -165,6 +166,16 @@ def test_numerical_modules_read_their_tables_through_weyl_core():
         assert "LieSpan" not in names(module)
     assert not names("fock_oracle") & {"GaussianRational", "GR_ZERO",
                                        "_weyl_terms"}
+
+
+def test_package_has_no_assert():
+    # `python -O` strips an assert, and where one holds it answers a user's
+    # input with a bare AssertionError: the package raises named errors
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_closures_leave_igusa_unimported():

@@ -5,13 +5,15 @@
 signature and the r(j1..jn) weights on its table times the lcm of the
 table's denominators.  The reference below is the same algorithm on the
 `Fraction` table itself: RREF rows in `Fraction`s (`test_linalg.fraction_rows`
-of an `Rref` built by its dense constructor from `Fraction` rows) and a
-congruence reduction that divides by the pivot."""
+of an `Rref` built by its dense constructor from `Fraction` rows), a
+congruence reduction that divides by the pivot, and sympy's test that the
+generator of an r(j1..jn) acts diagonalisably."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,14 +22,15 @@ from skewweyl.classify import (
     StructureConstants,
     _diagonal_weights,
     _fingerprint_from_sc,
-    _identify_parametric,
+    _identify_table,
     _killing_from_sc,
     _rational_eigenvalues,
     _sylvester_signature,
 )
 from skewweyl.lie_engine import Budget, LieSpan, Rref, _raw_closure
 from skewweyl.weyl_core import SkewPoly
-from test_classify import _table_cases, gm, gp, skew_power, span_of
+from test_classify import (BIANCHI_IV, BIANCHI_V, DIAGONAL_4, JORDAN_4,
+                           _table_cases, gm, gp, skew_power, span_of)
 from test_commuting import _LOW_KEYS, _json, _with_scalars, skew_polys
 from test_linalg import dense, fraction_rows
 
@@ -135,9 +138,11 @@ def ref_diagonal_weights(sc):
     pivots = [min(row) for row in der]
     outside = {next(i for i in range(sc.n) if i not in pivots): Fraction(1)}
     images = [ref_bracket_vec(sc, outside, v) for v in der]
-    weights = _rational_eigenvalues([[w.get(p, Fraction(0)) for w in images]
-                                     for p in pivots])
+    A = [[w.get(p, Fraction(0)) for w in images] for p in pivots]
+    weights = _rational_eigenvalues(A)
     if weights is None or not any(weights):
+        return None
+    if not sympy.Matrix(A).is_diagonalizable():
         return None
     scale = max(abs(w) for w in weights)
     return max(tuple(sorted((sign * w / scale for w in weights), reverse=True))
@@ -156,8 +161,13 @@ def _diagonal_spans():
 
 
 def _diagonal_cases():
+    """The r(j1..jn) spans, and tables of the same fingerprints whose
+    generator acts by a Jordan block or diagonally."""
     return [pytest.param(StructureConstants.from_span(s), id=f"diagonal_{k}")
-            for k, s in enumerate(_diagonal_spans())]
+            for k, s in enumerate(_diagonal_spans())] + [
+        pytest.param(sc, id=name) for name, sc in (
+            ("bianchi_IV", BIANCHI_IV), ("bianchi_V", BIANCHI_V),
+            ("jordan_4", JORDAN_4), ("diagonal_4", DIAGONAL_4))]
 
 
 CASES = _table_cases() + _diagonal_cases()
@@ -202,8 +212,7 @@ class TestAgainstFractionReference:
         scaled = _rescaled(sc, c)
         fp = _check_against_reference(scaled)
         assert fp == _fingerprint_from_sc(sc)
-        assert _identify_parametric(scaled, fp) == \
-            _identify_parametric(sc, fp)
+        assert _identify_table(scaled) == _identify_table(sc)
 
     @given(_with_scalars(st.lists(st.one_of(skew_polys(_LOW_KEYS),
                                             skew_polys()),
@@ -227,10 +236,10 @@ class TestAgainstFractionReference:
         assume(mixed.dim == n)
         sc, sc0 = (StructureConstants.from_span(mixed),
                    StructureConstants.from_span(span))
-        fp = _check_against_reference(sc)
-        entry = _identify_parametric(sc, fp)
+        _check_against_reference(sc)
+        entry = _identify_table(sc)
         assert entry.name == "r(j1..jn)"
-        assert entry == _identify_parametric(sc0, _fingerprint_from_sc(sc0))
+        assert entry == _identify_table(sc0)
 
     @given(symmetric_matrices())
     @settings(max_examples=200, deadline=None)
